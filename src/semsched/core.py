@@ -186,14 +186,6 @@ def validate_params(raw: SystemParams | Mapping[str, object]) -> SystemParams:
     return candidate
 
 
-def check_state(params: SystemParams, s: AgentState) -> AgentState:
-    """Debug-build bounds assertion for states produced anywhere."""
-    assert 0 <= s.metric <= params.delta_max, s
-    assert 0 <= s.battery <= params.B, s
-    assert s.query in (0, 1), s
-    return s
-
-
 _BOOL_KEYS = {"allow_tight_truncation"}
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -53,32 +53,6 @@ class TargetUnreachable(ValueError):
 
 class MonotonicityViolation(RuntimeError):
     """Evaluated average increased with p_e; bisection preconditions broken."""
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """One-parameter sweep description."""
-
-    varying: str
-    grid: tuple[float, ...]
-    base: SystemParams
-    kinds: tuple[MetricKind, ...]
-    policies: tuple[str, ...]
-    mode: str = "exact"
-
-    def __post_init__(self):
-        valid = {f.name for f in fields(SystemParams)}
-        if self.varying not in valid:
-            raise ValueError(f"unknown parameter {self.varying!r}")
-        if not self.grid:
-            raise ValueError("grid must be non-empty")
-        if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
-            raise ValueError("grid must be strictly increasing")
-        if self.mode not in ("exact", "simulated"):
-            raise ValueError(f"mode must be exact or simulated, got {self.mode!r}")
-        for name in self.policies:
-            if name not in POLICY_NAMES:
-                raise ValueError(f"unknown policy {name!r}")
 
 
 def solve_policy(params: SystemParams, name: str) -> PolicyTable:

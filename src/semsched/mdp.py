@@ -34,7 +34,18 @@ from scipy.sparse.linalg import spsolve
 
 from .core import Action, AgentState, MetricKind, SystemParams, params_stamp
 from .metrics import stage_cost, step_aoi, step_vaoi
-from .policies import PolicyTable, state_count, state_index
+from .policies import (
+    POLICY_COLUMNS,
+    STAMP_KEYS,
+    PolicyTable,
+    finite_float,
+    format_policy,
+    header_value,
+    parse_table,
+    policy_from_table,
+    state_count,
+    state_index,
+)
 
 _DAMPING = 0.5
 _TIE_EPS = 1e-12
@@ -134,7 +145,8 @@ def transition(
             query=q2,
         )
         merged[nxt] = merged.get(nxt, 0.0) + p
-    return [TransitionEntry(nxt, p) for nxt, p in sorted(merged.items())]
+    # rounding can carry a merged sure outcome a hair past 1
+    return [TransitionEntry(nxt, min(p, 1.0)) for nxt, p in sorted(merged.items())]
 
 
 def expected_stage_cost(
@@ -187,33 +199,28 @@ def _build_model(params: SystemParams, kind: MetricKind) -> _Model:
     def next_index(m, b, q):
         return (m * (p.B + 1) + b) * 2 + q
 
+    def step_metric(delivered, v):
+        grow = 1 if kind.age_family else v
+        return np.full(n, grow) if delivered else np.minimum(metric + grow, p.delta_max)
+
     # idle: outcomes (energy, version, q2); transmit adds the channel draw
+    # u in front. Cross-family evaluation pairs the two families' columns,
+    # so both must keep this (u, e, v, q2) order.
     idle_cols, idle_pr = [], []
-    for e, pe in ((1, p.p_e), (0, 1 - p.p_e)):
-        for v, pv in ((1, p.p_v), (0, 1 - p.p_v)):
-            for q2, pq2 in ((1, p.p_q), (0, 1 - p.p_q)):
-                if kind.age_family:
-                    m2 = np.minimum(metric + 1, p.delta_max)
-                else:
-                    m2 = np.minimum(metric + v, p.delta_max)
-                b2 = np.minimum(battery + e, p.B)
-                idle_cols.append(next_index(m2, b2, q2))
-                idle_pr.append(pe * pv * pq2)
     tx_cols, tx_pr = [], []
     for u, pu in ((1, p.p_s), (0, 1 - p.p_s)):
         for e, pe in ((1, p.p_e), (0, 1 - p.p_e)):
             for v, pv in ((1, p.p_v), (0, 1 - p.p_v)):
                 for q2, pq2 in ((1, p.p_q), (0, 1 - p.p_q)):
-                    if u:
-                        m2 = np.full(n, (1 if kind.age_family else v))
-                    else:
-                        if kind.age_family:
-                            m2 = np.minimum(metric + 1, p.delta_max)
-                        else:
-                            m2 = np.minimum(metric + v, p.delta_max)
-                    b2 = np.minimum(battery - 1 + e, p.B)
-                    tx_cols.append(next_index(m2, b2, q2))
+                    tx_cols.append(
+                        next_index(step_metric(u, v), np.minimum(battery - 1 + e, p.B), q2)
+                    )
                     tx_pr.append(pu * pe * pv * pq2)
+                    if u == 0:
+                        idle_cols.append(
+                            next_index(step_metric(0, v), np.minimum(battery + e, p.B), q2)
+                        )
+                        idle_pr.append(pe * pv * pq2)
 
     nxt0 = np.stack(idle_cols, axis=1)
     nxt1 = np.stack(tx_cols, axis=1)
@@ -381,6 +388,73 @@ def _single_recurrent_class(
     return ridx, ridx[closed[0]]
 
 
+def _cross_query_axis(
+    params: SystemParams, kind: MetricKind, policy: PolicyTable
+) -> int | None:
+    """Query-axis length of the product chain that meters `policy` on
+    `kind`, or None when the meter's own model carries the policy.
+
+    The meter's model suffices when the policy reads a metric of the
+    meter's family, or no metric at all (actions depend on battery and
+    query only). Otherwise the chain also carries the policy's metric; its
+    query axis collapses to one when the policy ignores the query flag,
+    which is then i.i.d. and independent of the rest of the chain.
+    """
+    if policy.kind.age_family == kind.age_family:
+        return None
+    grid = policy.actions.reshape(params.delta_max + 1, params.B + 1, 2)
+    if np.all(grid == grid[0]):
+        return None
+    return 1 if np.array_equal(grid[:, :, 0], grid[:, :, 1]) else 2
+
+
+def _product_chain(
+    params: SystemParams, kind: MetricKind, policy: PolicyTable, nq: int
+) -> tuple[_Model, np.ndarray, list[int]]:
+    """Chain over (policy metric, meter metric, battery, query) for a
+    policy driven by the other metric family, with its action vector and
+    start states.
+
+    Pairs the two families' models outcome column by outcome column: both
+    order their columns (u, e, v, q2), so a column's two next states share
+    battery and query and differ only in the metric each family steps.
+    With nq = 1 the query is integrated out: duplicate next states merge
+    and each state's cost is the query-weighted mix of the meter's costs.
+    """
+    pol = _build_model(params, policy.kind)
+    met = _build_model(params, kind)
+    n_m, n_b = params.delta_max + 1, params.B + 1
+    mp, mm, b, q = np.unravel_index(
+        np.arange(n_m * n_m * n_b * nq), (n_m, n_m, n_b, nq)
+    )
+    # the states each model sees; query 0 stands in for an integrated-out query
+    sp = (mp * n_b + b) * 2 + q
+    sm = (mm * n_b + b) * 2 + q
+
+    def pair(jp, jm):
+        bq = jp % (2 * n_b)  # battery * 2 + query, the same in both models
+        rest = bq if nq == 2 else bq // 2
+        return (jp // (2 * n_b) * n_m + jm // (2 * n_b)) * (n_b * nq) + rest
+
+    def cost(c):
+        if nq == 2:
+            return c[sm]
+        return (1.0 - params.p_q) * c[sm] + params.p_q * c[sm + 1]
+
+    chain = _Model(
+        params=params, kind=kind, n_states=mp.size,
+        metric=mm, battery=b, query=q,
+        nxt0=pair(pol.nxt0[sp], met.nxt0[sm]), pr0=met.pr0,
+        nxt1=pair(pol.nxt1[sp], met.nxt1[sm]), pr1=met.pr1,
+        feas1=b >= 1, c0=cost(met.c0), c1=cost(met.c1),
+    )
+    starts = pair(
+        np.array(_start_indices(params, policy.kind)),
+        np.array(_start_indices(params, kind)),
+    )
+    return chain, policy.actions[sp], sorted(set(starts.tolist()))
+
+
 def evaluate_policy_exact(
     params: SystemParams, kind: MetricKind, policy: PolicyTable
 ) -> float:
@@ -395,177 +469,29 @@ def evaluate_policy_exact(
     """
     if policy.params_stamp != params_stamp(params):
         raise ValueError("policy stamped under different params")
-    if (policy.kind.age_family == kind.age_family) or _is_metric_blind(policy):
+    nq = _cross_query_axis(params, kind, policy)
+    if nq is None:
         m = _build_model(params, kind)
-        P = _policy_matrix(m, policy.actions)
-        ridx, members = _single_recurrent_class(P, _start_indices(params, kind))
-        pi = _stationary_distribution(P, members)
-        cost = np.where(policy.actions.astype(bool), m.c1, m.c0)
-        return float(pi @ cost[members])
-    return _evaluate_cross_family(params, kind, policy)
+        actions, starts = policy.actions, _start_indices(params, kind)
+    else:
+        m, actions, starts = _product_chain(params, kind, policy, nq)
+    P = _policy_matrix(m, actions)
+    _, members = _single_recurrent_class(P, starts)
+    pi = _stationary_distribution(P, members)
+    cost = np.where(actions.astype(bool), m.c1, m.c0)
+    return float(pi @ cost[members])
 
 
 def evaluation_chain_size(
     params: SystemParams, kind: MetricKind, policy: PolicyTable
 ) -> int:
     """Number of chain states evaluate_policy_exact would solve over."""
-    n_m = params.delta_max + 1
-    n_b = params.B + 1
-    if (policy.kind.age_family == kind.age_family) or _is_metric_blind(policy):
-        return n_m * n_b * 2
-    grid = policy.actions.reshape(n_m, n_b, 2)
-    nq = 1 if bool(np.all(grid[:, :, 0] == grid[:, :, 1])) else 2
-    return n_m * n_m * n_b * nq
-
-
-def _is_metric_blind(policy: PolicyTable) -> bool:
-    """True when actions depend on (battery, query) only, so the policy
-    can drive either metric family's chain directly."""
-    grid = policy.actions.reshape(policy.delta_max + 1, policy.B + 1, 2)
-    return bool(np.all(grid == grid[0]))
-
-
-def _evaluate_cross_family(
-    params: SystemParams, kind: MetricKind, policy: PolicyTable
-) -> float:
-    """Meter `kind` under a policy driven by the other metric family.
-
-    Product chain over (policy metric, meter metric, battery) and, when
-    the policy reads the query flag, the query coordinate; when it does
-    not, the query factor is integrated out analytically (the flag is
-    i.i.d. and independent of the rest of the chain).
-    """
-    p = params
-    dm, B = p.delta_max, p.B
-    pol_grid = policy.actions.reshape(dm + 1, B + 1, 2)
-    query_blind = bool(
-        np.all(pol_grid[:, :, 0] == pol_grid[:, :, 1])
-    )
-
-    n_m = dm + 1
-    n_b = B + 1
-    nq = 1 if query_blind else 2
-    n = n_m * n_m * n_b * nq
-
-    mp_, mm_, bb_, qq_ = np.unravel_index(
-        np.arange(n), (n_m, n_m, n_b, nq)
-    )
-    if query_blind:
-        act = pol_grid[mp_, bb_, 0].astype(bool)
-    else:
-        act = pol_grid[mp_, bb_, qq_].astype(bool)
-    act &= bb_ >= 1  # safety; PolicyTable already guarantees this
-
-    pol_age = policy.kind.age_family
-    met_age = kind.age_family
-
-    def step_m(m_arr, age, delivered, v):
-        if delivered:
-            return np.full_like(m_arr, 1 if age else v)
-        return np.minimum(m_arr + (1 if age else v), dm)
-
-    cols, rows, vals = [], [], []
-    if kind.query_gated:
-        cost = np.zeros(n)
-        q_weight = np.full(n, p.p_q) if query_blind else qq_.astype(float)
-    else:
-        cost = mm_.astype(float)
-    for u, pu in ((1, p.p_s), (0, 1.0 - p.p_s)):
-        for e, pe in ((1, p.p_e), (0, 1.0 - p.p_e)):
-            for v, pv in ((1, p.p_v), (0, 1.0 - p.p_v)):
-                for q2 in range(nq):
-                    pq2 = 1.0 if query_blind else (p.p_q if q2 else 1.0 - p.p_q)
-                    prob = pu * pe * pv * pq2
-                    if prob == 0.0:
-                        continue
-                    delivered = act & (u == 1)
-                    mp2 = np.where(
-                        delivered,
-                        step_m(mp_, pol_age, True, v),
-                        step_m(mp_, pol_age, False, v),
-                    )
-                    mm2 = np.where(
-                        delivered,
-                        step_m(mm_, met_age, True, v),
-                        step_m(mm_, met_age, False, v),
-                    )
-                    b2 = np.minimum(bb_ - act.astype(int) + e, B)
-                    nxt = ((mp2 * n_m + mm2) * n_b + b2) * nq + q2
-                    rows.append(np.arange(n))
-                    cols.append(nxt)
-                    vals.append(np.full(n, prob))
-                    if kind.query_gated:
-                        cost += prob * q_weight * mm2
-    P = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    )
-    P.sum_duplicates()
-    P.eliminate_zeros()
-
-    mp0 = dm if pol_age else 0
-    mm0 = dm if met_age else 0
-    if query_blind:
-        starts = [((mp0 * n_m + mm0) * n_b + B) * nq]
-    else:
-        qs = [0, 1]
-        if p.p_q == 0:
-            qs = [0]
-        elif p.p_q == 1:
-            qs = [1]
-        starts = [((mp0 * n_m + mm0) * n_b + B) * nq + q for q in qs]
-    ridx, members = _single_recurrent_class(P, starts)
-    pi = _stationary_distribution(P, members)
-    return float(pi @ cost[members])
+    n = state_count(params.delta_max, params.B)
+    nq = _cross_query_axis(params, kind, policy)
+    return n if nq is None else n * (params.delta_max + 1) * nq // 2
 
 
 # --- brute-force oracle --------------------------------------------------
-
-def _dense_average_cost(
-    m: _Model, actions: np.ndarray, starts: list[int]
-) -> float | None:
-    """Average cost of one policy on a dense chain, or None if several
-    recurrent classes are reachable. Only sane for small state spaces."""
-    n = m.n_states
-    a = actions.astype(bool)
-    k0, k1 = m.pr0.size, m.pr1.size
-    i0 = np.flatnonzero(~a)
-    i1 = np.flatnonzero(a)
-    P = np.zeros((n, n))
-    np.add.at(P, (np.repeat(i0, k0), m.nxt0[i0].ravel()), np.tile(m.pr0, i0.size))
-    np.add.at(P, (np.repeat(i1, k1), m.nxt1[i1].ravel()), np.tile(m.pr1, i1.size))
-    # boolean transitive closure by repeated squaring
-    A = (P > 0.0) | np.eye(n, dtype=bool)
-    while True:
-        A2 = A @ A
-        if (A2 == A).all():
-            break
-        A = A2
-    reach = A[starts].any(axis=0)
-    # recurrent iff every successor leads back
-    rec = reach & np.all(~A | A.T, axis=1)
-    ridx = np.flatnonzero(rec)
-    classes: list[np.ndarray] = []
-    seen = np.zeros(n, dtype=bool)
-    for j in ridx:
-        if not seen[j]:
-            cls = ridx[A[j, ridx] & A[ridx, j]]
-            seen[cls] = True
-            classes.append(cls)
-    if len(classes) != 1:
-        return None
-    mem = classes[0]
-    M = np.eye(mem.size) - P[np.ix_(mem, mem)].T
-    M[0, :] = 1.0
-    rhs = np.zeros(mem.size)
-    rhs[0] = 1.0
-    try:
-        pi = np.linalg.solve(M, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSolve(str(exc)) from exc
-    cost = np.where(a, m.c1, m.c0)
-    return float(pi @ cost[mem])
-
 
 def _bruteforce_chunk(
     m: _Model, choice: np.ndarray, masks: np.ndarray, starts: list[int]
@@ -673,72 +599,33 @@ def enumerate_optimal_bruteforce(
 
 # --- SolveResult serialization ------------------------------------------
 
+_SOLVE_KEYS = ("gain", "iterations", "residual_span", "converged")
+
+
 def format_solve_result(params: SystemParams, result: SolveResult) -> str:
-    """Tabular text with bit-exact float round-trip (repr shortest form)."""
-    lines = [
-        "# solve result",
-        f"kind = {result.policy.kind.value}",
-        f"params_stamp = {result.policy.params_stamp}",
-        f"delta_max = {params.delta_max}",
-        f"B = {params.B}",
-        f"gain = {result.gain!r}",
-        f"iterations = {result.iterations}",
-        f"residual_span = {result.residual_span!r}",
-        f"converged = {int(result.converged)}",
-        "metric battery query action bias",
-    ]
-    dm, B = params.delta_max, params.B
-    for mtr in range(dm + 1):
-        for b in range(B + 1):
-            for q in (0, 1):
-                i = state_index(dm, B, AgentState(mtr, b, q))
-                lines.append(
-                    f"{mtr} {b} {q} {int(result.policy.actions[i])} "
-                    f"{float(result.bias[i])!r}"
-                )
-    return "\n".join(lines) + "\n"
+    """The policy table plus solver diagnostics and a bias column, with
+    bit-exact float round-trip (repr shortest form)."""
+    diagnostics = {
+        "gain": float(result.gain),
+        "iterations": result.iterations,
+        "residual_span": float(result.residual_span),
+        "converged": int(result.converged),
+    }
+    return format_policy(result.policy, "solve result", diagnostics, result.bias)
 
 
 def parse_solve_result(text: str) -> tuple[SolveResult, dict[str, str]]:
     """Inverse of format_solve_result; returns the result and raw header."""
-    header: dict[str, str] = {}
-    rows: list[tuple[int, int, int, int, float]] = []
-    for line in text.splitlines():
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" in stripped:
-            key, _, value = stripped.partition("=")
-            header[key.strip()] = value.strip()
-            continue
-        parts = stripped.split()
-        if parts[0] == "metric":
-            continue
-        mtr, b, q, a = map(int, parts[:4])
-        rows.append((mtr, b, q, a, float(parts[4])))
-    dm = int(header["delta_max"])
-    B = int(header["B"])
-    n = state_count(dm, B)
-    actions = np.zeros(n, dtype=np.int8)
-    bias = np.zeros(n)
-    for mtr, b, q, a, h in rows:
-        i = state_index(dm, B, AgentState(mtr, b, q))
-        actions[i] = a
-        bias[i] = h
-    policy = PolicyTable(
-        kind=MetricKind(header["kind"]),
-        params_stamp=header["params_stamp"],
-        delta_max=dm,
-        B=B,
-        actions=actions,
+    header, stamp, values = parse_table(
+        text, POLICY_COLUMNS + ("bias",), STAMP_KEYS + _SOLVE_KEYS
     )
     result = SolveResult(
-        gain=float(header["gain"]),
-        bias=bias,
-        policy=policy,
-        iterations=int(header["iterations"]),
-        residual_span=float(header["residual_span"]),
-        converged=header.get("converged", "1") == "1",
+        gain=header_value(header, "gain", finite_float),
+        bias=values[:, 1].copy(),
+        policy=policy_from_table(stamp, values[:, 0]),
+        iterations=header_value(header, "iterations", int),
+        residual_span=header_value(header, "residual_span", finite_float),
+        converged=header_value(header, "converged", {"0": False, "1": True}.__getitem__),
     )
     return result, header
 

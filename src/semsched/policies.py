@@ -8,11 +8,14 @@ table is threshold-structured it compresses to one switch point per
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
-from .core import Action, AgentState, MetricKind, SystemParams, params_stamp
+from .core import Action, AgentState, ConfigError, MetricKind, SystemParams, params_stamp
 
 
 class NotThresholdStructured(ValueError):
@@ -143,109 +146,217 @@ def policy_action(policy: PolicyTable | ThresholdPolicy, s: AgentState) -> Actio
 
 
 # --- serialization -------------------------------------------------------
+#
+# Policy, threshold and solve-result files share one layout: a `# title`
+# comment, `key = value` header lines, an optional line of column names,
+# then one row of space-separated fields per key, where the keys are
+# (metric, battery, query) states or (battery, query) slices.
 
-def format_policy(policy: PolicyTable) -> str:
-    """Tabular text: header, then one row per state in canonical order."""
-    lines = [
-        "# policy table",
-        f"kind = {policy.kind.value}",
-        f"params_stamp = {policy.params_stamp}",
-        f"delta_max = {policy.delta_max}",
-        f"B = {policy.B}",
-        "metric battery query action",
-    ]
-    dm, B = policy.delta_max, policy.B
-    for m in range(dm + 1):
-        for b in range(B + 1):
-            for q in (0, 1):
-                a = policy.actions[state_index(dm, B, AgentState(m, b, q))]
-                lines.append(f"{m} {b} {q} {int(a)}")
+STAMP_KEYS = ("kind", "params_stamp", "delta_max", "B")
+POLICY_COLUMNS = ("metric", "battery", "query", "action")
+_KEY_COLUMNS = ("metric", "battery", "query")
+_THRESHOLD_COLUMNS = ("battery", "query", "threshold")
+
+
+def format_table(
+    title: str,
+    header: dict[str, object],
+    columns: tuple[str, ...] | None,
+    rows: Iterable[Iterable[object]],
+) -> str:
+    """The one writer; `columns` None leaves out the column-name line.
+    Floats must be Python floats, whose str is the round-trip repr."""
+    lines = [f"# {title}", *(f"{k} = {v}" for k, v in header.items())]
+    if columns is not None:
+        lines.append(" ".join(columns))
+    lines.extend(" ".join(map(str, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 
-def parse_policy(text: str) -> PolicyTable:
+def parse_table(
+    text: str,
+    columns: tuple[str, ...],
+    keys: tuple[str, ...] = STAMP_KEYS,
+    named: bool = True,
+) -> tuple[dict[str, str], dict[str, object], np.ndarray]:
+    """The one reader. Returns the raw header, its typed stamp fields
+    (kind, params_stamp, delta_max, B), and the values of the non-key
+    `columns` as a float array with one row per key, in canonical order.
+
+    With `named`, the file's column-name line must start with `columns`;
+    further columns (a solve result's bias, read as a policy) must be
+    present on every row and are skipped. Fails closed with ConfigError on
+    missing or duplicate header keys, missing or duplicate rows, rows
+    outside the geometry the header stamps, non-integer fields, and
+    actions or thresholds out of range.
+    """
     header: dict[str, str] = {}
-    rows: list[tuple[int, int, int, int]] = []
-    for line in text.splitlines():
+    names = None if named else columns
+    rows: list[tuple[int, list[str]]] = []
+    for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if "=" in stripped:
             key, _, value = stripped.partition("=")
-            header[key.strip()] = value.strip()
-            continue
-        parts = stripped.split()
-        if parts[0] == "metric":
-            continue
-        m, b, q, a = map(int, parts[:4])
-        rows.append((m, b, q, a))
-    dm = int(header["delta_max"])
-    B = int(header["B"])
-    actions = np.zeros(state_count(dm, B), dtype=np.int8)
-    for m, b, q, a in rows:
-        actions[state_index(dm, B, AgentState(m, b, q))] = a
-    return PolicyTable(
-        kind=MetricKind(header["kind"]),
-        params_stamp=header["params_stamp"],
-        delta_max=dm,
-        B=B,
-        actions=actions,
-    )
+            key = key.strip()
+            if key in header:
+                raise ConfigError(line_no, f"duplicate header key {key!r}")
+            header[key] = value.strip()
+        elif names is None:
+            names = tuple(stripped.split())
+            if names[: len(columns)] != columns:
+                raise ConfigError(line_no, f"expected columns {' '.join(columns)!r}")
+        else:
+            fields = stripped.split()
+            if len(fields) != len(names):
+                raise ConfigError(
+                    line_no, f"expected {len(names)} fields, got {len(fields)}"
+                )
+            rows.append((line_no, fields[: len(columns)]))
+    missing = [k for k in keys if k not in header]
+    if missing:
+        raise ConfigError(None, f"missing header key(s): {', '.join(missing)}")
+    stamp = {
+        "kind": header_value(header, "kind", MetricKind),
+        "params_stamp": header_value(header, "params_stamp", _stamp),
+        "delta_max": header_value(header, "delta_max", _positive_int),
+        "B": header_value(header, "B", _positive_int),
+    }
+    dm, B = stamp["delta_max"], stamp["B"]
+    top = {"metric": dm, "battery": B, "query": 1, "action": 1, "threshold": dm + 1}
+    n_keys = sum(c in _KEY_COLUMNS for c in columns)
+    shape = [top[c] + 1 for c in columns[:n_keys]]
+    values = np.zeros((int(np.prod(shape)), len(columns) - n_keys))
+    seen = np.zeros(values.shape[0], dtype=bool)
+    for line_no, fields in rows:
+        row = [_field(f, c, top, line_no) for f, c in zip(fields, columns)]
+        i = 0
+        for v, size in zip(row[:n_keys], shape):
+            i = i * size + v
+        if seen[i]:
+            raise ConfigError(line_no, f"duplicate row for {tuple(row[:n_keys])}")
+        seen[i] = True
+        values[i] = row[n_keys:]
+    if not seen.all():
+        first = np.unravel_index(int(np.argmin(seen)), shape)
+        raise ConfigError(
+            None,
+            f"{int((~seen).sum())} row(s) missing, the first for "
+            f"{tuple(int(v) for v in first)}",
+        )
+    return header, stamp, values
 
 
-def save_policy(policy: PolicyTable, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_policy(policy))
+def header_value(header: dict[str, str], key: str, convert):
+    """`convert(header[key])`, failing with ConfigError."""
+    try:
+        return convert(header[key])
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(None, f"bad header value {key} = {header.get(key)!r}") from exc
+
+
+def _positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise ValueError(text)
+    return int(text)
+
+
+def _stamp(text: str) -> str:
+    if re.fullmatch(r"[0-9a-f]{12}", text) is None:
+        raise ValueError(text)
+    return text
+
+
+def finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+def _field(text: str, column: str, top: dict[str, int], line_no: int) -> float:
+    """One row field: a bounded integer, or a finite float for columns
+    without bounds."""
+    try:
+        value = int(text) if column in top else finite_float(text)
+    except ValueError:
+        raise ConfigError(line_no, f"bad {column} value {text!r}") from None
+    if column in top and not 0 <= value <= top[column]:
+        raise ConfigError(line_no, f"{column} {value} outside 0..{top[column]}")
+    return value
+
+
+def _stamp_header(table: PolicyTable | ThresholdPolicy) -> dict[str, object]:
+    return {
+        "kind": table.kind.value,
+        "params_stamp": table.params_stamp,
+        "delta_max": table.delta_max,
+        "B": table.B,
+    }
+
+
+def format_policy(
+    policy: PolicyTable,
+    title: str = "policy table",
+    extra: dict[str, object] | None = None,
+    bias: np.ndarray | None = None,
+) -> str:
+    """One row per state in canonical order; a solve result adds `extra`
+    header lines and a bias column."""
+    B = policy.B
+    idx = np.arange(policy.actions.size)
+    cols = [
+        (idx // (2 * (B + 1))).tolist(), ((idx // 2) % (B + 1)).tolist(),
+        (idx % 2).tolist(), policy.actions.tolist(),
+    ]
+    names = POLICY_COLUMNS
+    if bias is not None:
+        cols.append(bias.tolist())
+        names += ("bias",)
+    return format_table(title, {**_stamp_header(policy), **(extra or {})}, names, zip(*cols))
+
+
+def _rejecting(build):
+    """build(), with the ValueError of an invalid table as a ConfigError."""
+    try:
+        return build()
+    except ValueError as exc:
+        raise ConfigError(None, str(exc)) from exc
+
+
+def policy_from_table(stamp: dict[str, object], actions: np.ndarray) -> PolicyTable:
+    return _rejecting(lambda: PolicyTable(**stamp, actions=actions.astype(np.int8)))
+
+
+def parse_policy(text: str) -> PolicyTable:
+    """Read a policy table; a solve result reads as its policy."""
+    _, stamp, values = parse_table(text, POLICY_COLUMNS)
+    return policy_from_table(stamp, values[:, 0])
 
 
 def load_policy(path: str) -> PolicyTable:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_policy(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(None, f"{path} is not UTF-8 text: {exc}") from exc
+    return parse_policy(text)
 
 
 def format_thresholds(tp: ThresholdPolicy) -> str:
     """Compact export: one `b q threshold` line per slice."""
-    lines = [
-        "# thresholds (metric switch point per battery/query; "
-        f"{tp.delta_max + 1} = never)",
-        f"kind = {tp.kind.value}",
-        f"params_stamp = {tp.params_stamp}",
-        f"delta_max = {tp.delta_max}",
-        f"B = {tp.B}",
-    ]
-    for b in range(tp.B + 1):
-        for q in (0, 1):
-            lines.append(f"{b} {q} {tp.thresholds[(b, q)]}")
-    return "\n".join(lines) + "\n"
+    title = (
+        "thresholds (metric switch point per battery/query; "
+        f"{tp.delta_max + 1} = never)"
+    )
+    rows = ((b, q, tp.thresholds[(b, q)]) for b in range(tp.B + 1) for q in (0, 1))
+    return format_table(title, _stamp_header(tp), None, rows)
 
 
 def parse_thresholds(text: str) -> ThresholdPolicy:
-    header: dict[str, str] = {}
-    entries: dict[tuple[int, int], int] = {}
-    for line in text.splitlines():
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" in stripped:
-            key, _, value = stripped.partition("=")
-            header[key.strip()] = value.strip()
-            continue
-        b, q, thr = map(int, stripped.split()[:3])
-        entries[(b, q)] = thr
-    return ThresholdPolicy(
-        kind=MetricKind(header["kind"]),
-        params_stamp=header["params_stamp"],
-        delta_max=int(header["delta_max"]),
-        B=int(header["B"]),
-        thresholds=entries,
-    )
-
-
-def save_thresholds(tp: ThresholdPolicy, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_thresholds(tp))
-
-
-def load_thresholds(path: str) -> ThresholdPolicy:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_thresholds(fh.read())
+    _, stamp, values = parse_table(text, _THRESHOLD_COLUMNS, named=False)
+    thresholds = {(i // 2, i % 2): int(t) for i, t in enumerate(values[:, 0])}
+    tp = ThresholdPolicy(**stamp, thresholds=thresholds)
+    _rejecting(tp.to_table)  # a transmit at empty battery
+    return tp

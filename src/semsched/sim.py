@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import MetricKind, SystemParams, params_stamp
+from .core import ConfigError, MetricKind, SystemParams, params_stamp
 from .policies import PolicyTable, ThresholdPolicy
 
 STREAM_ENERGY = 1
@@ -51,11 +51,13 @@ class SimConfig:
 
     def __post_init__(self):
         if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
+            raise ConfigError(None, "horizon must be >= 1")
         if self.warmup < 0:
-            raise ValueError("warmup must be >= 0")
+            raise ConfigError(None, "warmup must be >= 0")
         if self.warmup >= self.horizon:
-            raise ValueError("warmup must be < horizon")
+            raise ConfigError(None, "warmup must be < horizon")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(None, f"seed {self.seed} outside [0, 2**64)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,7 +98,8 @@ class SimSummary:
 
 
 def _stream(seed: int, stream: int) -> np.random.Generator:
-    key = (seed & 0xFFFFFFFFFFFFFFFF, stream)
+    # an explicit uint64 key: a tuple would go through float64 above 2**63
+    key = np.array([seed, stream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -291,12 +294,6 @@ class ReplicationResult:
     summaries: tuple[SimSummary, ...] = field(repr=False, default=())
 
 
-def _one_rep(args) -> SimSummary:
-    params, policy, cfg, r = args
-    rep_cfg = SimConfig(horizon=cfg.horizon, seed=cfg.seed + r, warmup=cfg.warmup)
-    return simulate(params, policy, rep_cfg)
-
-
 def replicate(
     params: SystemParams,
     policy: PolicyTable | ThresholdPolicy,
@@ -311,12 +308,14 @@ def replicate(
     """
     if n_reps < 2:
         raise ValueError("n_reps must be >= 2")
-    work = [(params, policy, cfg, r) for r in range(n_reps)]
+    # built here so that a seed + r past the seed range fails before any run
+    cfgs = [replace(cfg, seed=cfg.seed + r) for r in range(n_reps)]
+    work = ([params] * n_reps, [policy] * n_reps, cfgs)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            summaries = tuple(pool.map(_one_rep, work))
+            summaries = tuple(pool.map(simulate, *work))
     else:
-        summaries = tuple(_one_rep(w) for w in work)
+        summaries = tuple(map(simulate, *work))
 
     def stats(values: list[float]) -> tuple[float, float]:
         arr = np.array(values)
@@ -381,10 +380,3 @@ def summary_csv_row(params: SystemParams, policy_id: str, s: SimSummary) -> str:
     ]
     return ",".join(str(v) for v in vals)
 
-
-def format_summaries(
-    params: SystemParams, rows: list[tuple[str, SimSummary]]
-) -> str:
-    lines = [summary_csv_header()]
-    lines.extend(summary_csv_row(params, pid, s) for pid, s in rows)
-    return "\n".join(lines) + "\n"

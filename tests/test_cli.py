@@ -1,10 +1,14 @@
 """End-to-end CLI runs through main(), checking artifacts, manifests,
 determinism, and the exit-code contract."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
+import semsched.cli as cli
+import semsched.experiments as experiments
 from semsched.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -233,3 +237,93 @@ class TestBadInput:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+class TestMalformedPolicyFiles:
+    def solve(self, tmp_path):
+        pol = tmp_path / "policy.txt"
+        assert main(["solve", "--out", str(pol), "--pe", "0.2", "--pq", "0.3"]) == EXIT_OK
+        return pol.read_text(encoding="utf-8").splitlines()
+
+    def simulate(self, tmp_path, lines):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return main([
+            "simulate", "--policy", str(bad), "--pe", "0.2", "--pq", "0.3",
+            "--horizon", "20000", "--warmup", "1000", "--reps", "2",
+            "--out", str(tmp_path / "sim.csv"),
+        ])
+
+    def test_truncated_solve_output_is_rejected(self, tmp_path, capsys):
+        lines = self.solve(tmp_path)
+        body = lines.index("metric battery query action bias") + 1
+        assert self.simulate(tmp_path, lines[: body + 200]) == EXIT_CONFIG
+        assert "row(s) missing" in capsys.readouterr().err
+        assert not (tmp_path / "sim.csv").exists()
+
+    def test_header_less_file_is_a_config_error(self, tmp_path, capsys):
+        lines = [l for l in self.solve(tmp_path) if "=" not in l]
+        assert self.simulate(tmp_path, lines) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "missing header key(s): kind, params_stamp, delta_max, B" in err
+        assert "Traceback" not in err
+
+    def test_binary_file_is_a_config_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe\x00policy")
+        rc = main(["simulate", "--policy", str(bad), "--out", str(tmp_path / "s.csv")])
+        assert rc == EXIT_CONFIG
+        assert "not UTF-8 text" in capsys.readouterr().err
+
+
+class TestRunSettings:
+    def compare(self, tmp_path, cfg, *extra):
+        return main([
+            "compare", "--config", cfg, "--out", str(tmp_path / "c.csv"),
+            "--pe", "0.1", "--pq", "0.3", *extra,
+        ])
+
+    def test_compare_rejects_bad_windows(self, tmp_path, cfg, capsys):
+        assert self.compare(tmp_path, cfg, "--horizon", "0") == EXIT_CONFIG
+        assert "horizon must be >= 1" in capsys.readouterr().err
+        assert self.compare(tmp_path, cfg, "--horizon", "100", "--warmup", "100") == EXIT_CONFIG
+        assert "warmup must be < horizon" in capsys.readouterr().err
+
+    def test_seeds_outside_the_key_range_are_rejected(self, tmp_path, cfg, capsys):
+        assert self.compare(tmp_path, cfg, "--seed", "-1") == EXIT_CONFIG
+        sim = [
+            "simulate", "--config", cfg, "--horizon", "2000", "--warmup", "0",
+            "--reps", "2", "--out", str(tmp_path / "s.csv"),
+        ]
+        assert main(sim + ["--seed", "-1"]) == EXIT_CONFIG
+        # replication 1 would run under seed 2**64, which no Philox key holds
+        assert main(sim + ["--seed", str(2**64 - 1)]) == EXIT_CONFIG
+        assert "outside [0, 2**64)" in capsys.readouterr().err
+        assert main(sim + ["--seed", str(2**64 - 2)]) == EXIT_OK
+
+
+class TestBenchmarkHooks:
+    """The traced benchmark wraps names that `semsched.cli` and
+    `semsched.experiments` hold; a rename must fail here, not silently
+    drop spans from the benchmark."""
+
+    def test_compare_traces_a_well_formed_span_tree(self, tmp_path, cfg):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        saved = {m: dict(vars(m)) for m in (cli, experiments)}
+        try:
+            rec = spans.Recorder("test")
+            spans.install(rec)
+            argv = ["compare", "--config", cfg, "--out", str(tmp_path / "c.csv"),
+                    "--pe", "0.1", "--pq", "0.3"]
+            assert rec.call("cli.main", cli.main, (argv,)) == EXIT_OK
+        finally:
+            for module, names in saved.items():
+                for name, value in names.items():
+                    setattr(module, name, value)
+        assert spans.tree_problems(rec.spans) == []
+        names = {s["name"] for s in rec.spans}
+        assert {"experiments.comparison_grid", "mdp.solve", "mdp.eval_same",
+                "mdp.eval_cross"} <= names

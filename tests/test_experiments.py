@@ -10,7 +10,6 @@ import pytest
 from semsched.core import MetricKind, SystemParams, params_stamp
 from semsched.experiments import (
     POLICY_NAMES,
-    SweepSpec,
     TargetUnreachable,
     action_map,
     charging_sweep,
@@ -30,33 +29,6 @@ SMALL = SystemParams(
     p_s=0.8, p_v=0.25, p_q=0.3, p_e=0.1, B=2, delta_max=6,
     allow_tight_truncation=True,
 )
-
-
-class TestSweepSpec:
-    def test_accepts_a_sane_spec(self):
-        SweepSpec(
-            varying="p_e",
-            grid=(0.1, 0.2),
-            base=SMALL,
-            kinds=(MetricKind.QVAOI,),
-            policies=("greedy", "qvaoi"),
-        )
-
-    def test_rejects_unknown_parameter(self):
-        with pytest.raises(ValueError, match="unknown parameter"):
-            SweepSpec("p_x", (0.1,), SMALL, (), ("greedy",))
-
-    def test_rejects_bad_grids(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            SweepSpec("p_e", (), SMALL, (), ())
-        with pytest.raises(ValueError, match="increasing"):
-            SweepSpec("p_e", (0.2, 0.1), SMALL, (), ())
-
-    def test_rejects_unknown_policy_and_mode(self):
-        with pytest.raises(ValueError, match="unknown policy"):
-            SweepSpec("p_e", (0.1,), SMALL, (), ("optimal",))
-        with pytest.raises(ValueError, match="mode"):
-            SweepSpec("p_e", (0.1,), SMALL, (), (), mode="closed-form")
 
 
 class TestSolvePolicy:

@@ -2,6 +2,7 @@
 exact policy evaluation, and solve-result serialization."""
 
 import dataclasses
+from itertools import product
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from semsched.mdp import (
     save_solve_result,
     transition,
 )
+from semsched.metrics import step_aoi, step_vaoi
 from semsched.policies import PolicyTable, greedy_policy, state_index
 
 
@@ -334,6 +336,94 @@ class TestExactEvaluation:
         )
         _, members = _single_recurrent_class(P, [0])
         assert members.tolist() == [1]
+
+
+def joint_chain_average(p, kind, policy):
+    """Independent reference for cross-family evaluation: the dense chain
+    over (policy metric, meter metric, battery, query), built outcome by
+    outcome from the scalar step rules, averaged on its recurrent class."""
+    dm, B = p.delta_max, p.B
+
+    def step(age, m, delivered, v):
+        return step_aoi(m, delivered, dm) if age else step_vaoi(m, delivered, v, dm)
+
+    states = list(product(range(dm + 1), range(dm + 1), range(B + 1), (0, 1)))
+    index = {s: i for i, s in enumerate(states)}
+    n = len(states)
+    P = np.zeros((n, n))
+    cost = np.zeros(n)
+    for i, (mp, mm, b, q) in enumerate(states):
+        a = int(policy.actions[state_index(dm, B, AgentState(mp, b, q))])
+        channel = [(1, p.p_s), (0, 1 - p.p_s)] if a else [(0, 1.0)]
+        for (u, pu), (e, pe), (v, pv), (q2, pq2) in product(
+            channel,
+            [(1, p.p_e), (0, 1 - p.p_e)],
+            [(1, p.p_v), (0, 1 - p.p_v)],
+            [(1, p.p_q), (0, 1 - p.p_q)],
+        ):
+            prob = pu * pe * pv * pq2
+            delivered = bool(a and u)
+            mm2 = step(kind.age_family, mm, delivered, bool(v))
+            mp2 = step(policy.kind.age_family, mp, delivered, bool(v))
+            P[i, index[(mp2, mm2, min(b - a + e, B), q2)]] += prob
+            # gated meters charge the reply's (closing) metric at query slots
+            cost[i] += prob * q * mm2 if kind.query_gated else 0.0
+        if not kind.query_gated:
+            cost[i] = mm
+    mp0 = dm if policy.kind.age_family else 0
+    mm0 = dm if kind.age_family else 0
+    qs = [q for q, pq in ((0, 1 - p.p_q), (1, p.p_q)) if pq > 0]
+    starts = [index[(mp0, mm0, B, q)] for q in qs]
+    reach = (P > 0) | np.eye(n, dtype=bool)
+    for _ in range(int(np.ceil(np.log2(n))) + 1):
+        reach = (reach.astype(float) @ reach.astype(float)) > 0
+    seen = reach[starts].any(axis=0)
+    rec = np.flatnonzero(seen & np.all(~reach | reach.T, axis=1))
+    assert reach[np.ix_(rec, rec)].all(), "several recurrent classes"
+    Q = P[np.ix_(rec, rec)]
+    A = np.vstack([Q.T - np.eye(rec.size), np.ones(rec.size)])
+    rhs = np.zeros(rec.size + 1)
+    rhs[-1] = 1.0
+    pi = np.linalg.lstsq(A, rhs, rcond=None)[0]
+    return float(pi @ cost[rec])
+
+
+class TestCrossFamilyEvaluation:
+    """Policy and meter from different metric families, checked against
+    the independent dense joint chain."""
+
+    PAIRS = [
+        # (policy kind, meter): query-blind and query-reading policies,
+        # age -> version and version -> age
+        (MetricKind.AOI, MetricKind.VAOI),
+        (MetricKind.AOI, MetricKind.QVAOI),
+        (MetricKind.QAOI, MetricKind.QVAOI),
+        (MetricKind.QAOI, MetricKind.VAOI),
+        (MetricKind.VAOI, MetricKind.AOI),
+        (MetricKind.VAOI, MetricKind.QAOI),
+        (MetricKind.QVAOI, MetricKind.QAOI),
+        (MetricKind.QVAOI, MetricKind.AOI),
+    ]
+
+    @pytest.mark.parametrize("p_q", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize(
+        "B, delta_max, p_e", [(1, 4, 0.3), (2, 5, 0.2), (3, 6, 0.15)]
+    )
+    def test_matches_the_dense_joint_chain(self, p_q, B, delta_max, p_e):
+        p = small(B=B, delta_max=delta_max, p_e=p_e, p_q=p_q)
+        for pol_kind, meter in self.PAIRS:
+            policy = rvia_solve(p, pol_kind).policy
+            got = evaluate_policy_exact(p, meter, policy)
+            ref = joint_chain_average(p, meter, policy)
+            assert got == pytest.approx(ref, abs=1e-10), (pol_kind, meter)
+
+    def test_covers_query_blind_and_query_reading_product_chains(self):
+        p = small(B=2, delta_max=5, p_e=0.2, p_q=0.3)
+        n_same = (p.delta_max + 1) * (p.B + 1) * 2
+        blind = rvia_solve(p, MetricKind.AOI).policy
+        reading = rvia_solve(p, MetricKind.QAOI).policy
+        assert evaluation_chain_size(p, MetricKind.QVAOI, blind) == n_same * 6 // 2
+        assert evaluation_chain_size(p, MetricKind.QVAOI, reading) == n_same * 6
 
 
 class TestBruteForce:

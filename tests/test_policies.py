@@ -2,9 +2,17 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from semsched.core import Action, AgentState, MetricKind, SystemParams, params_stamp
+from semsched.core import (
+    Action,
+    AgentState,
+    ConfigError,
+    MetricKind,
+    SystemParams,
+    params_stamp,
+)
+from semsched.mdp import SolveResult, format_solve_result, parse_solve_result
 from semsched.policies import (
     NotThresholdStructured,
     PolicyTable,
@@ -144,3 +152,208 @@ class TestSerialization:
         tp = extract_thresholds(greedy_policy(PARAMS))
         back = parse_thresholds(format_thresholds(tp))
         assert back == tp
+
+
+@st.composite
+def tables(draw):
+    """A random valid policy of a random geometry, with a solver's bias
+    and gain, and switch points for the threshold form."""
+    dm = draw(st.integers(1, 5))
+    B = draw(st.integers(1, 3))
+    n = (dm + 1) * (B + 1) * 2
+    bits = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    actions = np.array(bits, dtype=np.int8)
+    actions[(np.arange(n) // 2) % (B + 1) == 0] = 0
+    kind = draw(st.sampled_from(list(MetricKind)))
+    stamp = draw(st.text("0123456789abcdef", min_size=12, max_size=12))
+    floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
+    bias = np.array(draw(st.lists(floats, min_size=n, max_size=n)))
+    thresholds = {
+        (b, q): dm + 1 if b == 0 else draw(st.integers(0, dm + 1))
+        for b in range(B + 1) for q in (0, 1)
+    }
+    tp = ThresholdPolicy(kind, stamp, dm, B, thresholds)
+    return PolicyTable(kind, stamp, dm, B, actions), bias, draw(floats), tp
+
+
+def solve_result(policy, bias, gain):
+    return SolveResult(
+        gain=gain, bias=bias, policy=policy, iterations=17,
+        residual_span=3.5e-10, converged=True,
+    )
+
+
+def same_policy(a, b):
+    return (a.kind, a.params_stamp, a.delta_max, a.B) == (
+        b.kind, b.params_stamp, b.delta_max, b.B
+    ) and np.array_equal(a.actions, b.actions)
+
+
+def same_solve(a, b):
+    return (
+        same_policy(a.policy, b.policy)
+        and np.array_equal(a.bias, b.bias)
+        and (a.gain, a.iterations, a.residual_span, a.converged)
+        == (b.gain, b.iterations, b.residual_span, b.converged)
+    )
+
+
+# (file text of an object, reader, equality)
+def codecs(policy, bias, gain, tp):
+    params = SystemParams(B=policy.B, delta_max=policy.delta_max, allow_tight_truncation=True)
+    result = solve_result(policy, bias, gain)
+    return [
+        (format_policy(policy), parse_policy, lambda back: same_policy(back, policy)),
+        (format_thresholds(tp), parse_thresholds, lambda back: back == tp),
+        (
+            format_solve_result(params, result),
+            lambda text: parse_solve_result(text)[0],
+            lambda back: same_solve(back, result),
+        ),
+    ]
+
+
+JUNK = st.sampled_from(["x", "", "nan", "inf", "=", "1e", "0.5.1", "#"])
+
+
+class TestCodecRoundTrip:
+    @given(tables())
+    @settings(max_examples=60, deadline=None)
+    def test_every_file_kind_round_trips(self, case):
+        for text, read, same in codecs(*case):
+            assert same(read(text))
+
+    @given(tables())
+    @settings(max_examples=30, deadline=None)
+    def test_a_solve_result_reads_as_its_policy(self, case):
+        policy, bias, gain, _ = case
+        params = SystemParams(B=policy.B, delta_max=policy.delta_max, allow_tight_truncation=True)
+        text = format_solve_result(params, solve_result(policy, bias, gain))
+        assert same_policy(parse_policy(text), policy)
+        with pytest.raises(ConfigError):
+            parse_solve_result(format_policy(policy))
+
+    @given(tables(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_a_single_line_mutation_is_rejected_or_harmless(self, case, data):
+        text, read, same = data.draw(st.sampled_from(codecs(*case)))
+        lines = text.splitlines()
+        i = data.draw(st.integers(0, len(lines) - 1))
+        op = data.draw(
+            st.sampled_from(["delete", "duplicate", "altered copy", "junk field", "insert"])
+        )
+        if op == "delete":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op in ("altered copy", "junk field"):
+            # a copy with a field changed to another valid-looking value
+            # must clash with the original it follows; junk must be
+            # refused outright
+            fields = lines[i].split(" ")
+            j = data.draw(st.integers(0, len(fields) - 1))
+            if op == "altered copy":
+                fields[j] = data.draw(st.sampled_from("0123456789"))
+                lines.insert(i + 1, " ".join(fields))
+            else:
+                fields[j] = data.draw(JUNK)
+                lines[i] = " ".join(fields)
+        else:
+            lines.insert(i, data.draw(st.text(max_size=20)))
+        try:
+            back = read("\n".join(lines) + "\n")
+        except ConfigError:
+            return
+        assert same(back)
+
+
+class TestFailClosed:
+    """Every malformed policy, threshold or solve-result file is a
+    ConfigError, never a traceback or a silently different table."""
+
+    def policy_lines(self):
+        return format_policy(greedy_policy(PARAMS)).splitlines()
+
+    def read(self, lines):
+        return parse_policy("\n".join(lines) + "\n")
+
+    def test_missing_row(self):
+        lines = self.policy_lines()
+        with pytest.raises(ConfigError, match="1 row\\(s\\) missing"):
+            self.read(lines[:-1])
+
+    def test_duplicate_row(self):
+        lines = self.policy_lines()
+        lines[-1] = lines[-2]
+        with pytest.raises(ConfigError, match="duplicate row"):
+            self.read(lines)
+
+    def test_row_outside_the_stamped_geometry(self):
+        lines = self.policy_lines() + [f"{PARAMS.delta_max + 1} 1 0 1"]
+        with pytest.raises(ConfigError, match="metric 5 outside 0..4"):
+            self.read(lines)
+
+    def test_missing_header_key(self):
+        lines = [l for l in self.policy_lines() if not l.startswith("params_stamp")]
+        with pytest.raises(ConfigError, match="missing header key\\(s\\): params_stamp"):
+            self.read(lines)
+
+    def test_duplicate_header_key(self):
+        lines = self.policy_lines()
+        lines.insert(2, "B = 2")
+        with pytest.raises(ConfigError, match="duplicate header key 'B'"):
+            self.read(lines)
+
+    def test_action_must_be_zero_or_one(self):
+        lines = self.policy_lines()
+        lines[-1] = lines[-1][:-1] + "2"
+        with pytest.raises(ConfigError, match="action 2 outside"):
+            self.read(lines)
+
+    def test_fields_must_be_integers(self):
+        lines = self.policy_lines()
+        lines[-1] = lines[-1][:-1] + "1.0"
+        with pytest.raises(ConfigError, match="bad action value '1.0'"):
+            self.read(lines)
+
+    def test_transmit_at_empty_battery(self):
+        lines = self.policy_lines()
+        k = lines.index("0 0 1 0")
+        lines[k] = "0 0 1 1"
+        with pytest.raises(ConfigError, match="empty battery"):
+            self.read(lines)
+
+    def test_bad_stamp_and_kind(self):
+        for key, value in (("params_stamp", "xyz"), ("kind", "age")):
+            lines = [
+                f"{key} = {value}" if l.startswith(key) else l
+                for l in self.policy_lines()
+            ]
+            with pytest.raises(ConfigError, match=f"bad header value {key}"):
+                self.read(lines)
+
+    def test_threshold_file_checks(self):
+        tp = extract_thresholds(greedy_policy(PARAMS))
+        lines = format_thresholds(tp).splitlines()
+        for bad, match in (
+            (lines[:-1], "missing"),
+            (lines + ["2 1 0"], "duplicate row"),
+            (lines[:-1] + ["2 1 6"], "threshold 6 outside 0..5"),
+            (lines[:-1] + ["2 1"], "expected 3 fields"),
+        ):
+            with pytest.raises(ConfigError, match=match):
+                parse_thresholds("\n".join(bad) + "\n")
+        never_at_empty = [l if l != "0 0 5" else "0 0 4" for l in lines]
+        with pytest.raises(ConfigError, match="empty battery"):
+            parse_thresholds("\n".join(never_at_empty) + "\n")
+
+    def test_solve_result_header_checks(self):
+        p = SystemParams(B=2, delta_max=4, allow_tight_truncation=True)
+        result = solve_result(greedy_policy(p), np.zeros(30), 0.5)
+        lines = format_solve_result(p, result).splitlines()
+        for key, value in (("gain", "nan"), ("converged", "yes"), ("iterations", "1.5")):
+            bad = [f"{key} = {value}" if l.startswith(key) else l for l in lines]
+            with pytest.raises(ConfigError, match=f"bad header value {key}"):
+                parse_solve_result("\n".join(bad) + "\n")
+        with pytest.raises(ConfigError, match="missing header key\\(s\\): converged"):
+            parse_solve_result("\n".join(l for l in lines if "converged" not in l))

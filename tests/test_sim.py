@@ -49,6 +49,19 @@ class TestConfig:
         with pytest.raises(ValueError):
             SimConfig(horizon=10, seed=1, warmup=10)
 
+    def test_rejects_seeds_outside_the_philox_key_range(self):
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match="seed"):
+                SimConfig(horizon=10, seed=seed, warmup=0)
+        SimConfig(horizon=10, seed=2**64 - 1, warmup=0)
+
+    def test_seeds_past_two_to_the_63_stay_distinct(self):
+        runs = [
+            simulate(MID, greedy_policy(MID), SimConfig(horizon=2000, seed=s, warmup=0))
+            for s in (2**63, 2**63 + 1)
+        ]
+        assert runs[0].avg != runs[1].avg
+
 
 class TestDeterminism:
     def test_same_seed_is_bit_identical(self):
