@@ -486,9 +486,10 @@ def evaluation_chain_size(
     params: SystemParams, kind: MetricKind, policy: PolicyTable
 ) -> int:
     """Number of chain states evaluate_policy_exact would solve over."""
-    n = state_count(params.delta_max, params.B)
     nq = _cross_query_axis(params, kind, policy)
-    return n if nq is None else n * (params.delta_max + 1) * nq // 2
+    if nq is None:
+        return state_count(params.delta_max, params.B)
+    return (params.delta_max + 1) ** 2 * (params.B + 1) * nq
 
 
 # --- brute-force oracle --------------------------------------------------
