@@ -40,6 +40,7 @@ from .policies import (
 )
 from .sim import MismatchedStamp, SimConfig, replicate, summary_csv_header, summary_csv_row
 from .experiments import (
+    EXACT_STATE_LIMIT,
     MonotonicityViolation,
     TargetUnreachable,
     action_map,
@@ -78,6 +79,7 @@ def _write_manifest(
     options: dict,
     outputs: list[str],
     started: float,
+    evaluation: dict | None = None,
 ) -> None:
     manifest = {
         "subcommand": subcommand,
@@ -90,6 +92,8 @@ def _write_manifest(
         "outputs": outputs,
         "duration_s": round(time.time() - started, 3),
     }
+    if evaluation is not None:
+        manifest["evaluation"] = evaluation
     _atomic_write(out + ".manifest.json", json.dumps(manifest, indent=2) + "\n")
 
 
@@ -228,6 +232,18 @@ def cmd_compare(args) -> int:
             "out": args.out,
         },
         [args.out], started,
+        evaluation={
+            "exact_state_limit": EXACT_STATE_LIMIT,
+            "rows": [
+                {
+                    "p_e": c.p_e, "p_q": c.p_q, "policy": r.policy,
+                    "eval": r.eval_mode,
+                    "evaluation_chain_size": r.chain_states,
+                    "reason": r.reason,
+                }
+                for c in cells for r in c.rows
+            ],
+        },
     )
     if failed:
         print(f"{failed} row(s) failed", file=sys.stderr)
@@ -275,6 +291,10 @@ def cmd_sweep(args) -> int:
     params = _load_params(args)
     pq_values = _parse_float_list(args.pq) if args.pq else (0.1, 0.2, 0.3, 0.4)
     _validate_rates(params, "p_q", pq_values)
+    if not args.tol > 0:
+        raise ConfigError(None, f"--tol must be positive, got {args.tol!r}")
+    if 0.0 in pq_values:
+        raise ConfigError(None, "sweep needs p_q > 0: the target is a per-query average")
     points = charging_sweep(
         params, args.kind, args.target, pq_values, tol=args.tol
     )

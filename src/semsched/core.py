@@ -230,8 +230,12 @@ def parse_config(text: str) -> dict[str, object]:
 
 def load_config(path: str) -> SystemParams:
     """Read, parse, and validate a config file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return validate_params(parse_config(fh.read()))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(None, f"{path} is not UTF-8 text: {exc}") from exc
+    return validate_params(parse_config(text))
 
 
 def format_config(params: SystemParams) -> str:

@@ -72,6 +72,8 @@ class CompareRow:
     monitor_qvaoi: float
     eval_mode: str
     error: str | None = None
+    chain_states: int | None = None  # states the exact evaluator would solve over
+    reason: str | None = None  # why the row was not evaluated exactly
 
 
 def compare_policies(
@@ -83,8 +85,9 @@ def compare_policies(
     """Average QVAoI of each policy at the CS and at the monitor.
 
     Exact mode evaluates the stationary distribution whenever the chain
-    fits under EXACT_STATE_LIMIT states and simulates otherwise; a policy
-    whose solve fails is reported in its row and the rest continue.
+    fits under EXACT_STATE_LIMIT states and simulates otherwise; each row
+    records the chain size and, when it was simulated, the reason. A
+    policy whose solve fails is reported in its row and the rest continue.
     """
     if sim_cfg is None:
         sim_cfg = SimConfig(horizon=10**6, seed=1, warmup=10**4)
@@ -94,15 +97,18 @@ def compare_policies(
         try:
             policy = solve_policy(params, name)
         except NotConverged as exc:
-            rows.append(
-                CompareRow(name, math.nan, math.nan, math.nan, "none", str(exc))
-            )
+            rows.append(CompareRow(
+                name, math.nan, math.nan, math.nan, "none", str(exc),
+                reason="solver did not converge",
+            ))
             continue
-        use_exact = (
-            mode == "exact"
-            and evaluation_chain_size(params, meter, policy) <= EXACT_STATE_LIMIT
-        )
-        if use_exact:
+        states = evaluation_chain_size(params, meter, policy)
+        reason = None
+        if mode != "exact":
+            reason = f"mode {mode} requested"
+        elif states > EXACT_STATE_LIMIT:
+            reason = f"{states} chain states exceed EXACT_STATE_LIMIT {EXACT_STATE_LIMIT}"
+        if reason is None:
             all_slot = evaluate_policy_exact(params, meter, policy)
             per_query = all_slot / params.p_q if params.p_q > 0 else math.nan
             used = "exact"
@@ -112,7 +118,10 @@ def compare_policies(
             per_query = s.avg_per_query[meter]
             used = "simulated"
         monitor = per_query + params.N * params.p_v
-        rows.append(CompareRow(name, all_slot, per_query, monitor, used))
+        rows.append(CompareRow(
+            name, all_slot, per_query, monitor, used,
+            chain_states=states, reason=reason,
+        ))
     return rows
 
 
@@ -225,6 +234,8 @@ def required_charging_rate(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if p_q <= 0:
+        raise ValueError("p_q must be positive: the target is a per-query average")
     name = policy_kind.value if isinstance(policy_kind, MetricKind) else policy_kind
     if name not in POLICY_NAMES:
         raise ValueError(f"unknown policy {name!r}")

@@ -30,7 +30,7 @@ from itertools import product
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import breadth_first_order, connected_components
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import splu
 
 from .core import Action, AgentState, MetricKind, SystemParams, params_stamp
 from .metrics import stage_cost, step_aoi, step_vaoi
@@ -342,24 +342,45 @@ def _start_indices(params: SystemParams, kind: MetricKind) -> list[int]:
 
 
 def _stationary_distribution(P: sp.csr_matrix, members: np.ndarray) -> np.ndarray:
-    """Stationary vector of the closed class `members` of P."""
-    sub = P[np.ix_(members, members)].tocsc()
+    """Stationary vector of the closed class `members` of P.
+
+    The balance equations G pi = 0, G = I - P_C^T on the class C, have
+    one redundant row. Pinning pi at the class's first member to 1 and
+    dropping that member's equation leaves G[1:, 1:] x = -G[1:, 0], which
+    is nonsingular when C is irreducible; it is factored by SuperLU under
+    the fill-reducing MMD_AT_PLUS_A column ordering (a dense row of ones
+    in place of the dropped equation would fill the factors), and the
+    solution is then normalised to sum 1. Raises SingularSolve when C is
+    not one strongly connected class, the LU fails, or the result is not
+    a finite non-negative vector with ||pi P - pi||_inf <= 1e-9.
+    """
+    sub = P[np.ix_(members, members)].tocsr()
     nC = members.size
-    A = (sp.eye(nC, format="csc") - sub.T).tolil()
-    A[0, :] = 1.0
-    rhs = np.zeros(nC)
-    rhs[0] = 1.0
-    with np.errstate(all="ignore"):
-        try:
-            pi = spsolve(A.tocsc(), rhs)
-        except Exception as exc:
-            raise SingularSolve(str(exc)) from exc
-    if not np.all(np.isfinite(pi)):
-        raise SingularSolve("non-finite stationary solution")
+    # on a union of closed classes the reduced system is singular, yet the
+    # LU can still return the pinned class's vector padded with zeros
+    ncomp, _ = connected_components(sub, directed=True, connection="strong")
+    if ncomp != 1:
+        raise SingularSolve(f"class splits into {ncomp} strongly connected parts")
+    pi = np.ones(nC)
+    if nC > 1:
+        G = (sp.eye(nC - 1, format="csc") - sub[1:, 1:].T).tocsc()
+        rhs = sub[0, 1:].toarray().ravel()  # -G[1:, 0] = P[first, rest]
+        with np.errstate(all="ignore"):
+            try:
+                pi[1:] = splu(G, permc_spec="MMD_AT_PLUS_A").solve(rhs)
+            except RuntimeError as exc:
+                raise SingularSolve(str(exc)) from exc
     s = pi.sum()
-    if abs(s - 1.0) > 1e-6 or np.any(pi < -1e-9):
-        raise SingularSolve(f"stationary solve failed (sum {s})")
-    return np.clip(pi, 0.0, None) / s
+    if not (np.all(np.isfinite(pi)) and 0.0 < s < np.inf):
+        raise SingularSolve("non-finite stationary solution")
+    pi /= s
+    residual = np.abs(sub.T @ pi - pi).max()
+    if not residual <= 1e-9 or pi.min() < -1e-9:
+        raise SingularSolve(
+            f"stationary solve failed (balance residual {residual:.3e}, "
+            f"min {pi.min():.3e})"
+        )
+    return np.clip(pi, 0.0, None)
 
 
 def _single_recurrent_class(

@@ -152,6 +152,17 @@ class TestCompare:
         manifest = json.loads(read(out + ".manifest.json"))
         assert manifest["options"]["mode"] == "exact"
         assert manifest["options"]["pe"] == [0.1]
+        evaluation = manifest["evaluation"]
+        assert evaluation["exact_state_limit"] == experiments.EXACT_STATE_LIMIT
+        rows = evaluation["rows"]
+        assert [r["policy"] for r in rows] == ["greedy", "aoi", "vaoi", "qaoi", "qvaoi"]
+        for r in rows:
+            assert (r["p_e"], r["p_q"], r["eval"], r["reason"]) == (0.1, 0.3, "exact", None)
+        # 7 * 3 * 2 = 42 same-family states; the age-family policies are
+        # metered on QVAoI through the product chain
+        sizes = {r["policy"]: r["evaluation_chain_size"] for r in rows}
+        assert sizes["greedy"] == sizes["vaoi"] == sizes["qvaoi"] == 42
+        assert sizes["aoi"] in (147, 294) and sizes["qaoi"] in (147, 294)
 
 
 class TestRegions:
@@ -180,6 +191,25 @@ class TestSweep:
         data = [l for l in read(out).decode().splitlines() if l and not l.startswith("#")]
         assert len(data) == 2  # header + one point
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--tol", "0"], "--tol must be positive"),
+            (["--tol", "-0.01"], "--tol must be positive"),
+            (["--pq", "0"], "sweep needs p_q > 0"),
+            (["--pq", "0.3,0"], "sweep needs p_q > 0"),
+        ],
+    )
+    def test_degenerate_settings_are_config_errors(self, tmp_path, cfg, capsys, flags, message):
+        out = tmp_path / "s.csv"
+        args = ["sweep", "--config", cfg, "--out", str(out), "--kind", "greedy",
+                "--target", "3.0", "--pq", "0.3", "--tol", "0.05"]
+        rc = main(args + flags)  # argparse keeps the last --pq / --tol
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_unreachable_target_is_partial(self, tmp_path, cfg):
         rc = main([
             "sweep", "--config", cfg, "--out", str(tmp_path / "s.csv"),
@@ -196,6 +226,14 @@ class TestBadInput:
         rc = main(["solve", "--config", str(bad), "--out", str(tmp_path / "o.txt")])
         assert rc == EXIT_CONFIG
         assert "line 2" in capsys.readouterr().err
+
+    def test_non_utf8_config_is_a_config_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"\xff\xfe")
+        rc = main(["solve", "--config", str(bad), "--out", str(tmp_path / "o.txt")])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "not UTF-8 text" in err and "Traceback" not in err
 
     def test_out_of_range_override(self, tmp_path, cfg):
         rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "o.txt"),

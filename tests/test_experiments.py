@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import semsched.experiments as experiments
 from semsched.core import MetricKind, SystemParams, params_stamp
 from semsched.experiments import (
     POLICY_NAMES,
@@ -71,6 +72,16 @@ class TestComparePolicies:
         exact_rows = compare_policies(SMALL, policy_set=("greedy",))
         assert sim_rows[0].eval_mode == "simulated"
         assert sim_rows[0].qvaoi == pytest.approx(exact_rows[0].qvaoi, rel=0.05)
+        assert sim_rows[0].reason == "mode simulated requested"
+        assert exact_rows[0].reason is None
+        assert sim_rows[0].chain_states == exact_rows[0].chain_states == 42
+
+    def test_oversized_chains_fall_back_with_a_reason(self, monkeypatch):
+        monkeypatch.setattr(experiments, "EXACT_STATE_LIMIT", 41)
+        cfg = SimConfig(horizon=20_000, seed=3, warmup=1000)
+        (row,) = compare_policies(SMALL, policy_set=("greedy",), sim_cfg=cfg)
+        assert row.eval_mode == "simulated"
+        assert row.reason == "42 chain states exceed EXACT_STATE_LIMIT 41"
 
 
 class TestComparisonGrid:
@@ -138,6 +149,8 @@ class TestRequiredChargingRate:
             required_charging_rate("qvaoi", 2.5, SMALL, p_q=0.3, tol=0.0)
         with pytest.raises(ValueError, match="unknown policy"):
             required_charging_rate("optimal", 2.5, SMALL, p_q=0.3)
+        with pytest.raises(ValueError, match="p_q must be positive"):
+            required_charging_rate("greedy", 2.5, SMALL, p_q=0.0)
 
 
 class TestChargingSweep:

@@ -15,8 +15,10 @@ from semsched.mdp import (
     MultichainPolicy,
     NotConverged,
     SolveResult,
+    SingularSolve,
     TooLarge,
     _single_recurrent_class,
+    _stationary_distribution,
     build_state_space,
     enumerate_optimal_bruteforce,
     evaluate_policy_exact,
@@ -336,6 +338,55 @@ class TestExactEvaluation:
         )
         _, members = _single_recurrent_class(P, [0])
         assert members.tolist() == [1]
+
+
+@st.composite
+def irreducible_chain(draw):
+    """Random irreducible stochastic matrix: a random Hamiltonian cycle
+    plus random extra edges, or, for the periodic case, random weights on
+    the complete bipartite graph between even and odd states (period 2)."""
+    n = draw(st.integers(2, 8))
+    weights = np.array(
+        draw(st.lists(st.floats(0.05, 1.0), min_size=n * n, max_size=n * n))
+    ).reshape(n, n)
+    if draw(st.booleans()):
+        i, j = np.indices((n, n))
+        mask = (i + j) % 2 == 1
+    else:
+        mask = np.array(
+            draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+        ).reshape(n, n)
+        cycle = draw(st.permutations(range(n)))
+        mask[cycle, np.roll(cycle, -1)] = True
+    P = np.where(mask, weights, 0.0)
+    return P / P.sum(axis=1, keepdims=True)
+
+
+class TestStationaryDistribution:
+    @settings(max_examples=150, deadline=None)
+    @given(irreducible_chain())
+    def test_matches_a_dense_solve(self, P):
+        n = P.shape[0]
+        # a transient state in front: the class is members 1..n of the chain
+        full = np.zeros((n + 1, n + 1))
+        full[0, 1] = 1.0
+        full[1:, 1:] = P
+        pi = _stationary_distribution(sp.csr_matrix(full), np.arange(1, n + 1))
+        # pi (I - P + 1 1^T) = 1^T has the stationary vector as its only
+        # solution when P is irreducible, periodic or not
+        ref = np.linalg.solve((np.eye(n) - P + 1.0).T, np.ones(n))
+        assert np.abs(pi - ref).max() <= 1e-12
+        assert np.abs(pi @ P - pi).max() <= 1e-12
+        assert pi.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_two_closed_classes_are_rejected(self):
+        # each 2-state block is closed; together they have a whole line of
+        # stationary vectors, so there is no single answer to return
+        P = np.zeros((4, 4))
+        P[:2, :2] = [[0.3, 0.7], [0.6, 0.4]]
+        P[2:, 2:] = [[0.9, 0.1], [0.2, 0.8]]
+        with pytest.raises(SingularSolve):
+            _stationary_distribution(sp.csr_matrix(P), np.arange(4))
 
 
 def joint_chain_average(p, kind, policy):
