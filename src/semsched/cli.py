@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -40,6 +41,8 @@ from .policies import (
 )
 from .sim import MismatchedStamp, SimConfig, replicate, summary_csv_header, summary_csv_row
 from .experiments import (
+    DEFAULT_PE_CELLS,
+    DEFAULT_PQ_CELLS,
     EXACT_STATE_LIMIT,
     MonotonicityViolation,
     TargetUnreachable,
@@ -206,8 +209,8 @@ def cmd_trace(args) -> int:
 def cmd_compare(args) -> int:
     started = time.time()
     params = _load_params(args)
-    pe_values = _parse_float_list(args.pe) if args.pe else (0.05, 0.20)
-    pq_values = _parse_float_list(args.pq) if args.pq else (0.2, 0.4)
+    pe_values = _parse_float_list(args.pe) if args.pe else DEFAULT_PE_CELLS
+    pq_values = _parse_float_list(args.pq) if args.pq else DEFAULT_PQ_CELLS
     _validate_rates(params, "p_e", pe_values)
     _validate_rates(params, "p_q", pq_values)
     sim_cfg = SimConfig(horizon=args.horizon, seed=args.seed, warmup=args.warmup)
@@ -293,11 +296,11 @@ def cmd_sweep(args) -> int:
     _validate_rates(params, "p_q", pq_values)
     if not args.tol > 0:
         raise ConfigError(None, f"--tol must be positive, got {args.tol!r}")
+    if not math.isfinite(args.target):
+        raise ConfigError(None, f"--target must be finite, got {args.target!r}")
     if 0.0 in pq_values:
         raise ConfigError(None, "sweep needs p_q > 0: the target is a per-query average")
-    points = charging_sweep(
-        params, args.kind, args.target, pq_values, tol=args.tol
-    )
+    points = charging_sweep(params, args.kind, args.target, pq_values, tol=args.tol)
     _atomic_write(
         args.out,
         format_ratio_table(

@@ -32,7 +32,7 @@ from .policies import (
     extract_thresholds,
     greedy_policy,
 )
-from .sim import SimConfig, simulate
+from .sim import SimConfig, monitor_offset, simulate
 
 POLICY_NAMES = ("greedy", "aoi", "vaoi", "qaoi", "qvaoi")
 EXACT_STATE_LIMIT = 10**5
@@ -117,7 +117,7 @@ def compare_policies(
             all_slot = s.avg[meter]
             per_query = s.avg_per_query[meter]
             used = "simulated"
-        monitor = per_query + params.N * params.p_v
+        monitor = per_query + monitor_offset(params, meter)
         rows.append(CompareRow(
             name, all_slot, per_query, monitor, used,
             chain_states=states, reason=reason,
@@ -234,6 +234,8 @@ def required_charging_rate(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if not math.isfinite(target):
+        raise ValueError(f"target must be finite, got {target!r}")
     if p_q <= 0:
         raise ValueError("p_q must be positive: the target is a per-query average")
     name = policy_kind.value if isinstance(policy_kind, MetricKind) else policy_kind

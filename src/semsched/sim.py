@@ -232,16 +232,22 @@ def simulate(
 
 @dataclass(frozen=True)
 class MonitorMetrics:
-    """Monitor-side averages, analytic and overlay.
-
-    Age-family offsets are deterministic (+N); version-family offsets add
-    the versions generated during the N-hop relay latency, N * p_v in
-    expectation. Query-gated kinds are reported in per-query units, where
-    the offsets apply verbatim.
-    """
+    """Monitor-side averages: analytic (CS average + monitor_offset) and a
+    simulated overlay. Query-gated kinds are in per-query units."""
 
     analytic: dict[MetricKind, float]
     overlay: dict[MetricKind, float]
+
+
+def monitor_offset(params: SystemParams, kind: MetricKind) -> float:
+    """Expected monitor-minus-CS gap of `kind` behind N relay hops: N for
+    the age kinds (deterministic), N * p_v (versions generated in flight)
+    for the version kinds. It applies verbatim to per-query averages."""
+    return params.N if kind.age_family else params.N * params.p_v
+
+
+def _cs_average(summary: SimSummary, kind: MetricKind) -> float:
+    return (summary.avg_per_query if kind.query_gated else summary.avg)[kind]
 
 
 def monitor_metrics(
@@ -256,23 +262,17 @@ def monitor_metrics(
     monitor stream and averages it on top of the CS values (over query
     slots for the gated kinds), cross-checking the closed form.
     """
-    N = params.N
-    pv = params.p_v
     analytic = {
-        MetricKind.AOI: summary.avg[MetricKind.AOI] + N,
-        MetricKind.VAOI: summary.avg[MetricKind.VAOI] + N * pv,
-        MetricKind.QAOI: summary.avg_per_query[MetricKind.QAOI] + N,
-        MetricKind.QVAOI: summary.avg_per_query[MetricKind.QVAOI] + N * pv,
+        kind: _cs_average(summary, kind) + monitor_offset(params, kind)
+        for kind in MetricKind
     }
     if trace is None:
         raise ValueError("overlay needs a recorded trace (record_trace=True)")
-    g = _stream(seed, STREAM_MONITOR)
-    x = g.binomial(N, pv, size=trace.query.size) if N > 0 else np.zeros(trace.query.size)
     qmask = trace.query
+    x = _stream(seed, STREAM_MONITOR).binomial(params.N, params.p_v, size=qmask.size)
     overlay = {
-        MetricKind.AOI: summary.avg[MetricKind.AOI] + N,
+        **analytic,
         MetricKind.VAOI: summary.avg[MetricKind.VAOI] + float(x.mean()),
-        MetricKind.QAOI: summary.avg_per_query[MetricKind.QAOI] + N,
         MetricKind.QVAOI: summary.avg_per_query[MetricKind.QVAOI]
         + (float(x[qmask].mean()) if qmask.any() else math.nan),
     }
@@ -362,7 +362,6 @@ def summary_csv_header() -> str:
 
 def summary_csv_row(params: SystemParams, policy_id: str, s: SimSummary) -> str:
     """One CSV row; monitor columns use the analytic offsets."""
-    N, pv = params.N, params.p_v
     vals = [
         params.p_s, params.p_v, params.p_q, params.p_e,
         params.B, params.N, params.delta_max,
@@ -370,13 +369,9 @@ def summary_csv_row(params: SystemParams, policy_id: str, s: SimSummary) -> str:
         s.avg[MetricKind.AOI], s.avg[MetricKind.VAOI],
         s.avg[MetricKind.QAOI], s.avg[MetricKind.QVAOI],
         s.avg_per_query[MetricKind.QAOI], s.avg_per_query[MetricKind.QVAOI],
-        s.avg[MetricKind.AOI] + N,
-        s.avg[MetricKind.VAOI] + N * pv,
-        s.avg_per_query[MetricKind.QAOI] + N,
-        s.avg_per_query[MetricKind.QVAOI] + N * pv,
+        *(_cs_average(s, kind) + monitor_offset(params, kind) for kind in MetricKind),
         s.transmissions, s.successes, s.energy_harvested,
         s.empty_battery_slots, s.query_slots,
         s.initial_battery, s.final_battery,
     ]
     return ",".join(str(v) for v in vals)
-

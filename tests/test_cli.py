@@ -3,6 +3,8 @@ determinism, and the exit-code contract."""
 
 import importlib.util
 import json
+import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -164,6 +166,19 @@ class TestCompare:
         assert sizes["greedy"] == sizes["vaoi"] == sizes["qvaoi"] == 42
         assert sizes["aoi"] in (147, 294) and sizes["qaoi"] in (147, 294)
 
+    def test_default_grid(self, tmp_path, cfg):
+        out = str(tmp_path / "cmp.csv")
+        assert main(["compare", "--config", cfg, "--out", out]) == EXIT_OK
+        lines = [l for l in read(out).decode().splitlines() if not l.startswith("#")]
+        assert lines[0].startswith("p_e,p_q,policy,")
+        cells = list(dict.fromkeys(tuple(map(float, l.split(",")[:2])) for l in lines[1:]))
+        assert cells == [(0.05, 0.2), (0.05, 0.4), (0.2, 0.2), (0.2, 0.4)]
+        manifest = json.loads(read(out + ".manifest.json"))
+        assert manifest["options"]["pe"] == [0.05, 0.2]
+        assert manifest["options"]["pq"] == [0.2, 0.4]
+        rows = manifest["evaluation"]["rows"]
+        assert list(dict.fromkeys((r["p_e"], r["p_q"]) for r in rows)) == cells
+
 
 class TestRegions:
     def test_one_map_per_charging_rate(self, tmp_path, cfg):
@@ -198,13 +213,15 @@ class TestSweep:
             (["--tol", "-0.01"], "--tol must be positive"),
             (["--pq", "0"], "sweep needs p_q > 0"),
             (["--pq", "0.3,0"], "sweep needs p_q > 0"),
+            (["--target", "nan"], "--target must be finite"),
+            (["--target", "inf"], "--target must be finite"),
         ],
     )
     def test_degenerate_settings_are_config_errors(self, tmp_path, cfg, capsys, flags, message):
         out = tmp_path / "s.csv"
         args = ["sweep", "--config", cfg, "--out", str(out), "--kind", "greedy",
                 "--target", "3.0", "--pq", "0.3", "--tol", "0.05"]
-        rc = main(args + flags)  # argparse keeps the last --pq / --tol
+        rc = main(args + flags)  # argparse keeps the last --pq / --tol / --target
         assert rc == EXIT_CONFIG
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
@@ -365,3 +382,22 @@ class TestBenchmarkHooks:
         names = {s["name"] for s in rec.spans}
         assert {"experiments.comparison_grid", "mdp.solve", "mdp.eval_same",
                 "mdp.eval_cross"} <= names
+
+
+class TestReadme:
+    """The README is the documented way to rerun the experiments; a renamed
+    or removed flag must fail here."""
+
+    def test_documented_commands_parse(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme.read_text(encoding="utf-8"),
+                            re.M | re.S)
+        commands = [line for block in blocks for line in block.splitlines()
+                    if line.startswith("semsched ")]
+        assert len(commands) >= 10
+        parser = cli._build_parser()
+        for line in commands:
+            try:
+                parser.parse_args(shlex.split(line, comments=True)[1:])
+            except SystemExit:
+                pytest.fail(f"README command does not parse: {line}")

@@ -151,6 +151,9 @@ class TestRequiredChargingRate:
             required_charging_rate("optimal", 2.5, SMALL, p_q=0.3)
         with pytest.raises(ValueError, match="p_q must be positive"):
             required_charging_rate("greedy", 2.5, SMALL, p_q=0.0)
+        for target in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="target must be finite"):
+                required_charging_rate("greedy", target, SMALL, p_q=0.3)
 
 
 class TestChargingSweep:
