@@ -31,7 +31,7 @@ from .core import (
     validate_params,
 )
 from .metrics import EmptyTrace, evolve_trace, format_trace_table, parse_events_table
-from .mdp import NotConverged, format_solve_result, rvia_solve
+from .mdp import SPAN_TOL, NotConverged, format_solve_result, rvia_solve
 from .policies import (
     NotThresholdStructured,
     extract_thresholds,
@@ -82,7 +82,7 @@ def _write_manifest(
     options: dict,
     outputs: list[str],
     started: float,
-    evaluation: dict | None = None,
+    **records: dict,
 ) -> None:
     manifest = {
         "subcommand": subcommand,
@@ -94,9 +94,8 @@ def _write_manifest(
         "version=3 query=4 init=5 monitor=6; replication r uses seed + r",
         "outputs": outputs,
         "duration_s": round(time.time() - started, 3),
+        **records,
     }
-    if evaluation is not None:
-        manifest["evaluation"] = evaluation
     _atomic_write(out + ".manifest.json", json.dumps(manifest, indent=2) + "\n")
 
 
@@ -146,6 +145,12 @@ def cmd_solve(args) -> int:
     _write_manifest(
         args.out, "solve", params,
         {"kind": kind.value, "out": args.out}, outputs, started,
+        solver={
+            "iterations": result.iterations,
+            "residual_span": result.residual_span,
+            # a certified solve stops before its span falls under the tolerance
+            "stop": "span" if result.residual_span < SPAN_TOL else "certificate",
+        },
     )
     return EXIT_OK
 
@@ -259,6 +264,13 @@ def cmd_regions(args) -> int:
     params = _load_params(args)
     pe_values = _parse_float_list(args.pe) if args.pe else (params.p_e,)
     _validate_rates(params, "p_e", pe_values)
+    names = [f"{pe:g}" for pe in pe_values]
+    for name in names:
+        if names.count(name) > 1:
+            clash = ", ".join(repr(pe) for pe, n in zip(pe_values, names) if n == name)
+            raise ConfigError(
+                None, f"--pe rates {clash} would all write {args.out}.pe{name}.csv"
+            )
     outputs = []
     failures = 0
     for pe in pe_values:

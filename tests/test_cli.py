@@ -11,6 +11,7 @@ import pytest
 
 import semsched.cli as cli
 import semsched.experiments as experiments
+import semsched.mdp as mdp
 from semsched.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -52,6 +53,27 @@ class TestSolve:
         assert manifest["params_stamp"] == params_stamp(SMALL)
         assert out in manifest["outputs"]
         assert out + ".thresholds" in manifest["outputs"]
+        # the table settles within 128 sweeps, long before the span does
+        assert result.residual_span >= 1e-9
+        assert manifest["solver"] == {
+            "iterations": result.iterations,
+            "residual_span": result.residual_span,
+            "stop": "certificate",
+        }
+
+    def test_manifest_names_a_span_stop(self, tmp_path, cfg, monkeypatch):
+        monkeypatch.setattr(mdp, "_CERT_EVERY", 10**9)  # no certificate check
+        out = str(tmp_path / "policy.txt")
+        assert main(["solve", "--config", cfg, "--out", out]) == EXIT_OK
+        result, header = load_solve_result(out)
+        assert result.residual_span < 1e-9
+        assert "stop" not in header  # derived, not stored in the result file
+        solver = json.loads(read(out + ".manifest.json"))["solver"]
+        assert solver == {
+            "iterations": result.iterations,
+            "residual_span": result.residual_span,
+            "stop": "span",
+        }
 
     def test_repeat_runs_are_byte_identical(self, tmp_path, cfg):
         a, b = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
@@ -192,6 +214,16 @@ class TestRegions:
         assert f"{out}.pe0.1.csv" in manifest["outputs"]
         assert f"{out}.pe0.2.csv" in manifest["outputs"]
         assert f"{out}.pe0.1.thresholds" in manifest["outputs"]
+
+    @pytest.mark.parametrize("rates", ["0.2,0.20", "0.2,0.2000001", "0.1,0.2,0.1"])
+    def test_rates_sharing_an_output_name_are_config_errors(self, tmp_path, cfg, capsys, rates):
+        out = tmp_path / "regions"
+        rc = main(["regions", "--config", cfg, "--out", str(out), "--kind", "greedy",
+                   "--pe", rates])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{out}.pe0" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [tmp_path / "small.cfg"]
 
 
 class TestSweep:

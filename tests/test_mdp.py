@@ -9,6 +9,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+import semsched.mdp as mdp
 from semsched.core import Action, AgentState, MetricKind, SystemParams, params_stamp
 from semsched.mdp import (
     InfeasibleAction,
@@ -17,6 +18,7 @@ from semsched.mdp import (
     SolveResult,
     SingularSolve,
     TooLarge,
+    _closed_classes,
     _single_recurrent_class,
     _stationary_distribution,
     build_state_space,
@@ -248,6 +250,33 @@ class TestRviaSolve:
         ]
         assert gains_s[0] >= gains_s[1] - 1e-9 >= gains_s[2] - 2e-9
 
+    def test_multichain_tables_are_never_certified(self, monkeypatch):
+        # at p_e = p_v = 1 the version lag never rests at 0, so the solver
+        # transmits whenever it can and every battery level >= 1 is closed
+        p = small(p_e=1.0, p_v=1.0)
+        plain = rvia_solve(p, MetricKind.VAOI)
+        closed_counts, solves = [], []
+        closed_classes, splu = mdp._closed_classes, mdp.splu
+
+        def count_closed(P):
+            labels, closed = closed_classes(P)
+            closed_counts.append(int(closed.sum()))
+            return labels, closed
+
+        def record_solve(*args, **kwargs):
+            solves.append(args)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(mdp, "_CERT_EVERY", 1)
+        monkeypatch.setattr(mdp, "_closed_classes", count_closed)
+        monkeypatch.setattr(mdp, "splu", record_solve)
+        res = rvia_solve(p, MetricKind.VAOI)
+        assert closed_counts and min(closed_counts) > 1
+        assert solves == []  # declined before any bias solve
+        assert res.residual_span < 1e-9  # the span test ended the solve
+        assert np.array_equal(res.policy.actions, plain.policy.actions)
+        assert res.gain == pytest.approx(plain.gain, abs=1e-9)
+
     def test_rejects_bad_tolerances(self):
         with pytest.raises(ValueError):
             rvia_solve(small(), MetricKind.AOI, tol=0.0)
@@ -325,6 +354,23 @@ class TestExactEvaluation:
         )
         with pytest.raises(MultichainPolicy):
             _single_recurrent_class(P, [0])
+
+    def test_closed_classes(self):
+        # 0 leaks into both {1} and {2, 3}, which no edge leaves
+        P = sp.csr_matrix(
+            np.array(
+                [
+                    [0.2, 0.4, 0.4, 0.0],
+                    [0.0, 1.0, 0.0, 0.0],
+                    [0.0, 0.0, 0.5, 0.5],
+                    [0.0, 0.0, 1.0, 0.0],
+                ]
+            )
+        )
+        labels, closed = _closed_classes(P)
+        assert closed.size == 3
+        classes = {tuple(np.flatnonzero(labels == c)) for c in np.flatnonzero(closed)}
+        assert classes == {(1,), (2, 3)}
 
     def test_unreachable_closed_class_is_ignored(self):
         P = sp.csr_matrix(
@@ -478,17 +524,29 @@ class TestCrossFamilyEvaluation:
 
 
 class TestBruteForce:
+    CASES = [
+        (small(B=1, delta_max=3, p_e=0.3, p_q=0.4), MetricKind.AOI),
+        (small(B=1, delta_max=3, p_e=0.3, p_q=0.4), MetricKind.QVAOI),
+        (small(B=2, delta_max=2, p_e=0.2, p_q=0.5, p_v=0.4), MetricKind.VAOI),
+    ]
+
     def test_matches_rvia_on_small_instances(self):
-        cases = [
-            (small(B=1, delta_max=3, p_e=0.3, p_q=0.4), MetricKind.AOI),
-            (small(B=1, delta_max=3, p_e=0.3, p_q=0.4), MetricKind.QVAOI),
-            (small(B=2, delta_max=2, p_e=0.2, p_q=0.5, p_v=0.4), MetricKind.VAOI),
-        ]
-        for p, kind in cases:
+        for p, kind in self.CASES:
             pol, cost = enumerate_optimal_bruteforce(p, kind)
             res = rvia_solve(p, kind)
             assert cost == pytest.approx(res.gain, abs=1e-6)
             assert evaluate_policy_exact(p, kind, pol) == pytest.approx(cost, abs=1e-9)
+
+    def test_certified_solves_match_the_oracle(self, monkeypatch):
+        # these instances converge before the first default check, so
+        # checking every sweep is what puts the certificate to work
+        monkeypatch.setattr(mdp, "_CERT_EVERY", 1)
+        for p, kind in self.CASES:
+            _, cost = enumerate_optimal_bruteforce(p, kind)
+            res = rvia_solve(p, kind)
+            assert res.converged
+            assert res.residual_span >= 1e-9  # stopped on the certificate
+            assert res.gain == pytest.approx(cost, abs=1e-9)
 
     def test_oracle_never_loses_to_greedy(self):
         p = small(B=1, delta_max=3, p_e=0.3, p_q=0.4)
