@@ -43,7 +43,6 @@ from .sim import MismatchedStamp, SimConfig, replicate, summary_csv_header, summ
 from .experiments import (
     DEFAULT_PE_CELLS,
     DEFAULT_PQ_CELLS,
-    EXACT_STATE_LIMIT,
     MonotonicityViolation,
     TargetUnreachable,
     action_map,
@@ -241,7 +240,6 @@ def cmd_compare(args) -> int:
         },
         [args.out], started,
         evaluation={
-            "exact_state_limit": EXACT_STATE_LIMIT,
             "rows": [
                 {
                     "p_e": c.p_e, "p_q": c.p_q, "policy": r.policy,

@@ -5,8 +5,8 @@ Query-gated values carry two normalizations. The all-slot average is the
 quantity the solver optimizes; dividing it by p_q gives the conditional
 average per query slot, which is the axis the comparison tables and the
 charging-rate targets use (monitor-side offsets apply verbatim on that
-axis). Exact stationary evaluation is the default and simulation is a
-fallback for chains past the size cutoff.
+axis). Exact stationary evaluation is the default; simulation is an
+explicit cross-check (`mode="simulated"`).
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .policies import (
 from .sim import SimConfig, monitor_offset, simulate
 
 POLICY_NAMES = ("greedy", "aoi", "vaoi", "qaoi", "qvaoi")
-EXACT_STATE_LIMIT = 10**5
 DEFAULT_PE_CELLS = (0.05, 0.20)
 DEFAULT_PQ_CELLS = (0.2, 0.4)
 
@@ -84,10 +83,10 @@ def compare_policies(
 ) -> list[CompareRow]:
     """Average QVAoI of each policy at the CS and at the monitor.
 
-    Exact mode evaluates the stationary distribution whenever the chain
-    fits under EXACT_STATE_LIMIT states and simulates otherwise; each row
-    records the chain size and, when it was simulated, the reason. A
-    policy whose solve fails is reported in its row and the rest continue.
+    Exact mode evaluates every row from its stationary distribution;
+    simulated mode runs the simulator instead. Each row records the chain
+    size and, when it was simulated, the reason. A policy whose solve
+    fails is reported in its row and the rest continue.
     """
     if sim_cfg is None:
         sim_cfg = SimConfig(horizon=10**6, seed=1, warmup=10**4)
@@ -102,25 +101,19 @@ def compare_policies(
                 reason="solver did not converge",
             ))
             continue
-        states = evaluation_chain_size(params, meter, policy)
-        reason = None
-        if mode != "exact":
-            reason = f"mode {mode} requested"
-        elif states > EXACT_STATE_LIMIT:
-            reason = f"{states} chain states exceed EXACT_STATE_LIMIT {EXACT_STATE_LIMIT}"
-        if reason is None:
+        if mode == "exact":
             all_slot = evaluate_policy_exact(params, meter, policy)
             per_query = all_slot / params.p_q if params.p_q > 0 else math.nan
-            used = "exact"
+            used, reason = "exact", None
         else:
             s = simulate(params, policy, sim_cfg)
             all_slot = s.avg[meter]
             per_query = s.avg_per_query[meter]
-            used = "simulated"
+            used, reason = "simulated", f"mode {mode} requested"
         monitor = per_query + monitor_offset(params, meter)
         rows.append(CompareRow(
             name, all_slot, per_query, monitor, used,
-            chain_states=states, reason=reason,
+            chain_states=evaluation_chain_size(params, meter, policy), reason=reason,
         ))
     return rows
 

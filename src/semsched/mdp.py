@@ -30,7 +30,7 @@ equations have no unique solution; the span test then ends the solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import product
 
@@ -213,8 +213,8 @@ def _build_model(params: SystemParams, kind: MetricKind) -> _Model:
         return np.full(n, grow) if delivered else np.minimum(metric + grow, p.delta_max)
 
     # idle: outcomes (energy, version, q2); transmit adds the channel draw
-    # u in front. Cross-family evaluation pairs the two families' columns,
-    # so both must keep this (u, e, v, q2) order.
+    # u in front. Cross-family evaluation reads the delivering columns off
+    # this (u, e, v, q2) order.
     idle_cols, idle_pr = [], []
     tx_cols, tx_pr = [], []
     for u, pu in ((1, p.p_s), (0, 1 - p.p_s)):
@@ -487,71 +487,76 @@ def _single_recurrent_class(
     return ridx, ridx[labels == np.flatnonzero(closed)[0]]
 
 
-def _cross_query_axis(
+def _reads_other_family(
     params: SystemParams, kind: MetricKind, policy: PolicyTable
-) -> int | None:
-    """Query-axis length of the product chain that meters `policy` on
-    `kind`, or None when the meter's own model carries the policy.
-
-    The meter's model suffices when the policy reads a metric of the
-    meter's family, or no metric at all (actions depend on battery and
-    query only). Otherwise the chain also carries the policy's metric; its
-    query axis collapses to one when the policy ignores the query flag,
-    which is then i.i.d. and independent of the rest of the chain.
-    """
+) -> bool:
+    """Whether metering `policy` on `kind` needs the level-by-level
+    evaluator: the policy reads a metric of the other family. A policy of
+    the meter's family, or one that reads no metric at all (actions depend
+    on battery and query only), runs on the meter's own model."""
     if policy.kind.age_family == kind.age_family:
-        return None
+        return False
     grid = policy.actions.reshape(params.delta_max + 1, params.B + 1, 2)
-    if np.all(grid == grid[0]):
-        return None
-    return 1 if np.array_equal(grid[:, :, 0], grid[:, :, 1]) else 2
+    return not np.all(grid == grid[0])
 
 
-def _product_chain(
-    params: SystemParams, kind: MetricKind, policy: PolicyTable, nq: int
-) -> tuple[_Model, np.ndarray, list[int]]:
-    """Chain over (policy metric, meter metric, battery, query) for a
-    policy driven by the other metric family, with its action vector and
-    start states.
+def _level_average(
+    params: SystemParams, kind: MetricKind, policy: PolicyTable
+) -> float:
+    """Long-run average of the `kind` meter under a policy that reads the
+    other metric family, level by level on the policy's own chain.
 
-    Pairs the two families' models outcome column by outcome column: both
-    order their columns (u, e, v, q2), so a column's two next states share
-    battery and query and differ only in the metric each family steps.
-    With nq = 1 the query is integrated out: duplicate next states merge
-    and each state's cost is the query-weighted mix of the meter's costs.
+    The meter's metric resets on delivery or steps up by 0 or 1 and never
+    feeds back into the policy, so the chain over (meter level, policy
+    state) lumps onto the policy chain, stationary vector mu (Kemeny &
+    Snell 1960, §6.3). With its transitions split into R_m (deliveries
+    resetting the meter to m), U (steps up) and S (keeps), the mass x_m at
+    level m solves x_m (I - S) = mu R_m + x_{m-1} U for m < delta_max, and
+    x_delta_max = mu - sum of the rest (Latouche & Ramaswami 1999). I - S
+    is singular only when nothing on mu's class moves the meter, which
+    then keeps its start value. Raises SingularSolve unless every x_m is
+    finite and >= -1e-9.
     """
     pol = _build_model(params, policy.kind)
     met = _build_model(params, kind)
-    n_m, n_b = params.delta_max + 1, params.B + 1
-    mp, mm, b, q = np.unravel_index(
-        np.arange(n_m * n_m * n_b * nq), (n_m, n_m, n_b, nq)
-    )
-    # the states each model sees; query 0 stands in for an integrated-out query
-    sp = (mp * n_b + b) * 2 + q
-    sm = (mm * n_b + b) * 2 + q
+    P = _policy_matrix(pol, policy.actions)
+    _, members = _single_recurrent_class(P, _start_indices(params, policy.kind))
+    mu = _stationary_distribution(P, members)
 
-    def pair(jp, jm):
-        bq = jp % (2 * n_b)  # battery * 2 + query, the same in both models
-        rest = bq if nq == 2 else bq // 2
-        return (jp // (2 * n_b) * n_m + jm // (2 * n_b)) * (n_b * nq) + rest
+    # the meter's level after each outcome column from level 0 at full
+    # battery; the first half of the (u, e, v, q2) transmit columns delivers
+    idle_to = met.metric[met.nxt0[2 * params.B]]
+    tx_to = met.metric[met.nxt1[2 * params.B]]
+    delivers = np.arange(tx_to.size) < tx_to.size // 2
 
-    def cost(c):
-        if nq == 2:
-            return c[sm]
-        return (1.0 - params.p_q) * c[sm] + params.p_q * c[sm + 1]
+    def part(idle_cols, tx_cols):
+        cols = replace(pol, pr0=pol.pr0 * idle_cols, pr1=pol.pr1 * tx_cols)
+        return _policy_matrix(cols, policy.actions)[np.ix_(members, members)]
 
-    chain = _Model(
-        params=params, kind=kind, n_states=mp.size,
-        metric=mm, battery=b, query=q,
-        nxt0=pair(pol.nxt0[sp], met.nxt0[sm]), pr0=met.pr0,
-        nxt1=pair(pol.nxt1[sp], met.nxt1[sm]), pr1=met.pr1,
-        feas1=b >= 1, c0=cost(met.c0), c1=cost(met.c1),
-    )
-    starts = pair(
-        np.array(_start_indices(params, policy.kind)),
-        np.array(_start_indices(params, kind)),
-    )
-    return chain, policy.actions[sp], sorted(set(starts.tolist()))
+    U = part(idle_to == 1, ~delivers & (tx_to == 1))
+    S = part(idle_to == 0, ~delivers & (tx_to == 0))
+    R = {r: part(False, delivers & (tx_to == r)) for r in np.unique(tx_to[delivers])}
+    dm = params.delta_max
+    x = np.zeros((dm + 1, members.size))
+    if U.nnz == 0 and not any(Rm.nnz for Rm in R.values()):
+        x[met.metric[_start_indices(params, kind)[0]]] = mu
+    else:
+        try:
+            lu = splu((sp.eye(members.size) - S).T.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        except RuntimeError as exc:
+            raise SingularSolve(str(exc)) from exc
+        for lvl in range(dm):
+            rhs = U.T @ x[lvl - 1] if lvl else np.zeros(members.size)
+            if lvl in R:
+                rhs = rhs + mu @ R[lvl]
+            x[lvl] = lu.solve(rhs)
+        x[dm] = mu - x[:dm].sum(axis=0)
+        if not (np.all(np.isfinite(x)) and x.min() >= -1e-9):
+            raise SingularSolve(f"negative or non-finite level mass {x.min():.3e}")
+    bq = members % (2 * (params.B + 1))  # battery and query, alike in both models
+    a = policy.actions[members].astype(bool)
+    c0, c1 = met.c0.reshape(dm + 1, -1)[:, bq], met.c1.reshape(dm + 1, -1)[:, bq]
+    return float(np.sum(x * np.where(a, c1, c0)))
 
 
 def evaluate_policy_exact(
@@ -562,33 +567,32 @@ def evaluate_policy_exact(
 
     `kind` selects the cost being averaged and may differ from
     `policy.kind`: a query-agnostic policy is metered on a query-aware
-    cost (or vice versa) by running the appropriate chain. Policies whose
-    metric family differs from the meter's are evaluated on the product
-    chain carrying both metric coordinates.
+    cost (or vice versa) by running the meter's own chain. A policy that
+    reads a metric of the other family is evaluated level by level on its
+    own chain (see _level_average).
     """
     if policy.params_stamp != params_stamp(params):
         raise ValueError("policy stamped under different params")
-    nq = _cross_query_axis(params, kind, policy)
-    if nq is None:
-        m = _build_model(params, kind)
-        actions, starts = policy.actions, _start_indices(params, kind)
-    else:
-        m, actions, starts = _product_chain(params, kind, policy, nq)
-    P = _policy_matrix(m, actions)
-    _, members = _single_recurrent_class(P, starts)
+    if _reads_other_family(params, kind, policy):
+        return _level_average(params, kind, policy)
+    m = _build_model(params, kind)
+    P = _policy_matrix(m, policy.actions)
+    _, members = _single_recurrent_class(P, _start_indices(params, kind))
     pi = _stationary_distribution(P, members)
-    cost = np.where(actions.astype(bool), m.c1, m.c0)
+    cost = np.where(policy.actions.astype(bool), m.c1, m.c0)
     return float(pi @ cost[members])
 
 
 def evaluation_chain_size(
     params: SystemParams, kind: MetricKind, policy: PolicyTable
 ) -> int:
-    """Number of chain states evaluate_policy_exact would solve over."""
-    nq = _cross_query_axis(params, kind, policy)
-    if nq is None:
-        return state_count(params.delta_max, params.B)
-    return (params.delta_max + 1) ** 2 * (params.B + 1) * nq
+    """Number of states evaluate_policy_exact solves over: the model's
+    own, or (delta_max + 1) meter levels times the policy chain's states
+    for a policy that reads the other metric family."""
+    n = state_count(params.delta_max, params.B)
+    if _reads_other_family(params, kind, policy):
+        return (params.delta_max + 1) * n
+    return n
 
 
 # --- brute-force oracle --------------------------------------------------

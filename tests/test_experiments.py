@@ -7,7 +7,6 @@ import math
 import numpy as np
 import pytest
 
-import semsched.experiments as experiments
 from semsched.core import MetricKind, SystemParams, params_stamp
 from semsched.experiments import (
     POLICY_NAMES,
@@ -75,13 +74,6 @@ class TestComparePolicies:
         assert sim_rows[0].reason == "mode simulated requested"
         assert exact_rows[0].reason is None
         assert sim_rows[0].chain_states == exact_rows[0].chain_states == 42
-
-    def test_oversized_chains_fall_back_with_a_reason(self, monkeypatch):
-        monkeypatch.setattr(experiments, "EXACT_STATE_LIMIT", 41)
-        cfg = SimConfig(horizon=20_000, seed=3, warmup=1000)
-        (row,) = compare_policies(SMALL, policy_set=("greedy",), sim_cfg=cfg)
-        assert row.eval_mode == "simulated"
-        assert row.reason == "42 chain states exceed EXACT_STATE_LIMIT 41"
 
 
 class TestComparisonGrid:

@@ -337,7 +337,8 @@ class TestExactEvaluation:
         # greedy ignores the metric entirely, so any meter reuses its grid
         assert evaluation_chain_size(p, MetricKind.QVAOI, greedy_policy(p)) == 30
         vpol = rvia_solve(p, MetricKind.VAOI).policy
-        assert evaluation_chain_size(p, MetricKind.AOI, vpol) in (75, 150)
+        # one copy of the policy's chain per level of the age meter
+        assert evaluation_chain_size(p, MetricKind.AOI, vpol) == 5 * 30
 
     def test_multichain_detection(self):
         # Two absorbing states both reachable from the start splits the
@@ -514,13 +515,44 @@ class TestCrossFamilyEvaluation:
             ref = joint_chain_average(p, meter, policy)
             assert got == pytest.approx(ref, abs=1e-10), (pol_kind, meter)
 
-    def test_covers_query_blind_and_query_reading_product_chains(self):
+    def test_chain_size_is_meter_levels_times_policy_states(self):
         p = small(B=2, delta_max=5, p_e=0.2, p_q=0.3)
         n_same = (p.delta_max + 1) * (p.B + 1) * 2
         blind = rvia_solve(p, MetricKind.AOI).policy
         reading = rvia_solve(p, MetricKind.QAOI).policy
-        assert evaluation_chain_size(p, MetricKind.QVAOI, blind) == n_same * 6 // 2
-        assert evaluation_chain_size(p, MetricKind.QVAOI, reading) == n_same * 6
+        assert evaluation_chain_size(p, MetricKind.QVAOI, blind) == 6 * n_same
+        assert evaluation_chain_size(p, MetricKind.QVAOI, reading) == 6 * n_same
+
+    def test_a_meter_that_never_moves_keeps_its_start_value(self):
+        # p_v = 0, and qaoi at p_q = 0 never transmits on its recurrent
+        # class: no level of the version meter is ever left, so I - S is
+        # singular and the meter stays at its start value 0
+        p = small(B=3, delta_max=6, p_e=0.5, p_v=0.0, p_q=0.0)
+        policy = rvia_solve(p, MetricKind.QAOI).policy
+        assert mdp._reads_other_family(p, MetricKind.VAOI, policy)
+        got = evaluate_policy_exact(p, MetricKind.VAOI, policy)
+        assert got == pytest.approx(joint_chain_average(p, MetricKind.VAOI, policy), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "pol_kind, meter",
+        [
+            (MetricKind.QAOI, MetricKind.VAOI),
+            (MetricKind.AOI, MetricKind.QVAOI),
+            (MetricKind.VAOI, MetricKind.QAOI),
+            (MetricKind.QVAOI, MetricKind.AOI),
+        ],
+    )
+    @pytest.mark.parametrize("p_q", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("p_e", [0.05, 1.0])
+    @pytest.mark.parametrize("p_v", [0.0, 0.25, 1.0])
+    @pytest.mark.parametrize("p_s", [0.3, 1.0])
+    def test_edge_rates_match_the_dense_joint_chain(self, p_s, p_v, p_e, p_q, pol_kind, meter):
+        p = small(B=2, delta_max=4, p_s=p_s, p_v=p_v, p_e=p_e, p_q=p_q)
+        # every solved policy here is unichain from its start states (at
+        # p_e = 1 the battery never leaves B), so each case has a value
+        policy = rvia_solve(p, pol_kind).policy
+        ref = joint_chain_average(p, meter, policy)
+        assert evaluate_policy_exact(p, meter, policy) == pytest.approx(ref, abs=1e-10)
 
 
 class TestBruteForce:
