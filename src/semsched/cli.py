@@ -115,7 +115,10 @@ def _validate_rates(params: SystemParams, field: str, values: tuple[float, ...])
         validate_params(replace(params, **{field: v}))
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
+def _parse_float_list(text: str | None, default: tuple[float, ...]) -> tuple[float, ...]:
+    """The comma list `text`; `default` only for an absent flag (None)."""
+    if text is None:
+        return default
     try:
         return tuple(float(v) for v in text.split(","))
     except ValueError as exc:
@@ -213,8 +216,8 @@ def cmd_trace(args) -> int:
 def cmd_compare(args) -> int:
     started = time.time()
     params = _load_params(args)
-    pe_values = _parse_float_list(args.pe) if args.pe else DEFAULT_PE_CELLS
-    pq_values = _parse_float_list(args.pq) if args.pq else DEFAULT_PQ_CELLS
+    pe_values = _parse_float_list(args.pe, DEFAULT_PE_CELLS)
+    pq_values = _parse_float_list(args.pq, DEFAULT_PQ_CELLS)
     _validate_rates(params, "p_e", pe_values)
     _validate_rates(params, "p_q", pq_values)
     sim_cfg = SimConfig(horizon=args.horizon, seed=args.seed, warmup=args.warmup)
@@ -260,7 +263,7 @@ def cmd_compare(args) -> int:
 def cmd_regions(args) -> int:
     started = time.time()
     params = _load_params(args)
-    pe_values = _parse_float_list(args.pe) if args.pe else (params.p_e,)
+    pe_values = _parse_float_list(args.pe, (params.p_e,))
     _validate_rates(params, "p_e", pe_values)
     names = [f"{pe:g}" for pe in pe_values]
     for name in names:
@@ -302,7 +305,7 @@ def cmd_regions(args) -> int:
 def cmd_sweep(args) -> int:
     started = time.time()
     params = _load_params(args)
-    pq_values = _parse_float_list(args.pq) if args.pq else (0.1, 0.2, 0.3, 0.4)
+    pq_values = _parse_float_list(args.pq, (0.1, 0.2, 0.3, 0.4))
     _validate_rates(params, "p_q", pq_values)
     if not args.tol > 0:
         raise ConfigError(None, f"--tol must be positive, got {args.tol!r}")

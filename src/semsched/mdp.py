@@ -3,7 +3,9 @@
 State (metric, battery, query), actions Idle/Transmit, slot mechanics:
 a transmitted packet occupies one slot and consumes one battery unit
 regardless of channel outcome; energy, version, and next-query draws are
-independent Bernoulli events folded into the transition product.
+independent Bernoulli events folded into the transition product. That
+product lives in one model, _build_model, which the solver, the evaluator
+and the oracle read; transition() and expected_stage_cost() are its rows.
 
 Cost accounting. The query-agnostic kinds charge the metric value itself
 every slot. The query-aware kinds charge, at query slots only, the metric
@@ -32,7 +34,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,7 +41,6 @@ from scipy.sparse.csgraph import breadth_first_order, connected_components
 from scipy.sparse.linalg import splu
 
 from .core import Action, AgentState, MetricKind, SystemParams, params_stamp
-from .metrics import stage_cost, step_aoi, step_vaoi
 from .policies import (
     POLICY_COLUMNS,
     STAMP_KEYS,
@@ -114,61 +114,6 @@ def build_state_space(params: SystemParams) -> list[AgentState]:
     ]
 
 
-def _step_metric(kind: MetricKind, metric: int, delivered: bool,
-                 new_version: bool, delta_max: int) -> int:
-    if kind.age_family:
-        return step_aoi(metric, delivered, delta_max)
-    return step_vaoi(metric, delivered, new_version, delta_max)
-
-
-def transition(
-    params: SystemParams, kind: MetricKind, s: AgentState, a: Action
-) -> list[TransitionEntry]:
-    """Enumerate the outcome product for one (state, action), merged.
-
-    Outcomes: channel success (Transmit only) x energy arrival x version
-    generation x next-slot query. Duplicate next states are merged;
-    probabilities sum to 1.
-    """
-    if a == Action.TRANSMIT and s.battery < 1:
-        raise InfeasibleAction(f"Transmit at battery 0 in state {s}")
-    merged: dict[AgentState, float] = {}
-    success_branches = (
-        [(True, params.p_s), (False, 1.0 - params.p_s)]
-        if a == Action.TRANSMIT
-        else [(False, 1.0)]
-    )
-    for (success, p_u), (energy, p_en), (version, p_ver), (q2, p_q2) in product(
-        success_branches,
-        [(1, params.p_e), (0, 1.0 - params.p_e)],
-        [(1, params.p_v), (0, 1.0 - params.p_v)],
-        [(1, params.p_q), (0, 1.0 - params.p_q)],
-    ):
-        p = p_u * p_en * p_ver * p_q2
-        if p == 0.0:
-            continue
-        delivered = a == Action.TRANSMIT and success
-        nxt = AgentState(
-            metric=_step_metric(kind, s.metric, delivered, bool(version), params.delta_max),
-            battery=min(s.battery - int(a) + energy, params.B),
-            query=q2,
-        )
-        merged[nxt] = merged.get(nxt, 0.0) + p
-    # rounding can carry a merged sure outcome a hair past 1
-    return [TransitionEntry(nxt, min(p, 1.0)) for nxt, p in sorted(merged.items())]
-
-
-def expected_stage_cost(
-    params: SystemParams, kind: MetricKind, s: AgentState, a: Action
-) -> float:
-    """Expected one-slot cost of (s, a) under `kind`'s accounting."""
-    if not kind.query_gated:
-        return float(stage_cost(kind, s.metric, s.query))
-    if s.query == 0:
-        return 0.0
-    return sum(e.prob * e.next.metric for e in transition(params, kind, s, a))
-
-
 # --- vectorized model ----------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
@@ -178,7 +123,8 @@ class _Model:
     nxt0/nxt1 hold next-state indices per outcome column, pr0/pr1 the
     state-independent outcome probabilities; feas1 marks states where the
     solver may choose Transmit (battery for all kinds, plus the query
-    restriction for the query-aware policy class).
+    restriction for the query-aware policy class). Rows are valid where
+    feas1 is False too: a Transmit at battery 0 keeps battery 0.
     """
 
     params: SystemParams
@@ -222,7 +168,7 @@ def _build_model(params: SystemParams, kind: MetricKind) -> _Model:
             for v, pv in ((1, p.p_v), (0, 1 - p.p_v)):
                 for q2, pq2 in ((1, p.p_q), (0, 1 - p.p_q)):
                     tx_cols.append(
-                        next_index(step_metric(u, v), np.minimum(battery - 1 + e, p.B), q2)
+                        next_index(step_metric(u, v), np.clip(battery - 1 + e, 0, p.B), q2)
                     )
                     tx_pr.append(pu * pe * pv * pq2)
                     if u == 0:
@@ -256,6 +202,50 @@ def _build_model(params: SystemParams, kind: MetricKind) -> _Model:
     )
 
 
+def _model_row(
+    params: SystemParams, kind: MetricKind, s: AgentState, a: Action
+) -> tuple[_Model, int]:
+    """The model of (params, kind) and the row index of state `s`."""
+    if not (0 <= s.metric <= params.delta_max and 0 <= s.battery <= params.B
+            and s.query in (0, 1)):
+        raise ValueError(f"state {s} lies outside the state space")
+    if a == Action.TRANSMIT and s.battery < 1:
+        raise InfeasibleAction(f"Transmit at battery 0 in state {s}")
+    return _build_model(params, kind), state_index(params.delta_max, params.B, s)
+
+
+def transition(
+    params: SystemParams, kind: MetricKind, s: AgentState, a: Action
+) -> list[TransitionEntry]:
+    """Row `s` of the solver's own model (_build_model) under action `a`.
+
+    Its outcome columns (channel success for Transmit only, x energy
+    arrival x version generation x next-slot query) are merged by next
+    state, zero-probability states dropped, and returned in canonical
+    state order; probabilities sum to 1.
+    """
+    m, i = _model_row(params, kind, s, a)
+    nxt, pr = (m.nxt1, m.pr1) if a == Action.TRANSMIT else (m.nxt0, m.pr0)
+    merged = np.bincount(nxt[i], weights=pr)
+    # rounding can carry a merged sure outcome a hair past 1
+    return [
+        TransitionEntry(
+            AgentState(int(m.metric[j]), int(m.battery[j]), int(m.query[j])),
+            min(float(merged[j]), 1.0),
+        )
+        for j in np.flatnonzero(merged)
+    ]
+
+
+def expected_stage_cost(
+    params: SystemParams, kind: MetricKind, s: AgentState, a: Action
+) -> float:
+    """Expected one-slot cost of (s, a) under `kind`'s accounting: entry
+    `s` of the solver's cost column c1 (Transmit) or c0 (Idle)."""
+    m, i = _model_row(params, kind, s, a)
+    return float((m.c1 if a == Action.TRANSMIT else m.c0)[i])
+
+
 def _greedy(m: _Model, h: np.ndarray, scale: float, rel: float = 0.0) -> np.ndarray:
     """Action table greedy in `scale * h`: Transmit where it undercuts Idle
     by more than _TIE_EPS + rel * |Q0|, Q0 the Idle value; Idle wins ties."""
@@ -284,12 +274,8 @@ def _certify(m: _Model, actions: np.ndarray) -> tuple[float, np.ndarray] | None:
     )
     with np.errstate(all="ignore"):
         try:
-            # the default (unsymmetric) mode factors some of these bordered
-            # systems 5-10x slower, up to 0.1 s at delta_max 100
-            x = splu(
-                A, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True}
-            ).solve(c)
-        except RuntimeError:
+            x = _factor(A).solve(c)
+        except SingularSolve:
             return None
         if not np.abs(A @ x - c).max() <= 1e-9 * max(1.0, np.abs(c).max()):
             return None
@@ -383,6 +369,17 @@ def rvia_solve(
 
 # --- exact policy evaluation --------------------------------------------
 
+def _factor(A: sp.csc_matrix):
+    """SuperLU factors of A under the fill-reducing MMD_AT_PLUS_A column
+    ordering in symmetric mode, which on these chains reaches the default
+    mode's fill in less time (5-10x less on some certificate systems).
+    Raises SingularSolve when SuperLU finds A singular."""
+    try:
+        return splu(A, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise SingularSolve(str(exc)) from exc
+
+
 def _policy_matrix(m: _Model, actions: np.ndarray) -> sp.csr_matrix:
     """Sparse chain transition matrix under the given action vector."""
     n = m.n_states
@@ -439,10 +436,7 @@ def _stationary_distribution(P: sp.csr_matrix, members: np.ndarray) -> np.ndarra
         G = (sp.eye(nC - 1, format="csc") - sub[1:, 1:].T).tocsc()
         rhs = sub[0, 1:].toarray().ravel()  # -G[1:, 0] = P[first, rest]
         with np.errstate(all="ignore"):
-            try:
-                pi[1:] = splu(G, permc_spec="MMD_AT_PLUS_A").solve(rhs)
-            except RuntimeError as exc:
-                raise SingularSolve(str(exc)) from exc
+            pi[1:] = _factor(G).solve(rhs)
     s = pi.sum()
     if not (np.all(np.isfinite(pi)) and 0.0 < s < np.inf):
         raise SingularSolve("non-finite stationary solution")
@@ -541,10 +535,7 @@ def _level_average(
     if U.nnz == 0 and not any(Rm.nnz for Rm in R.values()):
         x[met.metric[_start_indices(params, kind)[0]]] = mu
     else:
-        try:
-            lu = splu((sp.eye(members.size) - S).T.tocsc(), permc_spec="MMD_AT_PLUS_A")
-        except RuntimeError as exc:
-            raise SingularSolve(str(exc)) from exc
+        lu = _factor((sp.eye(members.size) - S).T.tocsc())
         for lvl in range(dm):
             rhs = U.T @ x[lvl - 1] if lvl else np.zeros(members.size)
             if lvl in R:

@@ -245,6 +245,7 @@ class TestSweep:
             (["--tol", "-0.01"], "--tol must be positive"),
             (["--pq", "0"], "sweep needs p_q > 0"),
             (["--pq", "0.3,0"], "sweep needs p_q > 0"),
+            (["--pq", ""], "bad rate list"),
             (["--target", "nan"], "--target must be finite"),
             (["--target", "inf"], "--target must be finite"),
         ],
@@ -295,6 +296,21 @@ class TestBadInput:
             "--pe", "0.1,x", "--pq", "0.3",
         ])
         assert rc == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["compare", "--pe", ""],
+            ["compare", "--pq", ""],
+            ["regions", "--kind", "greedy", "--pe", ""],
+        ],
+    )
+    def test_empty_rate_lists_are_config_errors(self, tmp_path, cfg, capsys, args):
+        rc = main(args + ["--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "bad rate list" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [tmp_path / "small.cfg"]
 
     def test_out_of_range_rate_in_list(self, tmp_path, cfg):
         rc = main([

@@ -126,6 +126,13 @@ class TestTransition:
         with pytest.raises(InfeasibleAction):
             transition(small(), MetricKind.AOI, AgentState(1, 0, 0), Action.TRANSMIT)
 
+    @pytest.mark.parametrize(
+        "s", [AgentState(5, 0, 0), AgentState(1, 3, 0), AgentState(1, 1, 2), AgentState(-1, 1, 0)]
+    )
+    def test_states_outside_the_space_are_rejected(self, s):
+        with pytest.raises(ValueError, match="outside the state space"):
+            transition(small(), MetricKind.AOI, s, Action.IDLE)
+
     @given(instance_and_state())
     @settings(max_examples=150, deadline=None)
     def test_rows_are_merged_distributions(self, case):
@@ -158,12 +165,30 @@ class TestStageCost:
             assert expected_stage_cost(p, MetricKind.QVAOI, AgentState(3, 2, 0), a) == 0.0
             assert expected_stage_cost(p, MetricKind.QAOI, AgentState(3, 2, 0), a) == 0.0
 
+    def test_transmit_on_empty_battery_raises_for_every_kind(self):
+        for kind in MetricKind:
+            for q in (0, 1):
+                with pytest.raises(InfeasibleAction):
+                    expected_stage_cost(small(), kind, AgentState(1, 0, q), Action.TRANSMIT)
+
     def test_ungated_cost_is_the_current_metric(self):
         p = small()
         for q in (0, 1):
             for a in (Action.IDLE, Action.TRANSMIT):
                 assert expected_stage_cost(p, MetricKind.AOI, AgentState(3, 1, q), a) == 3.0
                 assert expected_stage_cost(p, MetricKind.VAOI, AgentState(2, 1, q), a) == 2.0
+
+
+class TestModel:
+    @pytest.mark.parametrize("kind", list(MetricKind))
+    def test_every_state_and_action_has_a_valid_row(self, kind):
+        # Transmit columns of battery-0 states too, which feas1 masks
+        m = mdp._build_model(small(B=3, delta_max=20), kind)
+        for nxt in (m.nxt0, m.nxt1):
+            assert nxt.min() >= 0 and nxt.max() < m.n_states
+        assert np.all(m.battery[m.nxt0] <= m.battery[:, None] + 1)
+        assert np.all(m.battery[m.nxt1] <= m.battery[:, None])
+        assert m.c0.min() >= 0.0 and m.c1.min() >= 0.0
 
 
 class TestRviaSolve:
@@ -488,7 +513,8 @@ def joint_chain_average(p, kind, policy):
 
 class TestCrossFamilyEvaluation:
     """Policy and meter from different metric families, checked against
-    the independent dense joint chain."""
+    the independent dense joint chain; so are the pairs evaluated on the
+    meter's own model."""
 
     PAIRS = [
         # (policy kind, meter): query-blind and query-reading policies,
@@ -514,6 +540,26 @@ class TestCrossFamilyEvaluation:
             got = evaluate_policy_exact(p, meter, policy)
             ref = joint_chain_average(p, meter, policy)
             assert got == pytest.approx(ref, abs=1e-10), (pol_kind, meter)
+
+    @pytest.mark.parametrize("p_q", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize(
+        "B, delta_max, p_e", [(1, 4, 0.3), (2, 5, 0.2), (3, 6, 0.15)]
+    )
+    def test_own_model_pairs_match_the_dense_joint_chain(self, p_q, B, delta_max, p_e):
+        # same-family pairs, and the metric-blind greedy table on every meter
+        p = small(B=B, delta_max=delta_max, p_e=p_e, p_q=p_q)
+        solved = {kind: rvia_solve(p, kind).policy for kind in MetricKind}
+        cases = [
+            (solved[pol_kind], meter)
+            for pol_kind, meter in product(MetricKind, MetricKind)
+            if pol_kind.age_family == meter.age_family
+        ] + [(greedy_policy(p), meter) for meter in MetricKind]
+        assert len(cases) == 12
+        for policy, meter in cases:
+            assert not mdp._reads_other_family(p, meter, policy)
+            got = evaluate_policy_exact(p, meter, policy)
+            ref = joint_chain_average(p, meter, policy)
+            assert got == pytest.approx(ref, abs=1e-10), (policy.kind, meter)
 
     def test_chain_size_is_meter_levels_times_policy_states(self):
         p = small(B=2, delta_max=5, p_e=0.2, p_q=0.3)
