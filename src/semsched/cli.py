@@ -125,6 +125,11 @@ def _parse_float_list(text: str | None, default: tuple[float, ...]) -> tuple[flo
         raise ConfigError(None, f"bad rate list {text!r}") from exc
 
 
+def _check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise ConfigError(None, f"--jobs must be >= 1, got {jobs}")
+
+
 def cmd_solve(args) -> int:
     started = time.time()
     params = _load_params(args)
@@ -160,6 +165,7 @@ def cmd_solve(args) -> int:
 def cmd_simulate(args) -> int:
     started = time.time()
     params = _load_params(args)
+    _check_jobs(args.jobs)
     if args.policy == "greedy":
         policy = greedy_policy(params)
         policy_id = "greedy"
@@ -168,7 +174,9 @@ def cmd_simulate(args) -> int:
         policy_id = os.path.basename(args.policy)
     try:
         cfg = SimConfig(horizon=args.horizon, seed=args.seed, warmup=args.warmup)
+        sim_started = time.perf_counter()
         rep = replicate(params, policy, cfg, n_reps=args.reps, jobs=args.jobs)
+        sim_seconds = time.perf_counter() - sim_started
     except MismatchedStamp as exc:
         print(f"stamp mismatch: {exc}", file=sys.stderr)
         return EXIT_STAMP
@@ -191,6 +199,11 @@ def cmd_simulate(args) -> int:
             "reps": args.reps, "jobs": args.jobs, "out": args.out,
         },
         [args.out], started,
+        simulation={
+            "slots": args.reps * args.horizon,
+            "seconds": round(sim_seconds, 3),
+            "slots_per_s": round(args.reps * args.horizon / sim_seconds),
+        },
     )
     return EXIT_OK
 
@@ -220,6 +233,7 @@ def cmd_compare(args) -> int:
     pq_values = _parse_float_list(args.pq, DEFAULT_PQ_CELLS)
     _validate_rates(params, "p_e", pe_values)
     _validate_rates(params, "p_q", pq_values)
+    _check_jobs(args.jobs)
     sim_cfg = SimConfig(horizon=args.horizon, seed=args.seed, warmup=args.warmup)
     cells = comparison_grid(
         params,

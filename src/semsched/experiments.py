@@ -142,8 +142,9 @@ def comparison_grid(
 ) -> list[GridCell]:
     """The comparison cross product over charging and query rates.
 
-    Cells evaluate independently; output order is the grid order no
-    matter how they were scheduled.
+    Cells evaluate independently, with jobs > 1 in at most one process
+    per cell; output order is the grid order no matter how they were
+    scheduled.
     """
     work = [
         (params, pe, pq, policy_set, mode, sim_cfg)
@@ -151,7 +152,7 @@ def comparison_grid(
         for pq in pq_values
     ]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
             return list(pool.map(_cell_worker, work))
     return [_cell_worker(w) for w in work]
 

@@ -1,11 +1,20 @@
 """Slotted Monte Carlo simulator for device-to-CS transmission policies.
 
-One run walks the per-slot sequence: observe state, apply the policy
-(forced Idle on an empty battery), resolve the channel draw for a
-transmission, harvest energy, generate a version, advance both metrics
-with the slot's delivery outcome, then draw the next slot's query flag.
-The delivery therefore shows up in the metrics the observer sees from the
-next slot on, matching the transition model exactly.
+Each slot runs the same steps: observe state, apply the policy (forced
+Idle on an empty battery), resolve the channel draw for a transmission,
+harvest energy, generate a version, advance both metrics with the slot's
+delivery outcome, then draw the next slot's query flag. The delivery
+therefore shows up in the metrics the observer sees from the next slot
+on, matching the transition model exactly.
+
+No Python code runs per slot. The only state a slot hands to the next,
+besides the query flag, is the policy's own metric and the battery, and
+a slot's exogenous draws form one 4-bit code (query, channel, energy,
+version). `_step_table` applies the step rules above once to every
+(state, code) pair; the simulator builds it itself, so it stays an
+independent check on the exact evaluator. A chunk of slots is then one
+C-level walk through that successor table, and numpy folds the state
+sequence into the actions, deliveries, harvests and both metrics.
 
 Randomness comes from counter-based Philox streams keyed (seed, stream)
 so every stochastic process is independent and reproducible regardless of
@@ -23,6 +32,8 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
+from operator import getitem, itemgetter
 
 import numpy as np
 
@@ -36,7 +47,10 @@ STREAM_QUERY = 4
 STREAM_INIT = 5
 STREAM_MONITOR = 6
 
-_CHUNK = 1 << 18
+_CHUNK = 1 << 14
+# exogenous slot code: q | ch << 1 | en << 2 | v << 3
+_CODES = 16
+_INDEX = itemgetter(_CODES)
 
 
 class MismatchedStamp(ValueError):
@@ -72,8 +86,12 @@ class SimTrace:
 
 @dataclass(frozen=True, eq=False)
 class SimSummary:
-    """Long-run averages over slots [warmup, horizon) plus whole-run
-    counters.
+    """Long-run averages over slots [warmup, horizon) plus counters.
+
+    `transmissions`, `successes`, `energy_harvested` and
+    `empty_battery_slots` count the whole run, warm-up included;
+    `query_slots` counts post-warmup slots only, as the denominator of
+    the per-query averages.
 
     `avg` normalizes every kind over all post-warmup slots (the
     query-gated kinds count zero on query-free slots, matching the
@@ -103,6 +121,45 @@ def _stream(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _step_table(
+    params: SystemParams, policy: PolicyTable
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One slot from every state s = m * (B + 1) + b (m the policy's own
+    metric, b the battery) under every exogenous code c: the successor
+    state succ[s, c] and whether the slot transmits, tx[s, c], and keeps
+    a harvested unit, harvest[s, c].
+
+    The step rules: forced Idle at battery 0, else the table's action at
+    (m, b, q); a Transmit spends one unit and delivers on ch; a harvest on
+    en is kept only below B; a delivery resets AoI to 1 and VAoI to v,
+    otherwise AoI steps by 1 and VAoI by v, both capped at delta_max.
+    """
+    dm, bp1 = params.delta_max, params.B + 1
+    s = np.arange((dm + 1) * bp1)[:, None]
+    c = np.arange(_CODES)
+    q, ch, en, v = c & 1, c >> 1 & 1, c >> 2 & 1, c >> 3 & 1
+    m, b = s // bp1, s % bp1
+    tx = (b > 0) & (policy.actions[s * 2 + q] == 1)
+    delivered = tx & (ch == 1)
+    b = b - tx
+    harvest = (en == 1) & (b < params.B)
+    b = b + harvest
+    if policy.kind.age_family:
+        m = np.where(delivered, 1, np.minimum(m + 1, dm))
+    else:
+        m = np.where(delivered, v, np.minimum(m + v, dm))
+    return m * bp1 + b, tx, harvest
+
+
+def _linked_rows(succ: np.ndarray) -> list[list]:
+    """One list per state: row[c] is the successor's row, row[_CODES] the
+    state's index, so a walk is a chain of C-level list lookups."""
+    rows = [[None] * _CODES + [i] for i in range(len(succ))]
+    for row, nxt in zip(rows, succ.tolist()):
+        row[:_CODES] = [rows[j] for j in nxt]
+    return rows
+
+
 def simulate(
     params: SystemParams,
     policy: PolicyTable | ThresholdPolicy,
@@ -126,71 +183,83 @@ def simulate(
     dm = p.delta_max
     B = p.B
     bp1 = B + 1
-    pol_age = policy.kind.age_family
-    actions = policy.actions.tolist()
+    succ, tx_table, harvest_table = _step_table(p, policy)
+    tx_table, harvest_table = tx_table.ravel(), harvest_table.ravel()
+    rows = _linked_rows(succ)
 
     g_ch = _stream(cfg.seed, STREAM_CHANNEL)
     g_en = _stream(cfg.seed, STREAM_ENERGY)
     g_vr = _stream(cfg.seed, STREAM_VERSION)
     g_qu = _stream(cfg.seed, STREAM_QUERY)
-    q = int(_stream(cfg.seed, STREAM_INIT).random() < p.p_q)
+    q_next = _stream(cfg.seed, STREAM_INIT).random() < p.p_q
 
     aoi = dm
     vaoi = 0
-    battery = B
-    initial_battery = battery
+    row = rows[(aoi if policy.kind.age_family else vaoi) * bp1 + B]
+    initial_battery = B
 
     sum_aoi = sum_vaoi = sum_qaoi = sum_qvaoi = 0
     transmissions = successes = harvested = empty = 0
     query_slots = 0
-    rec_d: list[int] = []
-    rec_v: list[int] = []
-    rec_q: list[int] = []
+    rec_d: list[np.ndarray] = []
+    rec_v: list[np.ndarray] = []
+    rec_q: list[np.ndarray] = []
 
     warmup = cfg.warmup
     t = 0
     while t < cfg.horizon:
         n = min(_CHUNK, cfg.horizon - t)
-        ch = (g_ch.random(n) < p.p_s).tolist()
-        en = (g_en.random(n) < p.p_e).tolist()
-        vr = (g_vr.random(n) < p.p_v).tolist()
-        qu = (g_qu.random(n) < p.p_q).tolist()
-        for i in range(n):
-            if battery == 0:
-                empty += 1
-                delivered = 0
-            else:
-                m = aoi if pol_age else vaoi
-                if actions[(m * bp1 + battery) * 2 + q]:
-                    battery -= 1
-                    transmissions += 1
-                    delivered = 1 if ch[i] else 0
-                    successes += delivered
-                else:
-                    delivered = 0
-            if en[i] and battery < B:
-                battery += 1
-                harvested += 1
-            v = 1 if vr[i] else 0
-            if delivered:
-                aoi = 1
-                vaoi = v
-            else:
-                aoi = aoi + 1 if aoi < dm else dm
-                nv = vaoi + v
-                vaoi = nv if nv < dm else dm
-            if t + i >= warmup:
-                sum_aoi += aoi
-                sum_vaoi += vaoi
-                if q:
-                    query_slots += 1
-                    sum_qaoi += aoi
-                    sum_qvaoi += vaoi
-                if record_trace:
-                    rec_d.append(delivered)
-                    rec_v.append(v)
-                    rec_q.append(q)
-            q = 1 if qu[i] else 0
+        ch = g_ch.random(n) < p.p_s
+        en = g_en.random(n) < p.p_e
+        v = g_vr.random(n) < p.p_v
+        qu = g_qu.random(n) < p.p_q
+        # slot i acts on the query flag drawn at the end of slot i - 1
+        q = np.empty(n, dtype=bool)
+        q[0] = q_next
+        q[1:] = qu[:-1]
+        q_next = qu[-1]
+
+        codes = (
+            q.view(np.uint8) | ch.view(np.uint8) << 1
+            | en.view(np.uint8) << 2 | v.view(np.uint8) << 3
+        )
+        states = np.fromiter(
+            map(_INDEX, accumulate(codes.tolist(), getitem, initial=row)),
+            dtype=np.intp, count=n + 1,
+        )
+        row = rows[states[-1]]
+        s = states[:-1]
+        step = s * _CODES + codes
+        tx = tx_table[step]
+        delivered = tx & ch
+        empty += n - int(np.count_nonzero(s % bp1))
+        transmissions += int(np.count_nonzero(tx))
+        successes += int(np.count_nonzero(delivered))
+        harvested += int(np.count_nonzero(harvest_table[step]))
+
+        # both metrics restart at the chunk's last delivery (AoI at 1, VAoI
+        # at that slot's version) and otherwise carry over from the last
+        # chunk; every increment is >= 0, so one cap at dm is exact
+        i = np.arange(n)
+        reset = np.maximum.accumulate(np.where(delivered, i, -1))
+        has_reset = reset >= 0
+        aoi_t = np.minimum(np.where(has_reset, i - reset + 1, aoi + i + 1), dm)
+        versions = np.cumsum(v, dtype=np.int64) + vaoi
+        before_reset = np.where(has_reset, versions[reset] - v[reset], 0)
+        vaoi_t = np.minimum(versions - before_reset, dm)
+        aoi, vaoi = int(aoi_t[-1]), int(vaoi_t[-1])
+
+        w = max(warmup - t, 0)
+        qw = q[w:]
+        sum_aoi += int(aoi_t[w:].sum())
+        sum_vaoi += int(vaoi_t[w:].sum())
+        query_slots += int(np.count_nonzero(qw))
+        sum_qaoi += int(aoi_t[w:][qw].sum())
+        sum_qvaoi += int(vaoi_t[w:][qw].sum())
+        if record_trace:
+            rec_d.append(delivered[w:])
+            rec_v.append(v[w:])
+            rec_q.append(qw)
         t += n
 
     span = cfg.horizon - warmup
@@ -207,9 +276,9 @@ def simulate(
     trace = None
     if record_trace:
         trace = SimTrace(
-            delivered=np.array(rec_d, dtype=bool),
-            new_version=np.array(rec_v, dtype=bool),
-            query=np.array(rec_q, dtype=bool),
+            delivered=np.concatenate(rec_d),
+            new_version=np.concatenate(rec_v),
+            query=np.concatenate(rec_q),
         )
     return SimSummary(
         avg=avg,
@@ -219,7 +288,7 @@ def simulate(
         energy_harvested=harvested,
         empty_battery_slots=empty,
         initial_battery=initial_battery,
-        final_battery=battery,
+        final_battery=row[_CODES] % bp1,
         query_slots=query_slots,
         horizon=cfg.horizon,
         warmup=warmup,
@@ -304,7 +373,8 @@ def replicate(
     """Run n_reps independent replications, seed = cfg.seed + r.
 
     Replications share nothing; with jobs > 1 they run in separate
-    processes and are reduced in replication order either way.
+    processes (at most n_reps of them) and are reduced in replication
+    order either way.
     """
     if n_reps < 2:
         raise ValueError("n_reps must be >= 2")
@@ -312,7 +382,7 @@ def replicate(
     cfgs = [replace(cfg, seed=cfg.seed + r) for r in range(n_reps)]
     work = ([params] * n_reps, [policy] * n_reps, cfgs)
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, n_reps)) as pool:
             summaries = tuple(pool.map(simulate, *work))
     else:
         summaries = tuple(map(simulate, *work))

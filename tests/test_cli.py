@@ -126,6 +126,18 @@ class TestSimulate:
         assert rc == EXIT_OK
         assert "policy.txt" in read(out).decode()
 
+    def test_manifest_records_the_simulated_slots(self, tmp_path, cfg):
+        out = str(tmp_path / "sim.csv")
+        rc = main([
+            "simulate", "--config", cfg, "--out", out,
+            "--horizon", "3000", "--warmup", "100", "--reps", "3",
+        ])
+        assert rc == EXIT_OK
+        record = json.loads(read(out + ".manifest.json"))["simulation"]
+        assert set(record) == {"slots", "seconds", "slots_per_s"}
+        assert record["slots"] == 3 * 3000
+        assert record["seconds"] >= 0 and record["slots_per_s"] > 0
+
     def test_stamped_policy_rejects_other_params(self, tmp_path, cfg):
         pol = str(tmp_path / "policy.txt")
         main(["solve", "--config", cfg, "--out", pol])
@@ -391,6 +403,19 @@ class TestRunSettings:
         assert "horizon must be >= 1" in capsys.readouterr().err
         assert self.compare(tmp_path, cfg, "--horizon", "100", "--warmup", "100") == EXIT_CONFIG
         assert "warmup must be < horizon" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_are_config_errors(self, tmp_path, cfg, capsys, jobs):
+        assert self.compare(tmp_path, cfg, "--jobs", jobs) == EXIT_CONFIG
+        assert "--jobs must be >= 1" in capsys.readouterr().err
+        out = tmp_path / "s.csv"
+        rc = main([
+            "simulate", "--config", cfg, "--horizon", "2000", "--warmup", "0",
+            "--reps", "2", "--jobs", jobs, "--out", str(out),
+        ])
+        assert rc == EXIT_CONFIG
+        assert "--jobs must be >= 1" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "c.csv").exists()
 
     def test_seeds_outside_the_key_range_are_rejected(self, tmp_path, cfg, capsys):
         assert self.compare(tmp_path, cfg, "--seed", "-1") == EXIT_CONFIG

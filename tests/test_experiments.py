@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import semsched.experiments as experiments
 from semsched.core import MetricKind, SystemParams, params_stamp
 from semsched.experiments import (
     POLICY_NAMES,
@@ -92,6 +93,31 @@ class TestComparisonGrid:
         seq = comparison_grid(SMALL, jobs=1, **kw)
         par = comparison_grid(SMALL, jobs=2, **kw)
         assert [c.rows[0].qvaoi for c in seq] == [c.rows[0].qvaoi for c in par]
+
+    def test_pool_never_outnumbers_the_cells(self, monkeypatch):
+        pools = []
+
+        class Recorder:
+            """Records the pool size and runs the cells in this process."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", Recorder)
+        comparison_grid(
+            SMALL, policy_set=("greedy",), pe_values=(0.1, 0.2), pq_values=(0.3,),
+            jobs=10**6,
+        )
+        assert pools == [2]
 
 
 class TestActionMap:

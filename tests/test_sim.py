@@ -1,5 +1,6 @@
-"""Monte Carlo simulator tests: determinism, conservation laws, agreement
-with the exact chain, trace replay, and the monitor-side offsets."""
+"""Monte Carlo simulator tests: bit-for-bit agreement with the per-slot
+reference loop, determinism, conservation laws, agreement with the exact
+chain, trace replay, and the monitor-side offsets."""
 
 import dataclasses
 import math
@@ -7,13 +8,22 @@ import math
 import numpy as np
 import pytest
 
-from semsched.core import MetricKind, SystemParams
+import semsched.sim as sim
+from semsched.core import MetricKind, SystemParams, params_stamp
 from semsched.mdp import evaluate_policy_exact, rvia_solve
 from semsched.metrics import SlotEvents, evolve_trace
-from semsched.policies import greedy_policy
+from semsched.policies import PolicyTable, ThresholdPolicy, greedy_policy
 from semsched.sim import (
+    STREAM_CHANNEL,
+    STREAM_ENERGY,
+    STREAM_INIT,
+    STREAM_QUERY,
+    STREAM_VERSION,
     MismatchedStamp,
     SimConfig,
+    SimSummary,
+    SimTrace,
+    _stream,
     monitor_metrics,
     replicate,
     simulate,
@@ -25,6 +35,130 @@ MID = SystemParams(
     p_s=0.8, p_v=0.25, p_q=0.3, p_e=0.2, B=4, delta_max=8,
     allow_tight_truncation=True,
 )
+
+
+REFERENCE_CHUNK = 1 << 18
+
+
+def reference_simulate(
+    params: SystemParams,
+    policy: PolicyTable | ThresholdPolicy,
+    cfg: SimConfig,
+    record_trace: bool = False,
+) -> SimSummary:
+    """The per-slot loop that `simulate` replaced, kept as its reference:
+    same streams, same draws, one Python step per slot."""
+    if isinstance(policy, ThresholdPolicy):
+        policy = policy.to_table()
+    if policy.params_stamp != params_stamp(params):
+        raise MismatchedStamp(
+            f"policy stamp {policy.params_stamp} != params stamp {params_stamp(params)}"
+        )
+    p = params
+    dm = p.delta_max
+    B = p.B
+    bp1 = B + 1
+    pol_age = policy.kind.age_family
+    actions = policy.actions.tolist()
+
+    g_ch = _stream(cfg.seed, STREAM_CHANNEL)
+    g_en = _stream(cfg.seed, STREAM_ENERGY)
+    g_vr = _stream(cfg.seed, STREAM_VERSION)
+    g_qu = _stream(cfg.seed, STREAM_QUERY)
+    q = int(_stream(cfg.seed, STREAM_INIT).random() < p.p_q)
+
+    aoi = dm
+    vaoi = 0
+    battery = B
+    initial_battery = battery
+
+    sum_aoi = sum_vaoi = sum_qaoi = sum_qvaoi = 0
+    transmissions = successes = harvested = empty = 0
+    query_slots = 0
+    rec_d: list[int] = []
+    rec_v: list[int] = []
+    rec_q: list[int] = []
+
+    warmup = cfg.warmup
+    t = 0
+    while t < cfg.horizon:
+        n = min(REFERENCE_CHUNK, cfg.horizon - t)
+        ch = (g_ch.random(n) < p.p_s).tolist()
+        en = (g_en.random(n) < p.p_e).tolist()
+        vr = (g_vr.random(n) < p.p_v).tolist()
+        qu = (g_qu.random(n) < p.p_q).tolist()
+        for i in range(n):
+            if battery == 0:
+                empty += 1
+                delivered = 0
+            else:
+                m = aoi if pol_age else vaoi
+                if actions[(m * bp1 + battery) * 2 + q]:
+                    battery -= 1
+                    transmissions += 1
+                    delivered = 1 if ch[i] else 0
+                    successes += delivered
+                else:
+                    delivered = 0
+            if en[i] and battery < B:
+                battery += 1
+                harvested += 1
+            v = 1 if vr[i] else 0
+            if delivered:
+                aoi = 1
+                vaoi = v
+            else:
+                aoi = aoi + 1 if aoi < dm else dm
+                nv = vaoi + v
+                vaoi = nv if nv < dm else dm
+            if t + i >= warmup:
+                sum_aoi += aoi
+                sum_vaoi += vaoi
+                if q:
+                    query_slots += 1
+                    sum_qaoi += aoi
+                    sum_qvaoi += vaoi
+                if record_trace:
+                    rec_d.append(delivered)
+                    rec_v.append(v)
+                    rec_q.append(q)
+            q = 1 if qu[i] else 0
+        t += n
+
+    span = cfg.horizon - warmup
+    avg = {
+        MetricKind.AOI: sum_aoi / span,
+        MetricKind.VAOI: sum_vaoi / span,
+        MetricKind.QAOI: sum_qaoi / span,
+        MetricKind.QVAOI: sum_qvaoi / span,
+    }
+    avg_pq = {
+        MetricKind.QAOI: sum_qaoi / query_slots if query_slots else math.nan,
+        MetricKind.QVAOI: sum_qvaoi / query_slots if query_slots else math.nan,
+    }
+    trace = None
+    if record_trace:
+        trace = SimTrace(
+            delivered=np.array(rec_d, dtype=bool),
+            new_version=np.array(rec_v, dtype=bool),
+            query=np.array(rec_q, dtype=bool),
+        )
+    return SimSummary(
+        avg=avg,
+        avg_per_query=avg_pq,
+        transmissions=transmissions,
+        successes=successes,
+        energy_harvested=harvested,
+        empty_battery_slots=empty,
+        initial_battery=initial_battery,
+        final_battery=battery,
+        query_slots=query_slots,
+        horizon=cfg.horizon,
+        warmup=warmup,
+        seed=cfg.seed,
+        trace=trace,
+    )
+
 
 
 def summary_fields(s):
@@ -249,9 +383,120 @@ class TestReplication:
         assert seq.means == par.means
         assert seq.half_widths == par.half_widths
 
+    def test_pool_never_outnumbers_the_replications(self, monkeypatch):
+        pools = []
+
+        class Recorder:
+            """Records the pool size and runs the replications in this process."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", Recorder)
+        cfg = SimConfig(horizon=500, seed=1, warmup=0)
+        replicate(MID, greedy_policy(MID), cfg, n_reps=3, jobs=10**6)
+        assert pools == [3]
+
     def test_needs_at_least_two_reps(self):
         with pytest.raises(ValueError):
             replicate(MID, greedy_policy(MID), SimConfig(horizon=100, seed=1, warmup=0), n_reps=1)
+
+
+REF_BASE = SystemParams(
+    p_s=0.8, p_v=0.3, p_q=0.4, p_e=0.3, B=3, delta_max=5,
+    allow_tight_truncation=True,
+)
+# (p_e, p_q, p_v): the mid rates and every rate pinned at 0 or 1
+REF_RATES = [
+    (0.3, 0.4, 0.3), (0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (0.0, 1.0, 1.0), (1.0, 0.0, 0.0),
+]
+REF_POLICIES = ["greedy", "aoi", "vaoi", "qaoi", "qvaoi", "threshold", "always"]
+
+
+@pytest.fixture(scope="module")
+def solved_tables():
+    """Solved tables at the mid rates, per battery size; the edge-rate
+    cases run these same tables under their own stamp."""
+    return {
+        (B, kind): rvia_solve(dataclasses.replace(REF_BASE, B=B), kind).policy
+        for B in (1, 3)
+        for kind in MetricKind
+    }
+
+
+def reference_policy(name, p, solved_tables):
+    stamp = params_stamp(p)
+    if name == "greedy":
+        return greedy_policy(p)
+    if name == "threshold":
+        thresholds = {
+            (b, q): p.delta_max + 1 if b == 0 else max(1, p.delta_max - b - 2 * q)
+            for b in range(p.B + 1)
+            for q in (0, 1)
+        }
+        return ThresholdPolicy(MetricKind.VAOI, stamp, p.delta_max, p.B, thresholds)
+    if name == "always":
+        # asks to transmit in every state, battery 0 included, which
+        # PolicyTable refuses: only the simulator's forced Idle stops it
+        table = object.__new__(PolicyTable)
+        for attr, value in (
+            ("kind", MetricKind.QVAOI), ("params_stamp", stamp),
+            ("delta_max", p.delta_max), ("B", p.B),
+            ("actions", np.ones((p.delta_max + 1) * (p.B + 1) * 2, dtype=np.int8)),
+        ):
+            object.__setattr__(table, attr, value)
+        return table
+    solved = solved_tables[(p.B, MetricKind(name))]
+    return PolicyTable(solved.kind, stamp, p.delta_max, p.B, solved.actions)
+
+
+def assert_matches_reference(p, policy, cfg):
+    got = simulate(p, policy, cfg, record_trace=True)
+    want = reference_simulate(p, policy, cfg, record_trace=True)
+    # repr: bit-identical floats (nan included) and the same Python types
+    for f in dataclasses.fields(SimSummary):
+        if f.name != "trace":
+            assert repr(getattr(got, f.name)) == repr(getattr(want, f.name)), f.name
+    for name in ("delivered", "new_version", "query"):
+        a, b = getattr(got.trace, name), getattr(want.trace, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+class TestMatchesReference:
+    """`simulate` against the per-slot reference loop, bit for bit."""
+
+    @pytest.mark.parametrize("name", REF_POLICIES)
+    @pytest.mark.parametrize("rates", REF_RATES)
+    @pytest.mark.parametrize("B", [1, 3])
+    def test_every_policy_and_edge_rate(self, B, rates, name, solved_tables, monkeypatch):
+        pe, pq, pv = rates
+        p = dataclasses.replace(REF_BASE, B=B, p_e=pe, p_q=pq, p_v=pv)
+        policy = reference_policy(name, p, solved_tables)
+        assert_matches_reference(p, policy, SimConfig(horizon=3000, seed=B, warmup=0))
+        # chunks of 7 slots carry AoI, VAoI, the state and the query flag
+        # across hundreds of boundaries; warm-ups on and next to one
+        monkeypatch.setattr(sim, "_CHUNK", 7)
+        for warmup in (0, 700, 701, 1399):
+            assert_matches_reference(
+                p, policy, SimConfig(horizon=1400, seed=10 + B, warmup=warmup)
+            )
+
+    @pytest.mark.parametrize("name", ["greedy", "aoi", "qvaoi", "threshold"])
+    def test_warmups_at_the_chunk_boundary(self, name, solved_tables):
+        c = sim._CHUNK
+        policy = reference_policy(name, REF_BASE, solved_tables)
+        for warmup in (0, c - 1, c, c + 1):
+            cfg = SimConfig(horizon=2 * c + 3, seed=warmup, warmup=warmup)
+            assert_matches_reference(REF_BASE, policy, cfg)
 
 
 class TestCsv:
