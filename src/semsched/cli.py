@@ -31,7 +31,7 @@ from .core import (
     validate_params,
 )
 from .metrics import EmptyTrace, evolve_trace, format_trace_table, parse_events_table
-from .mdp import SPAN_TOL, NotConverged, format_solve_result, rvia_solve
+from .mdp import NotConverged, format_solve_result, rvia_solve
 from .policies import (
     NotThresholdStructured,
     extract_thresholds,
@@ -154,9 +154,9 @@ def cmd_solve(args) -> int:
         {"kind": kind.value, "out": args.out}, outputs, started,
         solver={
             "iterations": result.iterations,
+            "evaluations": result.evaluations,
             "residual_span": result.residual_span,
-            # a certified solve stops before its span falls under the tolerance
-            "stop": "span" if result.residual_span < SPAN_TOL else "certificate",
+            "stop": result.stop,
         },
     )
     return EXIT_OK
@@ -263,6 +263,9 @@ def cmd_compare(args) -> int:
                     "eval": r.eval_mode,
                     "evaluation_chain_size": r.chain_states,
                     "reason": r.reason,
+                    "iterations": r.iterations,
+                    "evaluations": r.evaluations,
+                    "stop": r.stop,
                 }
                 for c in cells for r in c.rows
             ],

@@ -21,6 +21,7 @@ from . import __version__
 from .core import MetricKind, SystemParams, params_stamp
 from .mdp import (
     NotConverged,
+    SolveResult,
     evaluate_policy_exact,
     evaluation_chain_size,
     rvia_solve,
@@ -73,6 +74,18 @@ class CompareRow:
     error: str | None = None
     chain_states: int | None = None  # states the exact evaluator would solve over
     reason: str | None = None  # why the row was not evaluated exactly
+    # the solve's sweeps, exact evaluations and stop; None for greedy
+    iterations: int | None = None
+    evaluations: int | None = None
+    stop: str | None = None
+
+
+def _solver_fields(result: SolveResult) -> dict:
+    return {
+        "iterations": result.iterations,
+        "evaluations": result.evaluations,
+        "stop": result.stop,
+    }
 
 
 def compare_policies(
@@ -85,22 +98,28 @@ def compare_policies(
 
     Exact mode evaluates every row from its stationary distribution;
     simulated mode runs the simulator instead. Each row records the chain
-    size and, when it was simulated, the reason. A policy whose solve
-    fails is reported in its row and the rest continue.
+    size, when it was simulated the reason, and for a solved policy the
+    solver's counts and stop. A policy whose solve fails is reported in
+    its row and the rest continue.
     """
     if sim_cfg is None:
         sim_cfg = SimConfig(horizon=10**6, seed=1, warmup=10**4)
     meter = MetricKind.QVAOI
     rows: list[CompareRow] = []
     for name in policy_set:
-        try:
-            policy = solve_policy(params, name)
-        except NotConverged as exc:
-            rows.append(CompareRow(
-                name, math.nan, math.nan, math.nan, "none", str(exc),
-                reason="solver did not converge",
-            ))
-            continue
+        solver = {}
+        if name == "greedy":
+            policy = greedy_policy(params)
+        else:
+            try:
+                solved = rvia_solve(params, MetricKind(name))
+            except NotConverged as exc:
+                rows.append(CompareRow(
+                    name, math.nan, math.nan, math.nan, "none", str(exc),
+                    reason="solver did not converge", **_solver_fields(exc.result),
+                ))
+                continue
+            policy, solver = solved.policy, _solver_fields(solved)
         if mode == "exact":
             all_slot = evaluate_policy_exact(params, meter, policy)
             per_query = all_slot / params.p_q if params.p_q > 0 else math.nan
@@ -114,6 +133,7 @@ def compare_policies(
         rows.append(CompareRow(
             name, all_slot, per_query, monitor, used,
             chain_states=evaluation_chain_size(params, meter, policy), reason=reason,
+            **solver,
         ))
     return rows
 

@@ -21,13 +21,17 @@ Solved with Relative Value Iteration over the damped operator
 P~ = (1-tau) I + tau P, which leaves stationary distributions, gains, and
 argmins untouched while guaranteeing span convergence on periodic chains;
 the reported bias is rescaled back to the undamped fixed point. The greedy
-table usually settles long before the span does, so every _CERT_EVERY
-sweeps a table unchanged since the previous check is evaluated exactly and
-put through the policy-iteration optimality test (Puterman 1994, §8.5-8.7):
-when no state improves, the solve stops with that table and its exact gain
-and bias. The test is skipped for tables whose chain has several closed
-classes (p_e = 1 can make every battery level closed), where the bias
-equations have no unique solution; the span test then ends the solve.
+table is usually near-optimal long before the span settles, so every
+_CERT_EVERY sweeps it seeds policy-iteration steps (modified policy
+iteration, Puterman 1994, §8.6-8.7): the table is evaluated exactly and
+replaced by its greedy table under its own bias until it is its own greedy
+table, which certifies it optimal and stops the solve with its exact gain
+and bias. The steps give up, and sweeping resumes, when a table's chain
+has several closed classes (p_e = 1 can make every battery level closed),
+where the bias equations have no unique solution, or when the gain stops
+falling; the span test then ends the solve. A model whose stranded closed
+classes (no Transmit anywhere in them) differ in cost has no single gain
+and fails before the first sweep.
 """
 
 from __future__ import annotations
@@ -102,6 +106,15 @@ class SolveResult:
     iterations: int
     residual_span: float
     converged: bool = True
+    evaluations: int = 0  # exact table evaluations; not kept in the result file
+
+    @property
+    def stop(self) -> str | None:
+        """How a converged solve at the default tolerance ended: "span",
+        or "certificate", which stops with the span still >= SPAN_TOL."""
+        if not self.converged:
+            return None
+        return "span" if self.residual_span < SPAN_TOL else "certificate"
 
 
 def build_state_space(params: SystemParams) -> list[AgentState]:
@@ -254,9 +267,9 @@ def _greedy(m: _Model, h: np.ndarray, scale: float, rel: float = 0.0) -> np.ndar
     return (q1 < q0 - (_TIE_EPS + rel * np.abs(q0))).astype(np.int8)
 
 
-def _certify(m: _Model, actions: np.ndarray) -> tuple[float, np.ndarray] | None:
-    """Exact gain and bias of `actions` when the table passes the
-    policy-iteration optimality test, else None.
+def _evaluate(m: _Model, actions: np.ndarray) -> tuple[float, np.ndarray] | None:
+    """Exact gain and bias of `actions`, or None when they are not unique
+    or the solve cannot be trusted.
 
     Solves g + h = c + P h with h(0) = 0, i.e. (I - P) h + g 1 = c with the
     column of h(0) replaced by ones for g. That system is nonsingular when
@@ -281,9 +294,55 @@ def _certify(m: _Model, actions: np.ndarray) -> tuple[float, np.ndarray] | None:
             return None
     gain = float(x[0])
     x[0] = 0.0  # h(0)
-    if not np.array_equal(_greedy(m, x, 1.0, rel=1e-9), actions):
-        return None
     return gain, x
+
+
+def _improve(
+    m: _Model, table: np.ndarray
+) -> tuple[tuple[np.ndarray, float, np.ndarray] | None, int]:
+    """Policy-iteration steps from `table` (Puterman 1994, §8.6-8.7).
+
+    Each table is evaluated exactly and replaced by its greedy table under
+    its own bias (Idle on ties within 1e-12 + 1e-9 |Q0|). Returns the
+    certified (table, gain, bias) once a table is its own greedy table,
+    else None: a table is declined by _evaluate, or its gain does not
+    fall strictly below the previous table's, which also rules out cycles.
+    The second value counts the exact evaluations that returned a gain.
+    """
+    best = np.inf
+    evaluations = 0
+    while True:
+        exact = _evaluate(m, table)
+        if exact is None:
+            return None, evaluations
+        evaluations += 1
+        gain, bias = exact
+        if not gain < best:
+            return None, evaluations
+        improved = _greedy(m, bias, 1.0, rel=1e-9)
+        if np.array_equal(improved, table):
+            return (table, gain, bias), evaluations
+        best, table = gain, improved
+
+
+def _stranded_gain_gap(m: _Model) -> float:
+    """Largest gap between the average costs of the closed classes that no
+    policy can leave or act in, 0.0 when there are fewer than two.
+
+    Such a class is closed in the graph of both actions' edges and has
+    Transmit feasible nowhere, so its cost is the Idle chain's whatever
+    the policy. Classes with different costs give different optimal gains
+    by start state, and the span of an RVIA sweep never falls below the
+    gap (p_e = p_v = 0 strands every version lag at battery 0).
+    """
+    idle = _policy_matrix(m, np.zeros(m.n_states, dtype=np.int8))
+    labels, closed = _closed_classes(idle + _policy_matrix(m, m.feas1))
+    costs = []
+    for label in np.flatnonzero(closed):
+        members = np.flatnonzero(labels == label)
+        if not m.feas1[members].any():
+            costs.append(_stationary_distribution(idle, members) @ m.c0[members])
+    return float(max(costs) - min(costs)) if costs else 0.0
 
 
 def rvia_solve(
@@ -297,13 +356,18 @@ def rvia_solve(
     optimality certificate.
 
     The span stop ends the solve once the span of one sweep's change is
-    below `tol`. Every _CERT_EVERY sweeps the greedy table is extracted;
-    when it equals the previous check's table (and was not tested before),
-    it is evaluated exactly and the solve stops if no state improves on
-    it. A certified result carries the table's exact gain and bias,
-    `iterations` the sweeps run, and `residual_span` the span at the stop,
-    which may be >= tol. NotConverged is raised when neither stop happens
-    within `max_iter` sweeps.
+    below `tol`. Every _CERT_EVERY sweeps the greedy table is handed to
+    policy-iteration steps (_improve): it is evaluated exactly and
+    improved until a table is greedy in its own exact bias, which stops
+    the solve with that table, its exact gain and bias. When the steps
+    are declined (several closed classes, a failed solve) or the gain
+    stops falling, sweeping resumes. `iterations` counts the sweeps run,
+    `evaluations` the exact evaluations, and `residual_span` is the span
+    at the stop, which may be >= tol after a certificate. NotConverged is
+    raised when neither stop happens within `max_iter` sweeps, and at
+    once (`iterations` 0) when closed classes that no policy can act in
+    differ in cost by more than `tol`, so that no single gain exists;
+    `residual_span` is then that difference.
 
     The reference state is the canonical first state (0, 0, 0); ties
     between actions break toward Idle within 1e-12. `h0` warm-starts the
@@ -315,13 +379,26 @@ def rvia_solve(
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     m = _build_model(params, kind)
+    policy = PolicyTable(
+        kind=kind,
+        params_stamp=params_stamp(params),
+        delta_max=params.delta_max,
+        B=params.B,
+        actions=np.zeros(m.n_states, dtype=np.int8),
+    )
+    gap = _stranded_gain_gap(m)
+    if gap > tol:
+        raise NotConverged(SolveResult(
+            gain=np.nan, bias=np.zeros(m.n_states), policy=policy,
+            iterations=0, residual_span=gap, converged=False,
+        ))
     tau = _DAMPING
     h = np.zeros(m.n_states) if h0 is None else h0.astype(float) / tau
     big = np.where(m.feas1, 0.0, np.inf)
     span = np.inf
     gain = np.nan
     certified = None
-    last = tested = None
+    evaluations = 0
     it = 0
     for it in range(1, max_iter + 1):
         e0 = h[m.nxt0] @ m.pr0
@@ -336,31 +413,22 @@ def rvia_solve(
         if span < tol:
             break
         if it % _CERT_EVERY == 0:
-            table = _greedy(m, h, tau)
-            if np.array_equal(table, last) and not np.array_equal(table, tested):
-                tested = table
-                certified = _certify(m, table)
-                if certified is not None:
-                    break
-            last = table
+            certified, n = _improve(m, _greedy(m, h, tau))
+            evaluations += n
+            if certified is not None:
+                break
     if certified is None:
         actions, bias = _greedy(m, h, tau), h * tau
     else:
-        actions, (gain, bias) = table, certified
-    policy = PolicyTable(
-        kind=kind,
-        params_stamp=params_stamp(params),
-        delta_max=params.delta_max,
-        B=params.B,
-        actions=actions,
-    )
+        actions, gain, bias = certified
     result = SolveResult(
         gain=gain,
         bias=bias,
-        policy=policy,
+        policy=replace(policy, actions=actions),
         iterations=it,
         residual_span=span,
         converged=certified is not None or span < tol,
+        evaluations=evaluations,
     )
     if not result.converged:
         raise NotConverged(result)

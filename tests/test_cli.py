@@ -5,6 +5,7 @@ import importlib.util
 import json
 import re
 import shlex
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ import semsched.experiments as experiments
 import semsched.mdp as mdp
 from semsched.cli import (
     EXIT_CONFIG,
+    EXIT_NOT_CONVERGED,
     EXIT_OK,
     EXIT_PARTIAL,
     EXIT_STAMP,
@@ -57,6 +59,7 @@ class TestSolve:
         assert result.residual_span >= 1e-9
         assert manifest["solver"] == {
             "iterations": result.iterations,
+            "evaluations": 1,  # the first greedy table is already optimal
             "residual_span": result.residual_span,
             "stop": "certificate",
         }
@@ -71,9 +74,20 @@ class TestSolve:
         solver = json.loads(read(out + ".manifest.json"))["solver"]
         assert solver == {
             "iterations": result.iterations,
+            "evaluations": 0,
             "residual_span": result.residual_span,
             "stop": "span",
         }
+
+    def test_no_single_gain_exits_3_before_sweeping(self, tmp_path, capsys):
+        # no harvest and no versions: each version lag is stranded at battery 0
+        path = tmp_path / "stranded.cfg"
+        path.write_text(format_config(replace(SMALL, p_e=0.0, p_v=0.0)), encoding="utf-8")
+        out = tmp_path / "policy.txt"
+        rc = main(["solve", "--config", str(path), "--kind", "vaoi", "--out", str(out)])
+        assert rc == EXIT_NOT_CONVERGED
+        assert "no convergence after 0 iterations" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_repeat_runs_are_byte_identical(self, tmp_path, cfg):
         a, b = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
@@ -199,6 +213,25 @@ class TestCompare:
         sizes = {r["policy"]: r["evaluation_chain_size"] for r in rows}
         assert sizes["greedy"] == sizes["vaoi"] == sizes["qvaoi"] == 42
         assert sizes["aoi"] == sizes["qaoi"] == 7 * 42
+        # greedy is not solved; the solved rows carry their solver's counts
+        assert (rows[0]["iterations"], rows[0]["evaluations"], rows[0]["stop"]) == (
+            None, None, None)
+        for r in rows[1:]:
+            assert r["iterations"] >= 1 and r["evaluations"] >= 0
+            assert r["stop"] in ("span", "certificate")
+
+    def test_failed_solves_keep_their_counts(self, tmp_path):
+        path = tmp_path / "stranded.cfg"
+        path.write_text(format_config(replace(SMALL, p_v=0.0)), encoding="utf-8")
+        out = str(tmp_path / "cmp.csv")
+        rc = main(["compare", "--config", str(path), "--out", out, "--pe", "0", "--pq", "0.3"])
+        assert rc == EXIT_PARTIAL
+        rows = json.loads(read(out + ".manifest.json"))["evaluation"]["rows"]
+        failed = {r["policy"]: r for r in rows if r["eval"] == "none"}
+        assert set(failed) == {"vaoi", "qvaoi"}
+        for r in failed.values():
+            assert r["reason"] == "solver did not converge"
+            assert (r["iterations"], r["evaluations"], r["stop"]) == (0, 0, None)
 
     def test_default_grid(self, tmp_path, cfg):
         out = str(tmp_path / "cmp.csv")

@@ -281,26 +281,85 @@ class TestRviaSolve:
         p = small(p_e=1.0, p_v=1.0)
         plain = rvia_solve(p, MetricKind.VAOI)
         closed_counts, solves = [], []
-        closed_classes, splu = mdp._closed_classes, mdp.splu
+        evaluate, splu = mdp._evaluate, mdp.splu
+        model = mdp._build_model(p, MetricKind.VAOI)
 
-        def count_closed(P):
-            labels, closed = closed_classes(P)
-            closed_counts.append(int(closed.sum()))
-            return labels, closed
+        def count_closed(m, actions):
+            P = mdp._policy_matrix(model, actions)
+            closed_counts.append(int(_closed_classes(P)[1].sum()))
+            return evaluate(m, actions)
 
         def record_solve(*args, **kwargs):
             solves.append(args)
             return splu(*args, **kwargs)
 
         monkeypatch.setattr(mdp, "_CERT_EVERY", 1)
-        monkeypatch.setattr(mdp, "_closed_classes", count_closed)
+        monkeypatch.setattr(mdp, "_evaluate", count_closed)
         monkeypatch.setattr(mdp, "splu", record_solve)
         res = rvia_solve(p, MetricKind.VAOI)
         assert closed_counts and min(closed_counts) > 1
         assert solves == []  # declined before any bias solve
+        assert res.evaluations == 0
         assert res.residual_span < 1e-9  # the span test ended the solve
         assert np.array_equal(res.policy.actions, plain.policy.actions)
         assert res.gain == pytest.approx(plain.gain, abs=1e-9)
+
+    def test_policy_iteration_steps_keep_plain_rvia_tables(self, monkeypatch):
+        # checks at every sweep hand the steps the crudest greedy tables
+        stops, evaluations = set(), []
+        for p_e, p_q, (B, dm), kind in product(
+            (0.05, 0.2, 1.0), (0.2, 0.5), ((1, 4), (3, 8)), MetricKind
+        ):
+            p = small(p_s=1.0, p_v=1.0, p_e=p_e, p_q=p_q, B=B, delta_max=dm)
+            monkeypatch.setattr(mdp, "_CERT_EVERY", 10**9)
+            plain = rvia_solve(p, kind)
+            for every in (1, 16):
+                monkeypatch.setattr(mdp, "_CERT_EVERY", every)
+                res = rvia_solve(p, kind)
+                assert np.array_equal(res.policy.actions, plain.policy.actions)
+                assert res.gain == pytest.approx(plain.gain, abs=1e-9)
+                stops.add(res.stop)
+                evaluations.append(res.evaluations)
+        assert stops == {"span", "certificate"}
+        assert max(evaluations) >= 3  # some tables were improved twice
+
+    def test_improvement_stops_when_the_gain_does_not_fall(self, monkeypatch):
+        m = mdp._build_model(small(B=3, delta_max=8), MetricKind.QVAOI)
+        idle = np.zeros(m.n_states, dtype=np.int8)
+        certified, n = mdp._improve(m, idle)
+        assert certified is not None and n >= 2
+        evaluate = mdp._evaluate
+        monkeypatch.setattr(mdp, "_evaluate", lambda m, a: (1.0, evaluate(m, a)[1]))
+        assert mdp._improve(m, idle) == (None, 2)
+
+    def test_compare_cell_solves_stop_on_the_first_certificates(self):
+        # the delta_max 28 comparison cell: a certificate regression shows
+        # up here as a sweep count
+        p = dataclasses.replace(SystemParams(), delta_max=28, p_e=0.05, p_q=0.2)
+        for kind in MetricKind:
+            res = rvia_solve(p, kind)
+            assert res.stop == "certificate"
+            assert res.iterations <= 256
+
+    @pytest.mark.parametrize("kind, gap", [
+        (MetricKind.VAOI, 4.0),  # version lag m held forever at battery 0
+        (MetricKind.QVAOI, 0.3 * 4.0),  # the same lag, charged at queries only
+    ])
+    def test_stranded_classes_that_differ_fail_before_sweeping(self, kind, gap):
+        p = small(p_e=0.0, p_v=0.0, p_q=0.3, B=1)
+        with pytest.raises(NotConverged) as exc:
+            rvia_solve(p, kind)
+        res = exc.value.result
+        assert (res.iterations, res.evaluations, res.converged) == (0, 0, False)
+        assert res.residual_span == pytest.approx(gap, abs=1e-12)
+
+    @pytest.mark.parametrize("kind", [MetricKind.AOI, MetricKind.QAOI, MetricKind.QVAOI])
+    def test_stranded_classes_that_agree_still_solve(self, kind):
+        # no queries: the query-aware kinds cost 0 in every stranded class;
+        # AoI has one, at delta_max
+        p = small(p_e=0.0, p_v=0.0, p_q=0.0, B=1)
+        res = rvia_solve(p, kind)
+        assert res.gain == pytest.approx(0.0 if kind.query_gated else p.delta_max, abs=1e-9)
 
     def test_rejects_bad_tolerances(self):
         with pytest.raises(ValueError):
