@@ -203,6 +203,7 @@ def cmd_simulate(args) -> int:
             "slots": args.reps * args.horizon,
             "seconds": round(sim_seconds, 3),
             "slots_per_s": round(args.reps * args.horizon / sim_seconds),
+            "rewalked_slots": sum(s.rewalked_slots for s in rep.summaries),
         },
     )
     return EXIT_OK
@@ -262,7 +263,6 @@ def cmd_compare(args) -> int:
                     "p_e": c.p_e, "p_q": c.p_q, "policy": r.policy,
                     "eval": r.eval_mode,
                     "evaluation_chain_size": r.chain_states,
-                    "reason": r.reason,
                     "iterations": r.iterations,
                     "evaluations": r.evaluations,
                     "stop": r.stop,

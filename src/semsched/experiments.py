@@ -73,7 +73,6 @@ class CompareRow:
     eval_mode: str
     error: str | None = None
     chain_states: int | None = None  # states the exact evaluator would solve over
-    reason: str | None = None  # why the row was not evaluated exactly
     # the solve's sweeps, exact evaluations and stop; None for greedy
     iterations: int | None = None
     evaluations: int | None = None
@@ -98,9 +97,8 @@ def compare_policies(
 
     Exact mode evaluates every row from its stationary distribution;
     simulated mode runs the simulator instead. Each row records the chain
-    size, when it was simulated the reason, and for a solved policy the
-    solver's counts and stop. A policy whose solve fails is reported in
-    its row and the rest continue.
+    size, and for a solved policy the solver's counts and stop. A policy
+    whose solve fails is reported in its row and the rest continue.
     """
     if sim_cfg is None:
         sim_cfg = SimConfig(horizon=10**6, seed=1, warmup=10**4)
@@ -116,24 +114,23 @@ def compare_policies(
             except NotConverged as exc:
                 rows.append(CompareRow(
                     name, math.nan, math.nan, math.nan, "none", str(exc),
-                    reason="solver did not converge", **_solver_fields(exc.result),
+                    **_solver_fields(exc.result),
                 ))
                 continue
             policy, solver = solved.policy, _solver_fields(solved)
         if mode == "exact":
             all_slot = evaluate_policy_exact(params, meter, policy)
             per_query = all_slot / params.p_q if params.p_q > 0 else math.nan
-            used, reason = "exact", None
+            used = "exact"
         else:
             s = simulate(params, policy, sim_cfg)
             all_slot = s.avg[meter]
             per_query = s.avg_per_query[meter]
-            used, reason = "simulated", f"mode {mode} requested"
+            used = "simulated"
         monitor = per_query + monitor_offset(params, meter)
         rows.append(CompareRow(
             name, all_slot, per_query, monitor, used,
-            chain_states=evaluation_chain_size(params, meter, policy), reason=reason,
-            **solver,
+            chain_states=evaluation_chain_size(params, meter, policy), **solver,
         ))
     return rows
 

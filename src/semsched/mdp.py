@@ -69,14 +69,15 @@ class InfeasibleAction(ValueError):
 
 
 class NotConverged(RuntimeError):
-    """RVIA hit max_iter with span >= tol; diagnostics attached."""
+    """RVIA hit max_iter with span >= tol, or no single gain exists;
+    diagnostics attached."""
 
-    def __init__(self, result: "SolveResult"):
+    def __init__(self, result: "SolveResult", message: str | None = None):
         self.result = result
-        super().__init__(
+        super().__init__(message or (
             f"no convergence after {result.iterations} iterations, "
             f"residual span {result.residual_span:.3e}"
-        )
+        ))
 
 
 class MultichainPolicy(ValueError):
@@ -388,10 +389,14 @@ def rvia_solve(
     )
     gap = _stranded_gain_gap(m)
     if gap > tol:
-        raise NotConverged(SolveResult(
-            gain=np.nan, bias=np.zeros(m.n_states), policy=policy,
-            iterations=0, residual_span=gap, converged=False,
-        ))
+        raise NotConverged(
+            SolveResult(
+                gain=np.nan, bias=np.zeros(m.n_states), policy=policy,
+                iterations=0, residual_span=gap, converged=False,
+            ),
+            f"closed classes stranded at an empty battery differ in average "
+            f"cost by {gap:.3e}; no single gain exists",
+        )
     tau = _DAMPING
     h = np.zeros(m.n_states) if h0 is None else h0.astype(float) / tau
     big = np.where(m.feas1, 0.0, np.inf)

@@ -12,9 +12,23 @@ besides the query flag, is the policy's own metric and the battery, and
 a slot's exogenous draws form one 4-bit code (query, channel, energy,
 version). `_step_table` applies the step rules above once to every
 (state, code) pair; the simulator builds it itself, so it stays an
-independent check on the exact evaluator. A chunk of slots is then one
-C-level walk through that successor table, and numpy folds the state
-sequence into the actions, deliveries, harvests and both metrics.
+independent check on the exact evaluator.
+
+The walk through that successor table runs on time segments ("lanes")
+of a walk chunk side by side, one numpy step for all lanes at once
+(data-parallel finite-state machines: Mytkowicz, Musuvathi & Schulte,
+ASPLOS 2014). Pass 1 starts every lane from the chunk's true start
+state; each later pass starts a lane from its left neighbour's end in
+the pass before. Walks that share their codes merge within a few hundred
+slots (the coupling of Propp & Wilson, 1996), so pass 2 is almost
+always exact; where walks merge slowly (a low harvest rate), passes go
+on while each fixes more lanes than `_PASS_LANES`. A left-to-right check
+then proves the last pass: a lane is exact when its left neighbour is
+and its start equals that neighbour's end. A lane that fails the check
+is walked again, serially, from the corrected start. The result is the
+serial walk, bit for bit, and `rewalked_slots` counts the slots walked
+again. numpy then folds the state sequence into the actions,
+deliveries, harvests and both metrics.
 
 Randomness comes from counter-based Philox streams keyed (seed, stream)
 so every stochastic process is independent and reproducible regardless of
@@ -47,7 +61,12 @@ STREAM_QUERY = 4
 STREAM_INIT = 5
 STREAM_MONITOR = 6
 
-_CHUNK = 1 << 14
+_CHUNK = 1 << 14  # slots per draw and per metric fold
+_WALK_CHUNK = 1 << 17  # slots per lane walk
+_LANES = 256  # time segments walked side by side
+# a numpy pass over the lanes costs about as much as walking this many
+# lanes serially (about 1 ms against 50 us for lanes of 512 slots)
+_PASS_LANES = 20
 # exogenous slot code: q | ch << 1 | en << 2 | v << 3
 _CODES = 16
 _INDEX = itemgetter(_CODES)
@@ -98,6 +117,9 @@ class SimSummary:
     average-cost criterion the solver optimizes); `avg_per_query` is the
     secondary conditional average over query slots only, nan when the
     window saw no query.
+
+    `rewalked_slots` is a diagnostic of the lane walk, not a result: the
+    slots whose lane failed the start/end check and was walked again.
     """
 
     avg: dict[MetricKind, float]
@@ -112,6 +134,7 @@ class SimSummary:
     horizon: int
     warmup: int
     seed: int
+    rewalked_slots: int = 0
     trace: SimTrace | None = field(default=None, repr=False)
 
 
@@ -160,6 +183,71 @@ def _linked_rows(succ: np.ndarray) -> list[list]:
     return rows
 
 
+def _lane_walk(
+    nxt: np.ndarray, rows: list[list], codes: np.ndarray, start: int
+) -> tuple[np.ndarray, int]:
+    """Walk the slot codes from state `start` through the flat successor
+    table nxt[s * _CODES + c] = succ[s, c] * _CODES.
+
+    Returns each slot's step index s * _CODES + c, which indexes the tx
+    and harvest tables, as a (lanes, length) view whose [j, k] is slot
+    j * length + k (read slots with `_slots`), and the number of slots
+    walked again.
+    """
+    n = codes.size
+    length = -(-n // _LANES)
+    lanes = -(-n // length)
+    # grid[k, j] is slot j * length + k; the last lane is padded with code 0
+    grid = np.zeros((length, lanes), dtype=np.intp)
+    full = (lanes - 1) * length
+    grid[:, :-1] = codes[:full].reshape(lanes - 1, length).T
+    grid[: n - full, -1] = codes[full:]
+
+    # pass 1 starts every lane from the true state, each later pass lane j
+    # from lane j - 1's end in the pass before; another pass pays only
+    # while passes fix more lanes than it costs to walk serially
+    add, take = np.add, nxt.take
+    starts = np.full(lanes, start, dtype=np.intp)
+    cur = starts.copy()
+    previous = math.inf
+    while True:
+        for row in grid:  # each row turns into its step indices
+            add(cur, row, out=row)
+            take(row, out=cur, mode="clip")
+        bad = np.flatnonzero(starts[1:] != cur[:-1])
+        if min(bad.size, previous - bad.size) <= _PASS_LANES:
+            break
+        previous = bad.size
+        grid &= _CODES - 1  # back to the codes
+        starts = np.concatenate(([start], cur[:-1]))
+        cur[:] = starts
+    lane_steps = grid.T
+
+    # lane 0 starts from the true state; lane j is exact when lane j - 1
+    # is and its start is that lane's end
+    rewalked = 0
+    if bad.size:
+        end = cur[bad[0]]
+        for j in range(bad[0] + 1, lanes):
+            if starts[j] == end:
+                end = cur[j]
+                continue
+            seg = codes[j * length : (j + 1) * length]
+            walk = accumulate(seg.tolist(), getitem, initial=rows[end // _CODES])
+            s = np.fromiter(map(_INDEX, walk), dtype=np.intp, count=seg.size)
+            lane_steps[j, : seg.size] = s * _CODES + seg
+            end = nxt[lane_steps[j, seg.size - 1]]
+            rewalked += seg.size
+    return lane_steps, rewalked
+
+
+def _slots(lane_steps: np.ndarray, a: int, b: int) -> np.ndarray:
+    """Slots [a, b) of a walk held as rows of lanes, in slot order."""
+    length = lane_steps.shape[1]
+    j = a // length
+    return lane_steps[j : -(-b // length)].ravel()[a - j * length : b - j * length]
+
+
 def simulate(
     params: SystemParams,
     policy: PolicyTable | ThresholdPolicy,
@@ -185,6 +273,7 @@ def simulate(
     bp1 = B + 1
     succ, tx_table, harvest_table = _step_table(p, policy)
     tx_table, harvest_table = tx_table.ravel(), harvest_table.ravel()
+    nxt = succ.ravel() * _CODES
     rows = _linked_rows(succ)
 
     g_ch = _stream(cfg.seed, STREAM_CHANNEL)
@@ -195,12 +284,12 @@ def simulate(
 
     aoi = dm
     vaoi = 0
-    row = rows[(aoi if policy.kind.age_family else vaoi) * bp1 + B]
+    state = ((aoi if policy.kind.age_family else vaoi) * bp1 + B) * _CODES
     initial_battery = B
 
     sum_aoi = sum_vaoi = sum_qaoi = sum_qvaoi = 0
     transmissions = successes = harvested = empty = 0
-    query_slots = 0
+    query_slots = rewalked = 0
     rec_d: list[np.ndarray] = []
     rec_v: list[np.ndarray] = []
     rec_q: list[np.ndarray] = []
@@ -208,58 +297,63 @@ def simulate(
     warmup = cfg.warmup
     t = 0
     while t < cfg.horizon:
-        n = min(_CHUNK, cfg.horizon - t)
-        ch = g_ch.random(n) < p.p_s
-        en = g_en.random(n) < p.p_e
-        v = g_vr.random(n) < p.p_v
-        qu = g_qu.random(n) < p.p_q
-        # slot i acts on the query flag drawn at the end of slot i - 1
-        q = np.empty(n, dtype=bool)
-        q[0] = q_next
-        q[1:] = qu[:-1]
-        q_next = qu[-1]
+        n = min(_WALK_CHUNK, cfg.horizon - t)
+        codes = np.empty(n, dtype=np.uint8)
+        for a in range(0, n, _CHUNK):
+            m = min(_CHUNK, n - a)
+            ch = g_ch.random(m) < p.p_s
+            en = g_en.random(m) < p.p_e
+            v = g_vr.random(m) < p.p_v
+            qu = g_qu.random(m) < p.p_q
+            # slot i acts on the query flag drawn at the end of slot i - 1
+            q = np.empty(m, dtype=bool)
+            q[0] = q_next
+            q[1:] = qu[:-1]
+            q_next = qu[-1]
+            codes[a : a + m] = (
+                q.view(np.uint8) | ch.view(np.uint8) << 1
+                | en.view(np.uint8) << 2 | v.view(np.uint8) << 3
+            )
+        lane_steps, r = _lane_walk(nxt, rows, codes, state)
+        rewalked += r
+        state = int(nxt[lane_steps.flat[n - 1]])
 
-        codes = (
-            q.view(np.uint8) | ch.view(np.uint8) << 1
-            | en.view(np.uint8) << 2 | v.view(np.uint8) << 3
-        )
-        states = np.fromiter(
-            map(_INDEX, accumulate(codes.tolist(), getitem, initial=row)),
-            dtype=np.intp, count=n + 1,
-        )
-        row = rows[states[-1]]
-        s = states[:-1]
-        step = s * _CODES + codes
-        tx = tx_table[step]
-        delivered = tx & ch
-        empty += n - int(np.count_nonzero(s % bp1))
-        transmissions += int(np.count_nonzero(tx))
-        successes += int(np.count_nonzero(delivered))
-        harvested += int(np.count_nonzero(harvest_table[step]))
+        for a in range(0, n, _CHUNK):
+            code = codes[a : a + _CHUNK]
+            m = code.size
+            step = _slots(lane_steps, a, a + m)
+            q = (code & 1).view(bool)
+            v = (code >> 3).view(bool)
+            tx = tx_table[step]
+            delivered = tx & (code >> 1 & 1).view(bool)
+            empty += m - int(np.count_nonzero(step // _CODES % bp1))
+            transmissions += int(np.count_nonzero(tx))
+            successes += int(np.count_nonzero(delivered))
+            harvested += int(np.count_nonzero(harvest_table[step]))
 
-        # both metrics restart at the chunk's last delivery (AoI at 1, VAoI
-        # at that slot's version) and otherwise carry over from the last
-        # chunk; every increment is >= 0, so one cap at dm is exact
-        i = np.arange(n)
-        reset = np.maximum.accumulate(np.where(delivered, i, -1))
-        has_reset = reset >= 0
-        aoi_t = np.minimum(np.where(has_reset, i - reset + 1, aoi + i + 1), dm)
-        versions = np.cumsum(v, dtype=np.int64) + vaoi
-        before_reset = np.where(has_reset, versions[reset] - v[reset], 0)
-        vaoi_t = np.minimum(versions - before_reset, dm)
-        aoi, vaoi = int(aoi_t[-1]), int(vaoi_t[-1])
+            # both metrics restart at the chunk's last delivery (AoI at 1, VAoI
+            # at that slot's version) and otherwise carry over from the last
+            # chunk; every increment is >= 0, so one cap at dm is exact
+            i = np.arange(m)
+            reset = np.maximum.accumulate(np.where(delivered, i, -1))
+            has_reset = reset >= 0
+            aoi_t = np.minimum(np.where(has_reset, i - reset + 1, aoi + i + 1), dm)
+            versions = np.cumsum(v, dtype=np.int64) + vaoi
+            before_reset = np.where(has_reset, versions[reset] - v[reset], 0)
+            vaoi_t = np.minimum(versions - before_reset, dm)
+            aoi, vaoi = int(aoi_t[-1]), int(vaoi_t[-1])
 
-        w = max(warmup - t, 0)
-        qw = q[w:]
-        sum_aoi += int(aoi_t[w:].sum())
-        sum_vaoi += int(vaoi_t[w:].sum())
-        query_slots += int(np.count_nonzero(qw))
-        sum_qaoi += int(aoi_t[w:][qw].sum())
-        sum_qvaoi += int(vaoi_t[w:][qw].sum())
-        if record_trace:
-            rec_d.append(delivered[w:])
-            rec_v.append(v[w:])
-            rec_q.append(qw)
+            w = max(warmup - t - a, 0)
+            qw = q[w:]
+            sum_aoi += int(aoi_t[w:].sum())
+            sum_vaoi += int(vaoi_t[w:].sum())
+            query_slots += int(np.count_nonzero(qw))
+            sum_qaoi += int(aoi_t[w:][qw].sum())
+            sum_qvaoi += int(vaoi_t[w:][qw].sum())
+            if record_trace:
+                rec_d.append(delivered[w:])
+                rec_v.append(v[w:])
+                rec_q.append(qw)
         t += n
 
     span = cfg.horizon - warmup
@@ -288,11 +382,12 @@ def simulate(
         energy_harvested=harvested,
         empty_battery_slots=empty,
         initial_battery=initial_battery,
-        final_battery=row[_CODES] % bp1,
+        final_battery=state // _CODES % bp1,
         query_slots=query_slots,
         horizon=cfg.horizon,
         warmup=warmup,
         seed=cfg.seed,
+        rewalked_slots=rewalked,
         trace=trace,
     )
 

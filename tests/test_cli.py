@@ -13,6 +13,7 @@ import pytest
 import semsched.cli as cli
 import semsched.experiments as experiments
 import semsched.mdp as mdp
+import semsched.sim as sim
 from semsched.cli import (
     EXIT_CONFIG,
     EXIT_NOT_CONVERGED,
@@ -23,6 +24,7 @@ from semsched.cli import (
 )
 from semsched.core import SystemParams, format_config, params_stamp
 from semsched.mdp import load_solve_result
+from semsched.policies import greedy_policy
 
 SMALL = SystemParams(
     p_s=0.8, p_v=0.25, p_q=0.3, p_e=0.1, B=2, delta_max=6,
@@ -86,7 +88,11 @@ class TestSolve:
         out = tmp_path / "policy.txt"
         rc = main(["solve", "--config", str(path), "--kind", "vaoi", "--out", str(out)])
         assert rc == EXIT_NOT_CONVERGED
-        assert "no convergence after 0 iterations" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        # lags 0 and delta_max = 6 are both stranded, so the gap is 6
+        assert "closed classes stranded at an empty battery differ in average cost" in err
+        assert "by 6.000e+00;" in err
+        assert "after 0 iterations" not in err
         assert not out.exists()
 
     def test_repeat_runs_are_byte_identical(self, tmp_path, cfg):
@@ -148,9 +154,28 @@ class TestSimulate:
         ])
         assert rc == EXIT_OK
         record = json.loads(read(out + ".manifest.json"))["simulation"]
-        assert set(record) == {"slots", "seconds", "slots_per_s"}
+        assert set(record) == {"slots", "seconds", "slots_per_s", "rewalked_slots"}
         assert record["slots"] == 3 * 3000
         assert record["seconds"] >= 0 and record["slots_per_s"] > 0
+        assert 0 <= record["rewalked_slots"] <= record["slots"]
+
+    def test_manifest_sums_the_rewalked_slots(self, tmp_path, cfg, monkeypatch):
+        # lanes of two slots rarely merge, so some lanes are walked again
+        monkeypatch.setattr(sim, "_LANES", 1500)
+        out = str(tmp_path / "sim.csv")
+        rc = main([
+            "simulate", "--config", cfg, "--out", out,
+            "--horizon", "3000", "--warmup", "100", "--seed", "5", "--reps", "3",
+        ])
+        assert rc == EXIT_OK
+        record = json.loads(read(out + ".manifest.json"))["simulation"]
+        policy = greedy_policy(SMALL)
+        want = sum(
+            sim.simulate(SMALL, policy, sim.SimConfig(horizon=3000, seed=5 + r, warmup=100))
+            .rewalked_slots
+            for r in range(3)
+        )
+        assert record["rewalked_slots"] == want > 0
 
     def test_stamped_policy_rejects_other_params(self, tmp_path, cfg):
         pol = str(tmp_path / "policy.txt")
@@ -207,7 +232,8 @@ class TestCompare:
         rows = evaluation["rows"]
         assert [r["policy"] for r in rows] == ["greedy", "aoi", "vaoi", "qaoi", "qvaoi"]
         for r in rows:
-            assert (r["p_e"], r["p_q"], r["eval"], r["reason"]) == (0.1, 0.3, "exact", None)
+            assert (r["p_e"], r["p_q"], r["eval"]) == (0.1, 0.3, "exact")
+            assert "reason" not in r
         # 7 * 3 * 2 = 42 same-family states; the age-family policies are
         # metered on QVAoI at each of the 7 meter levels of their own chain
         sizes = {r["policy"]: r["evaluation_chain_size"] for r in rows}
@@ -229,8 +255,10 @@ class TestCompare:
         rows = json.loads(read(out + ".manifest.json"))["evaluation"]["rows"]
         failed = {r["policy"]: r for r in rows if r["eval"] == "none"}
         assert set(failed) == {"vaoi", "qvaoi"}
-        for r in failed.values():
-            assert r["reason"] == "solver did not converge"
+        lines = [l for l in read(out).decode().splitlines() if not l.startswith("#")]
+        errors = {f[2]: f[7] for f in (l.split(",", 7) for l in lines[1:])}
+        for name, r in failed.items():
+            assert errors[name].startswith("closed classes stranded at an empty battery")
             assert (r["iterations"], r["evaluations"], r["stop"]) == (0, 0, None)
 
     def test_default_grid(self, tmp_path, cfg):

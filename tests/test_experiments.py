@@ -72,8 +72,8 @@ class TestComparePolicies:
         exact_rows = compare_policies(SMALL, policy_set=("greedy",))
         assert sim_rows[0].eval_mode == "simulated"
         assert sim_rows[0].qvaoi == pytest.approx(exact_rows[0].qvaoi, rel=0.05)
-        assert sim_rows[0].reason == "mode simulated requested"
-        assert exact_rows[0].reason is None
+        assert exact_rows[0].eval_mode == "exact"
+        assert sim_rows[0].error is None and exact_rows[0].error is None
         assert sim_rows[0].chain_states == exact_rows[0].chain_states == 42
 
 

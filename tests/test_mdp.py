@@ -351,6 +351,7 @@ class TestRviaSolve:
             rvia_solve(p, kind)
         res = exc.value.result
         assert (res.iterations, res.evaluations, res.converged) == (0, 0, False)
+        assert "stranded at an empty battery differ" in str(exc.value)
         assert res.residual_span == pytest.approx(gap, abs=1e-12)
 
     @pytest.mark.parametrize("kind", [MetricKind.AOI, MetricKind.QAOI, MetricKind.QVAOI])

@@ -462,9 +462,10 @@ def reference_policy(name, p, solved_tables):
 def assert_matches_reference(p, policy, cfg):
     got = simulate(p, policy, cfg, record_trace=True)
     want = reference_simulate(p, policy, cfg, record_trace=True)
-    # repr: bit-identical floats (nan included) and the same Python types
+    # repr: bit-identical floats (nan included) and the same Python types;
+    # rewalked_slots is a diagnostic of the lane walk the reference lacks
     for f in dataclasses.fields(SimSummary):
-        if f.name != "trace":
+        if f.name not in ("trace", "rewalked_slots"):
             assert repr(getattr(got, f.name)) == repr(getattr(want, f.name)), f.name
     for name in ("delivered", "new_version", "query"):
         a, b = getattr(got.trace, name), getattr(want.trace, name)
@@ -497,6 +498,66 @@ class TestMatchesReference:
         for warmup in (0, c - 1, c, c + 1):
             cfg = SimConfig(horizon=2 * c + 3, seed=warmup, warmup=warmup)
             assert_matches_reference(REF_BASE, policy, cfg)
+
+
+# _PASS_LANES 0 runs passes for as long as they fix any lane; a huge
+# value stops after the first pass and leaves the rest to serial walks
+PASS_LANES = [0, 1 << 30]
+
+
+class TestLaneWalk:
+    """The lane walk against the reference loop with tiny walk chunks and
+    lanes, so that padding, lane and chunk edges and re-walks all occur."""
+
+    @pytest.mark.parametrize("pass_lanes", PASS_LANES)
+    @pytest.mark.parametrize("name", ["greedy", "aoi", "vaoi", "qvaoi", "always"])
+    @pytest.mark.parametrize("walk_chunk, lanes, horizon", [
+        (64, 8, 1003),  # a last chunk of 43 slots: 8 lanes of 6, the last padded
+        (50, 8, 1000),  # lanes of 7 in every chunk: each last lane padded
+        (40, 64, 1000),  # more lanes than slots: 40 lanes of one slot
+        (1 << 17, 256, 3000),  # the default lane count on a short horizon
+    ])
+    def test_lane_layouts(
+        self, walk_chunk, lanes, horizon, name, pass_lanes, solved_tables, monkeypatch
+    ):
+        monkeypatch.setattr(sim, "_WALK_CHUNK", walk_chunk)
+        monkeypatch.setattr(sim, "_LANES", lanes)
+        monkeypatch.setattr(sim, "_PASS_LANES", pass_lanes)
+        policy = reference_policy(name, REF_BASE, solved_tables)
+        assert_matches_reference(REF_BASE, policy, SimConfig(horizon=horizon, seed=3, warmup=0))
+
+    @pytest.mark.parametrize("name", ["greedy", "aoi", "qvaoi", "threshold"])
+    def test_warmups_at_the_walk_chunk_boundary(self, name, solved_tables, monkeypatch):
+        # folds of 24 slots inside walk chunks of 64: 24, 24, 16
+        monkeypatch.setattr(sim, "_CHUNK", 24)
+        monkeypatch.setattr(sim, "_WALK_CHUNK", 64)
+        monkeypatch.setattr(sim, "_LANES", 4)
+        policy = reference_policy(name, REF_BASE, solved_tables)
+        for warmup in (63, 64, 65):
+            cfg = SimConfig(horizon=200, seed=warmup, warmup=warmup)
+            assert_matches_reference(REF_BASE, policy, cfg)
+
+    @pytest.mark.parametrize("pass_lanes", PASS_LANES)
+    @pytest.mark.parametrize("name", REF_POLICIES)
+    def test_lanes_shorter_than_delta_max_are_walked_again(
+        self, name, pass_lanes, solved_tables, monkeypatch
+    ):
+        # lanes of 2 slots against delta_max 5: most guessed starts are
+        # still wrong at the lane's end, and the check must catch each one
+        monkeypatch.setattr(sim, "_WALK_CHUNK", 64)
+        monkeypatch.setattr(sim, "_LANES", 32)
+        monkeypatch.setattr(sim, "_PASS_LANES", pass_lanes)
+        policy = reference_policy(name, REF_BASE, solved_tables)
+        cfg = SimConfig(horizon=2000, seed=9, warmup=0)
+        assert_matches_reference(REF_BASE, policy, cfg)
+        rewalked = simulate(REF_BASE, policy, cfg).rewalked_slots
+        # unbounded passes may fix every lane; after one, the serial walk must run
+        assert 0 <= rewalked < cfg.horizon and (rewalked > 0 or pass_lanes == 0)
+
+    def test_default_lanes_rarely_walk_again(self, solved_tables):
+        policy = reference_policy("qvaoi", REF_BASE, solved_tables)
+        s = simulate(REF_BASE, policy, SimConfig(horizon=1 << 18, seed=1, warmup=0))
+        assert s.rewalked_slots < s.horizon // 100
 
 
 class TestCsv:
