@@ -61,7 +61,7 @@ STREAM_QUERY = 4
 STREAM_INIT = 5
 STREAM_MONITOR = 6
 
-_CHUNK = 1 << 14  # slots per draw and per metric fold
+_CHUNK = 1 << 14  # slots per metric fold
 _WALK_CHUNK = 1 << 17  # slots per lane walk
 _LANES = 256  # time segments walked side by side
 # a numpy pass over the lanes costs about as much as walking this many
@@ -298,22 +298,18 @@ def simulate(
     t = 0
     while t < cfg.horizon:
         n = min(_WALK_CHUNK, cfg.horizon - t)
-        codes = np.empty(n, dtype=np.uint8)
-        for a in range(0, n, _CHUNK):
-            m = min(_CHUNK, n - a)
-            ch = g_ch.random(m) < p.p_s
-            en = g_en.random(m) < p.p_e
-            v = g_vr.random(m) < p.p_v
-            qu = g_qu.random(m) < p.p_q
-            # slot i acts on the query flag drawn at the end of slot i - 1
-            q = np.empty(m, dtype=bool)
-            q[0] = q_next
-            q[1:] = qu[:-1]
-            q_next = qu[-1]
-            codes[a : a + m] = (
-                q.view(np.uint8) | ch.view(np.uint8) << 1
-                | en.view(np.uint8) << 2 | v.view(np.uint8) << 3
-            )
+        ch = g_ch.random(n) < p.p_s
+        en = g_en.random(n) < p.p_e
+        v = g_vr.random(n) < p.p_v
+        qu = g_qu.random(n) < p.p_q
+        # slot i acts on the query flag drawn at the end of slot i - 1
+        q = np.concatenate(([q_next], qu[:-1]))
+        q_next = qu[-1]
+        codes = (
+            q.view(np.uint8) | ch.view(np.uint8) << 1
+            | en.view(np.uint8) << 2 | v.view(np.uint8) << 3
+        )
+        del ch, en, v, qu, q
         lane_steps, r = _lane_walk(nxt, rows, codes, state)
         rewalked += r
         state = int(nxt[lane_steps.flat[n - 1]])

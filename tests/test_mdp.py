@@ -20,7 +20,7 @@ from semsched.mdp import (
     TooLarge,
     _closed_classes,
     _single_recurrent_class,
-    _stationary_distribution,
+    _solve_chain,
     build_state_space,
     enumerate_optimal_bruteforce,
     evaluate_policy_exact,
@@ -494,31 +494,68 @@ def irreducible_chain(draw):
     return P / P.sum(axis=1, keepdims=True)
 
 
-class TestStationaryDistribution:
+class TestSolveChain:
     @settings(max_examples=150, deadline=None)
-    @given(irreducible_chain())
-    def test_matches_a_dense_solve(self, P):
+    @given(irreducible_chain(), st.lists(st.floats(0.0, 10.0), min_size=9, max_size=9))
+    def test_matches_dense_solves(self, P, costs):
         n = P.shape[0]
-        # a transient state in front: the class is members 1..n of the chain
+        # a transient state in front: the closed class is states 1..n
         full = np.zeros((n + 1, n + 1))
         full[0, 1] = 1.0
         full[1:, 1:] = P
-        pi = _stationary_distribution(sp.csr_matrix(full), np.arange(1, n + 1))
+        c = np.array(costs[: n + 1])
+        gain, h, pi = _solve_chain(sp.csr_matrix(full), c)
         # pi (I - P + 1 1^T) = 1^T has the stationary vector as its only
         # solution when P is irreducible, periodic or not
         ref = np.linalg.solve((np.eye(n) - P + 1.0).T, np.ones(n))
-        assert np.abs(pi - ref).max() <= 1e-12
-        assert np.abs(pi @ P - pi).max() <= 1e-12
+        assert abs(pi[0]) <= 1e-12
+        assert np.abs(pi[1:] - ref).max() <= 1e-12
+        assert np.abs(pi @ full - pi).max() <= 1e-12
         assert pi.sum() == pytest.approx(1.0, abs=1e-12)
+        # g = pi c, and g + h = c + P h holds for h = z - z(0), z the
+        # solution of (I - P + 1 pi) z = c - g 1 (the fundamental matrix)
+        pi_full = np.concatenate(([0.0], ref))
+        g_ref = pi_full @ c
+        z = np.linalg.solve(np.eye(n + 1) - full + pi_full[None, :], c - g_ref)
+        assert gain == pytest.approx(g_ref, abs=1e-12 * max(1.0, c.max()))
+        assert h[0] == 0.0
+        assert np.abs(h - (z - z[0])).max() <= 1e-10 * max(1.0, np.abs(z).max())
 
-    def test_two_closed_classes_are_rejected(self):
+    def test_single_state(self):
+        gain, h, pi = _solve_chain(sp.csr_matrix(np.ones((1, 1))), np.array([3.0]))
+        assert (gain, h.tolist(), pi.tolist()) == (3.0, [0.0], [1.0])
+
+    def test_two_closed_classes_raise_before_any_factor(self, monkeypatch):
         # each 2-state block is closed; together they have a whole line of
-        # stationary vectors, so there is no single answer to return
+        # stationary vectors and gains, so there is no single answer
         P = np.zeros((4, 4))
         P[:2, :2] = [[0.3, 0.7], [0.6, 0.4]]
         P[2:, 2:] = [[0.9, 0.1], [0.2, 0.8]]
+        factored = []
+        monkeypatch.setattr(mdp, "splu", lambda *args, **kw: factored.append(args))
         with pytest.raises(SingularSolve):
-            _stationary_distribution(sp.csr_matrix(P), np.arange(4))
+            _solve_chain(sp.csr_matrix(P), np.arange(4.0))
+        assert factored == []
+
+    @pytest.mark.parametrize("spoiled", ["N", "T"])
+    def test_an_inexact_solve_is_rejected(self, monkeypatch, spoiled):
+        # a solve that comes back off by 1e-6 in one entry, the bias solve
+        # ("N") or the stationary one ("T"), fails its residual check
+        factor = mdp._factor
+
+        class Spoiled:
+            def __init__(self, A):
+                self.lu = factor(A)
+
+            def solve(self, b, trans="N"):
+                x = self.lu.solve(b, trans=trans)
+                x[1] += 1e-6 if trans == spoiled else 0.0
+                return x
+
+        monkeypatch.setattr(mdp, "_factor", Spoiled)
+        P = sp.csr_matrix(np.array([[0.2, 0.8, 0.0], [0.0, 0.5, 0.5], [1.0, 0.0, 0.0]]))
+        with pytest.raises(SingularSolve):
+            _solve_chain(P, np.array([1.0, 2.0, 3.0]))
 
 
 def joint_chain_average(p, kind, policy):
