@@ -43,8 +43,6 @@ from .sim import MismatchedStamp, SimConfig, replicate, summary_csv_header, summ
 from .experiments import (
     DEFAULT_PE_CELLS,
     DEFAULT_PQ_CELLS,
-    MonotonicityViolation,
-    TargetUnreachable,
     action_map,
     charging_sweep,
     comparison_grid,
@@ -134,11 +132,7 @@ def cmd_solve(args) -> int:
     started = time.time()
     params = _load_params(args)
     kind = MetricKind(args.kind)
-    try:
-        result = rvia_solve(params, kind)
-    except NotConverged as exc:
-        print(f"solver did not converge: {exc}", file=sys.stderr)
-        return EXIT_NOT_CONVERGED
+    result = rvia_solve(params, kind)
     outputs = [args.out]
     _atomic_write(args.out, format_solve_result(params, result))
     try:
@@ -365,17 +359,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     kinds = [k.value for k in MetricKind]
 
-    def common(p, pe_list=False, pq_list=False):
+    def common(p, pe="override", pq="override"):
+        """--config, --out, and each rate flag as an "override" of the
+        config value, a comma "list", or None where the rate is unused."""
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--out", required=True, help="output path")
-        if pe_list:
-            p.add_argument("--pe", help="comma-separated charging rates")
-        else:
-            p.add_argument("--pe", type=float, help="override p_e")
-        if pq_list:
-            p.add_argument("--pq", help="comma-separated query rates")
-        else:
-            p.add_argument("--pq", type=float, help="override p_q")
+        for flag, field, noun, form in (
+            ("--pe", "p_e", "charging", pe), ("--pq", "p_q", "query", pq),
+        ):
+            if form == "override":
+                p.add_argument(flag, type=float, help=f"override {field}")
+            elif form == "list":
+                p.add_argument(flag, help=f"comma-separated {noun} rates")
 
     p = sub.add_parser("solve", help="derive a policy via value iteration")
     common(p)
@@ -394,12 +389,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("trace", help="replay a slot event table")
-    common(p)
+    common(p, pe=None, pq=None)
     p.add_argument("events", help="event table file: delivered new_version query")
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("compare", help="policy comparison over a rate grid")
-    common(p, pe_list=True, pq_list=True)
+    common(p, pe="list", pq="list")
     p.add_argument("--mode", choices=["exact", "simulated"], default="exact")
     p.add_argument("--horizon", type=int, default=10**6)
     p.add_argument("--warmup", type=int, default=10**4)
@@ -409,13 +404,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("regions", help="transmission region maps")
-    common(p, pe_list=True)
+    common(p, pe="list")
     p.add_argument("--kind", choices=kinds + ["greedy"], default="qvaoi")
     p.add_argument("--emit-gnuplot-ready", action="store_true")
     p.set_defaults(func=cmd_regions)
 
     p = sub.add_parser("sweep", help="required charging rate vs greedy")
-    common(p, pq_list=True)
+    common(p, pe=None, pq="list")
     p.add_argument("--kind", choices=kinds + ["greedy"], default="qvaoi")
     p.add_argument("--target", type=float, required=True)
     p.add_argument("--tol", type=float, default=1e-3)
@@ -442,9 +437,6 @@ def main(argv: list[str] | None = None) -> int:
     except MismatchedStamp as exc:
         print(f"stamp mismatch: {exc}", file=sys.stderr)
         return EXIT_STAMP
-    except (TargetUnreachable, MonotonicityViolation) as exc:
-        print(f"experiment failed: {exc}", file=sys.stderr)
-        return EXIT_PARTIAL
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

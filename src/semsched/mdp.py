@@ -63,7 +63,9 @@ from .policies import (
 _DAMPING = 0.5
 _TIE_EPS = 1e-12
 _CERT_EVERY = 128  # sweeps between optimality-certificate checks
-SPAN_TOL = 1e-9  # rvia_solve's default span tolerance
+_MAX_SWEEPS = 10**6  # rvia_solve raises NotConverged past this many sweeps
+SPAN_TOL = 1e-9  # rvia_solve's span tolerance
+_ORACLE_STATES = 64  # enumerate_optimal_bruteforce's state-count guard
 
 
 class InfeasibleAction(ValueError):
@@ -71,8 +73,8 @@ class InfeasibleAction(ValueError):
 
 
 class NotConverged(RuntimeError):
-    """RVIA hit max_iter with span >= tol, or no single gain exists;
-    diagnostics attached."""
+    """RVIA ran _MAX_SWEEPS sweeps with neither stop, or no single gain
+    exists; diagnostics attached."""
 
     def __init__(self, result: "SolveResult", message: str | None = None):
         self.result = result
@@ -113,8 +115,8 @@ class SolveResult:
 
     @property
     def stop(self) -> str | None:
-        """How a converged solve at the default tolerance ended: "span",
-        or "certificate", which stops with the span still >= SPAN_TOL."""
+        """How a converged solve ended: "span", or "certificate", which
+        stops with the span still >= SPAN_TOL."""
         if not self.converged:
             return None
         return "span" if self.residual_span < SPAN_TOL else "certificate"
@@ -330,28 +332,24 @@ def _stranded_gain_gap(m: _Model) -> float:
 
 
 def rvia_solve(
-    params: SystemParams,
-    kind: MetricKind,
-    tol: float = SPAN_TOL,
-    max_iter: int = 10**6,
-    h0: np.ndarray | None = None,
+    params: SystemParams, kind: MetricKind, h0: np.ndarray | None = None
 ) -> SolveResult:
     """Relative Value Iteration, stopped by the span test or by an exact
     optimality certificate.
 
     The span stop ends the solve once the span of one sweep's change is
-    below `tol`. Every _CERT_EVERY sweeps the greedy table is handed to
+    below SPAN_TOL. Every _CERT_EVERY sweeps the greedy table is handed to
     policy-iteration steps (_improve): it is evaluated exactly and
     improved until a table is greedy in its own exact bias, which stops
     the solve with that table, its exact gain and bias. When the steps
     are declined (several closed classes, a failed solve) or the gain
     stops falling, sweeping resumes. `iterations` counts the sweeps run,
     `evaluations` the exact evaluations, and `residual_span` is the span
-    at the stop, which may be >= tol after a certificate. NotConverged is
-    raised when neither stop happens within `max_iter` sweeps, and at
-    once (`iterations` 0) when closed classes that no policy can act in
-    differ in cost by more than `tol`, so that no single gain exists;
-    `residual_span` is then that difference.
+    at the stop, which may be >= SPAN_TOL after a certificate.
+    NotConverged is raised when neither stop happens within _MAX_SWEEPS
+    sweeps, and at once (`iterations` 0) when closed classes that no
+    policy can act in differ in cost by more than SPAN_TOL, so that no
+    single gain exists; `residual_span` is then that difference.
 
     The reference state is the canonical first state (0, 0, 0); ties
     between actions break toward Idle within 1e-12. `h0` warm-starts the
@@ -359,10 +357,6 @@ def rvia_solve(
     default sweep that saves 20 of 5,632 sweeps and 30 of 114 exact
     evaluations, about 15% of the time.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
     m = _build_model(params, kind)
     policy = PolicyTable(
         kind=kind,
@@ -372,7 +366,7 @@ def rvia_solve(
         actions=np.zeros(m.n_states, dtype=np.int8),
     )
     gap = _stranded_gain_gap(m)
-    if gap > tol:
+    if gap > SPAN_TOL:
         raise NotConverged(
             SolveResult(
                 gain=np.nan, bias=np.zeros(m.n_states), policy=policy,
@@ -389,7 +383,7 @@ def rvia_solve(
     certified = None
     evaluations = 0
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_SWEEPS + 1):
         e0 = h[m.nxt0] @ m.pr0
         e1 = h[m.nxt1] @ m.pr1
         w0 = m.c0 + (1 - tau) * h + tau * e0
@@ -399,7 +393,7 @@ def rvia_solve(
         span = float(diff.max() - diff.min())
         gain = float(w[0])
         h = w - gain
-        if span < tol:
+        if span < SPAN_TOL:
             break
         if it % _CERT_EVERY == 0:
             certified, n = _improve(m, _greedy(m, h, tau))
@@ -416,7 +410,7 @@ def rvia_solve(
         policy=replace(policy, actions=actions),
         iterations=it,
         residual_span=span,
-        converged=certified is not None or span < tol,
+        converged=certified is not None or span < SPAN_TOL,
         evaluations=evaluations,
     )
     if not result.converged:
@@ -572,7 +566,8 @@ def _level_average(
     x_delta_max = mu - sum of the rest (Latouche & Ramaswami 1999). I - S
     is singular only when nothing on mu's class moves the meter, which
     then keeps its start value. Raises SingularSolve unless every x_m is
-    finite and >= -1e-9.
+    finite and >= -1e-9; x is then clipped at 0, as _solve_chain clips pi,
+    since x_delta_max carries the rounding of every other level.
     """
     pol = _build_model(params, policy.kind)
     met = _build_model(params, kind)
@@ -607,6 +602,7 @@ def _level_average(
         x[dm] = mu - x[:dm].sum(axis=0)
         if not (np.all(np.isfinite(x)) and x.min() >= -1e-9):
             raise SingularSolve(f"negative or non-finite level mass {x.min():.3e}")
+        np.clip(x, 0.0, None, out=x)
     bq = members % (2 * (params.B + 1))  # battery and query, alike in both models
     a = policy.actions[members].astype(bool)
     c0, c1 = met.c0.reshape(dm + 1, -1)[:, bq], met.c1.reshape(dm + 1, -1)[:, bq]
@@ -709,7 +705,7 @@ def _bruteforce_chunk(
 
 
 def enumerate_optimal_bruteforce(
-    params: SystemParams, kind: MetricKind, max_states: int = 64
+    params: SystemParams, kind: MetricKind
 ) -> tuple[PolicyTable, float]:
     """Evaluate every stationary deterministic policy in the solved class.
 
@@ -718,11 +714,12 @@ def enumerate_optimal_bruteforce(
     Policies inducing several reachable recurrent classes are skipped: in
     a weakly communicating MDP the optimum is attained by a policy that is
     unichain from the start states, so skipping cannot hide the optimum.
+    Raises TooLarge past _ORACLE_STATES states or 2^24 free choices.
     """
     m = _build_model(params, kind)
     n = m.n_states
-    if n > max_states:
-        raise TooLarge(f"{n} states > max_states {max_states}")
+    if n > _ORACLE_STATES:
+        raise TooLarge(f"{n} states exceed the {_ORACLE_STATES}-state guard")
     choice = np.flatnonzero(m.feas1)
     if choice.size > 24:
         raise TooLarge(f"2^{choice.size} policies exceed the 2^24 guard")

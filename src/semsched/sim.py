@@ -443,13 +443,11 @@ def monitor_metrics(
 
 @dataclass(frozen=True)
 class ReplicationResult:
-    """Sample means and 95% normal-approximation half-widths across
-    replications, for the all-slot and per-query averages."""
+    """Sample means and 95% normal-approximation half-widths of the
+    all-slot averages across replications."""
 
     means: dict[MetricKind, float]
     half_widths: dict[MetricKind, float]
-    means_per_query: dict[MetricKind, float]
-    half_widths_per_query: dict[MetricKind, float]
     n_reps: int
     summaries: tuple[SimSummary, ...] = field(repr=False, default=())
 
@@ -489,16 +487,9 @@ def replicate(
         m, h = stats([s.avg[kind] for s in summaries])
         means[kind] = m
         hws[kind] = h
-    means_pq, hws_pq = {}, {}
-    for kind in (MetricKind.QAOI, MetricKind.QVAOI):
-        m, h = stats([s.avg_per_query[kind] for s in summaries])
-        means_pq[kind] = m
-        hws_pq[kind] = h
     return ReplicationResult(
         means=means,
         half_widths=hws,
-        means_per_query=means_pq,
-        half_widths_per_query=hws_pq,
         n_reps=n_reps,
         summaries=summaries,
     )

@@ -414,6 +414,20 @@ class TestBadInput:
             main([])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["sweep", "--kind", "greedy", "--target", "3.0"], "--pe"),
+        (["trace", "events.txt"], "--pe"),
+        (["trace", "events.txt"], "--pq"),
+    ])
+    def test_rate_flags_that_change_nothing_are_rejected(self, tmp_path, cfg, capsys, argv, flag):
+        # sweep sets p_e per bisection point; a trace replays given events
+        out = tmp_path / "out.txt"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--config", cfg, "--out", str(out), flag, "0.3"])
+        assert exc.value.code == EXIT_CONFIG
+        assert f"unrecognized arguments: {flag} 0.3" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tmp_path / "small.cfg"]
+
 
 class TestMalformedPolicyFiles:
     def solve(self, tmp_path):
