@@ -28,9 +28,8 @@ from .policies import (
     ThresholdPolicy,
     extract_thresholds,
     greedy_policy,
-    policy_action,
 )
-from .sim import SimConfig, SimSummary, monitor_metrics, replicate, simulate
+from .sim import SimConfig, SimSummary, replicate, simulate
 
 __all__ = [
     "Action",
@@ -50,10 +49,8 @@ __all__ = [
     "extract_thresholds",
     "greedy_policy",
     "load_config",
-    "monitor_metrics",
     "params_stamp",
     "parse_config",
-    "policy_action",
     "replicate",
     "rvia_solve",
     "simulate",

@@ -88,9 +88,9 @@ def _write_manifest(
         "params_stamp": params_stamp(params),
         "options": options,
         "seed_derivation": "streams keyed (seed, id): energy=1 channel=2 "
-        "version=3 query=4 init=5 monitor=6; replication r uses seed + r",
+        "version=3 query=4 init=5; replication r uses seed + r",
         "outputs": outputs,
-        "duration_s": round(time.time() - started, 3),
+        "duration_s": round(time.monotonic() - started, 3),
         **records,
     }
     _atomic_write(out + ".manifest.json", json.dumps(manifest, indent=2) + "\n")
@@ -129,7 +129,7 @@ def _check_jobs(jobs: int) -> None:
 
 
 def cmd_solve(args) -> int:
-    started = time.time()
+    started = time.monotonic()
     params = _load_params(args)
     kind = MetricKind(args.kind)
     result = rvia_solve(params, kind)
@@ -157,7 +157,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    started = time.time()
+    started = time.monotonic()
     params = _load_params(args)
     _check_jobs(args.jobs)
     if args.policy == "greedy":
@@ -204,7 +204,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    started = time.time()
+    started = time.monotonic()
     params = _load_params(args)
     try:
         with open(args.events, "r", encoding="utf-8") as fh:
@@ -222,20 +222,20 @@ def cmd_trace(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    started = time.time()
+    started = time.monotonic()
     params = _load_params(args)
     pe_values = _parse_float_list(args.pe, DEFAULT_PE_CELLS)
     pq_values = _parse_float_list(args.pq, DEFAULT_PQ_CELLS)
     _validate_rates(params, "p_e", pe_values)
     _validate_rates(params, "p_q", pq_values)
     _check_jobs(args.jobs)
+    # built under either mode, so that bad --horizon/--warmup/--seed exit 2
     sim_cfg = SimConfig(horizon=args.horizon, seed=args.seed, warmup=args.warmup)
     cells = comparison_grid(
         params,
-        mode=args.mode,
         pe_values=pe_values,
         pq_values=pq_values,
-        sim_cfg=sim_cfg,
+        sim_cfg=sim_cfg if args.mode == "simulated" else None,
         jobs=args.jobs,
     )
     _atomic_write(
@@ -272,7 +272,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_regions(args) -> int:
-    started = time.time()
+    started = time.monotonic()
     params = _load_params(args)
     pe_values = _parse_float_list(args.pe, (params.p_e,))
     _validate_rates(params, "p_e", pe_values)
@@ -314,7 +314,7 @@ def cmd_regions(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    started = time.time()
+    started = time.monotonic()
     params = _load_params(args)
     pq_values = _parse_float_list(args.pq, (0.1, 0.2, 0.3, 0.4))
     _validate_rates(params, "p_q", pq_values)

@@ -6,7 +6,7 @@ quantity the solver optimizes; dividing it by p_q gives the conditional
 average per query slot, which is the axis the comparison tables and the
 charging-rate targets use (monitor-side offsets apply verbatim on that
 axis). Exact stationary evaluation is the default; simulation is an
-explicit cross-check (`mode="simulated"`).
+explicit cross-check (a `SimConfig` passed as `sim_cfg`).
 """
 
 from __future__ import annotations
@@ -72,7 +72,9 @@ class CompareRow:
     monitor_qvaoi: float
     eval_mode: str
     error: str | None = None
-    chain_states: int | None = None  # states the exact evaluator would solve over
+    # evaluation_chain_size: the lumped chain the row is averaged over;
+    # the evaluator factors only its recurrent class
+    chain_states: int | None = None
     # the solve's sweeps, exact evaluations and stop; None for greedy
     iterations: int | None = None
     evaluations: int | None = None
@@ -90,18 +92,16 @@ def _solver_fields(result: SolveResult) -> dict:
 def compare_policies(
     params: SystemParams,
     policy_set: tuple[str, ...] = POLICY_NAMES,
-    mode: str = "exact",
     sim_cfg: SimConfig | None = None,
 ) -> list[CompareRow]:
     """Average QVAoI of each policy at the CS and at the monitor.
 
-    Exact mode evaluates every row from its stationary distribution;
-    simulated mode runs the simulator instead. Each row records the chain
-    size, and for a solved policy the solver's counts and stop. A policy
-    whose solve fails is reported in its row and the rest continue.
+    Without `sim_cfg` every row is evaluated exactly from its stationary
+    distribution; with it, the simulator runs that configuration instead.
+    Each row records the chain size, and for a solved policy the solver's
+    counts and stop. A policy whose solve fails is reported in its row and
+    the rest continue.
     """
-    if sim_cfg is None:
-        sim_cfg = SimConfig(horizon=10**6, seed=1, warmup=10**4)
     meter = MetricKind.QVAOI
     rows: list[CompareRow] = []
     for name in policy_set:
@@ -118,7 +118,7 @@ def compare_policies(
                 ))
                 continue
             policy, solver = solved.policy, _solver_fields(solved)
-        if mode == "exact":
+        if sim_cfg is None:
             all_slot = evaluate_policy_exact(params, meter, policy)
             per_query = all_slot / params.p_q if params.p_q > 0 else math.nan
             used = "exact"
@@ -143,15 +143,14 @@ class GridCell:
 
 
 def _cell_worker(args) -> GridCell:
-    params, pe, pq, policy_set, mode, sim_cfg = args
+    params, pe, pq, policy_set, sim_cfg = args
     cell = replace(params, p_e=pe, p_q=pq)
-    return GridCell(pe, pq, compare_policies(cell, policy_set, mode, sim_cfg))
+    return GridCell(pe, pq, compare_policies(cell, policy_set, sim_cfg))
 
 
 def comparison_grid(
     params: SystemParams,
     policy_set: tuple[str, ...] = POLICY_NAMES,
-    mode: str = "exact",
     pe_values: tuple[float, ...] = DEFAULT_PE_CELLS,
     pq_values: tuple[float, ...] = DEFAULT_PQ_CELLS,
     sim_cfg: SimConfig | None = None,
@@ -164,7 +163,7 @@ def comparison_grid(
     scheduled.
     """
     work = [
-        (params, pe, pq, policy_set, mode, sim_cfg)
+        (params, pe, pq, policy_set, sim_cfg)
         for pe in pe_values
         for pq in pq_values
     ]

@@ -122,16 +122,6 @@ class SolveResult:
         return "span" if self.residual_span < SPAN_TOL else "certificate"
 
 
-def build_state_space(params: SystemParams) -> list[AgentState]:
-    """All (metric, battery, query) triples in canonical order."""
-    return [
-        AgentState(m, b, q)
-        for m in range(params.delta_max + 1)
-        for b in range(params.B + 1)
-        for q in (0, 1)
-    ]
-
-
 # --- vectorized model ----------------------------------------------------
 
 @dataclass(frozen=True, eq=False)

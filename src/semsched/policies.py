@@ -29,10 +29,6 @@ class NotThresholdStructured(ValueError):
         )
 
 
-class StateOutOfRange(ValueError):
-    pass
-
-
 def state_index(delta_max: int, B: int, s: AgentState) -> int:
     """Canonical enumeration order: metric-major, then battery, then query."""
     return (s.metric * (B + 1) + s.battery) * 2 + s.query
@@ -67,9 +63,6 @@ class PolicyTable:
         if np.any((self.actions == Action.TRANSMIT) & (battery == 0)):
             raise ValueError("policy transmits at empty battery")
         self.actions.setflags(write=False)
-
-    def action(self, s: AgentState) -> Action:
-        return policy_action(self, s)
 
 
 @dataclass(frozen=True)
@@ -129,20 +122,6 @@ def extract_thresholds(policy: PolicyTable) -> ThresholdPolicy:
     if bad:
         raise NotThresholdStructured(bad)
     return ThresholdPolicy(policy.kind, policy.params_stamp, dm, B, thresholds)
-
-
-def policy_action(policy: PolicyTable | ThresholdPolicy, s: AgentState) -> Action:
-    """Look up the action; table and threshold forms agree on every state."""
-    if not (
-        0 <= s.metric <= policy.delta_max
-        and 0 <= s.battery <= policy.B
-        and s.query in (0, 1)
-    ):
-        raise StateOutOfRange(f"{s} outside stamped state space")
-    if isinstance(policy, PolicyTable):
-        return Action(int(policy.actions[state_index(policy.delta_max, policy.B, s)]))
-    thr = policy.thresholds[(s.battery, s.query)]
-    return Action.TRANSMIT if s.metric >= thr else Action.IDLE
 
 
 # --- serialization -------------------------------------------------------

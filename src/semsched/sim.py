@@ -32,10 +32,9 @@ deliveries, harvests and both metrics.
 
 Randomness comes from counter-based Philox streams keyed (seed, stream)
 so every stochastic process is independent and reproducible regardless of
-evaluation order: energy=1, channel=2, version=3, query=4, init=5,
-monitor=6. One draw is consumed per slot per stream; the channel draw is
-discarded on Idle slots. Replication r reuses the same streams under
-seed + r.
+evaluation order: energy=1, channel=2, version=3, query=4, init=5. One
+draw is consumed per slot per stream; the channel draw is discarded on
+Idle slots. Replication r reuses the same streams under seed + r.
 
 All accumulators are integers, so identical inputs give bit-identical
 summaries on any platform.
@@ -52,14 +51,13 @@ from operator import getitem, itemgetter
 import numpy as np
 
 from .core import ConfigError, MetricKind, SystemParams, params_stamp
-from .policies import PolicyTable, ThresholdPolicy
+from .policies import PolicyTable
 
 STREAM_ENERGY = 1
 STREAM_CHANNEL = 2
 STREAM_VERSION = 3
 STREAM_QUERY = 4
 STREAM_INIT = 5
-STREAM_MONITOR = 6
 
 _CHUNK = 1 << 14  # slots per metric fold
 _WALK_CHUNK = 1 << 17  # slots per lane walk
@@ -94,16 +92,6 @@ class SimConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class SimTrace:
-    """Post-warmup per-slot flags, enough to replay the metric fold and
-    to overlay monitor-side version arrivals."""
-
-    delivered: np.ndarray
-    new_version: np.ndarray
-    query: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class SimSummary:
     """Long-run averages over slots [warmup, horizon) plus counters.
 
@@ -135,7 +123,6 @@ class SimSummary:
     warmup: int
     seed: int
     rewalked_slots: int = 0
-    trace: SimTrace | None = field(default=None, repr=False)
 
 
 def _stream(seed: int, stream: int) -> np.random.Generator:
@@ -250,9 +237,8 @@ def _slots(lane_steps: np.ndarray, a: int, b: int) -> np.ndarray:
 
 def simulate(
     params: SystemParams,
-    policy: PolicyTable | ThresholdPolicy,
+    policy: PolicyTable,
     cfg: SimConfig,
-    record_trace: bool = False,
 ) -> SimSummary:
     """Run one simulation and return its summary.
 
@@ -261,8 +247,6 @@ def simulate(
     as harvested, which keeps the conservation identity
     initial + harvested - transmissions = final exact.
     """
-    if isinstance(policy, ThresholdPolicy):
-        policy = policy.to_table()
     if policy.params_stamp != params_stamp(params):
         raise MismatchedStamp(
             f"policy stamp {policy.params_stamp} != params stamp {params_stamp(params)}"
@@ -290,9 +274,6 @@ def simulate(
     sum_aoi = sum_vaoi = sum_qaoi = sum_qvaoi = 0
     transmissions = successes = harvested = empty = 0
     query_slots = rewalked = 0
-    rec_d: list[np.ndarray] = []
-    rec_v: list[np.ndarray] = []
-    rec_q: list[np.ndarray] = []
 
     warmup = cfg.warmup
     t = 0
@@ -346,10 +327,6 @@ def simulate(
             query_slots += int(np.count_nonzero(qw))
             sum_qaoi += int(aoi_t[w:][qw].sum())
             sum_qvaoi += int(vaoi_t[w:][qw].sum())
-            if record_trace:
-                rec_d.append(delivered[w:])
-                rec_v.append(v[w:])
-                rec_q.append(qw)
         t += n
 
     span = cfg.horizon - warmup
@@ -363,13 +340,6 @@ def simulate(
         MetricKind.QAOI: sum_qaoi / query_slots if query_slots else math.nan,
         MetricKind.QVAOI: sum_qvaoi / query_slots if query_slots else math.nan,
     }
-    trace = None
-    if record_trace:
-        trace = SimTrace(
-            delivered=np.concatenate(rec_d),
-            new_version=np.concatenate(rec_v),
-            query=np.concatenate(rec_q),
-        )
     return SimSummary(
         avg=avg,
         avg_per_query=avg_pq,
@@ -384,20 +354,10 @@ def simulate(
         warmup=warmup,
         seed=cfg.seed,
         rewalked_slots=rewalked,
-        trace=trace,
     )
 
 
 # --- monitor-side averages ----------------------------------------------
-
-@dataclass(frozen=True)
-class MonitorMetrics:
-    """Monitor-side averages: analytic (CS average + monitor_offset) and a
-    simulated overlay. Query-gated kinds are in per-query units."""
-
-    analytic: dict[MetricKind, float]
-    overlay: dict[MetricKind, float]
-
 
 def monitor_offset(params: SystemParams, kind: MetricKind) -> float:
     """Expected monitor-minus-CS gap of `kind` behind N relay hops: N for
@@ -410,35 +370,6 @@ def _cs_average(summary: SimSummary, kind: MetricKind) -> float:
     return (summary.avg_per_query if kind.query_gated else summary.avg)[kind]
 
 
-def monitor_metrics(
-    summary: SimSummary,
-    trace: SimTrace | None,
-    params: SystemParams,
-    seed: int,
-) -> MonitorMetrics:
-    """Lift CS averages to the monitor behind N relay hops.
-
-    The overlay draws one Binomial(N, p_v) per post-warmup slot from the
-    monitor stream and averages it on top of the CS values (over query
-    slots for the gated kinds), cross-checking the closed form.
-    """
-    analytic = {
-        kind: _cs_average(summary, kind) + monitor_offset(params, kind)
-        for kind in MetricKind
-    }
-    if trace is None:
-        raise ValueError("overlay needs a recorded trace (record_trace=True)")
-    qmask = trace.query
-    x = _stream(seed, STREAM_MONITOR).binomial(params.N, params.p_v, size=qmask.size)
-    overlay = {
-        **analytic,
-        MetricKind.VAOI: summary.avg[MetricKind.VAOI] + float(x.mean()),
-        MetricKind.QVAOI: summary.avg_per_query[MetricKind.QVAOI]
-        + (float(x[qmask].mean()) if qmask.any() else math.nan),
-    }
-    return MonitorMetrics(analytic=analytic, overlay=overlay)
-
-
 # --- replication ---------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -448,13 +379,12 @@ class ReplicationResult:
 
     means: dict[MetricKind, float]
     half_widths: dict[MetricKind, float]
-    n_reps: int
     summaries: tuple[SimSummary, ...] = field(repr=False, default=())
 
 
 def replicate(
     params: SystemParams,
-    policy: PolicyTable | ThresholdPolicy,
+    policy: PolicyTable,
     cfg: SimConfig,
     n_reps: int,
     jobs: int = 1,
@@ -490,7 +420,6 @@ def replicate(
     return ReplicationResult(
         means=means,
         half_widths=hws,
-        n_reps=n_reps,
         summaries=summaries,
     )
 
@@ -513,7 +442,7 @@ def summary_csv_header() -> str:
 
 
 def summary_csv_row(params: SystemParams, policy_id: str, s: SimSummary) -> str:
-    """One CSV row; monitor columns use the analytic offsets."""
+    """One CSV row; the monitor columns add `monitor_offset` to the CS values."""
     vals = [
         params.p_s, params.p_v, params.p_q, params.p_e,
         params.B, params.N, params.delta_max,

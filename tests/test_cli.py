@@ -504,6 +504,43 @@ class TestRunSettings:
         assert "outside [0, 2**64)" in capsys.readouterr().err
         assert main(sim + ["--seed", str(2**64 - 2)]) == EXIT_OK
 
+    def test_compare_simulates_only_under_simulated_mode(self, tmp_path, cfg):
+        def evals(*extra):
+            assert self.compare(tmp_path, cfg, "--horizon", "5000", "--warmup", "100",
+                                *extra) == EXIT_OK
+            text = read(tmp_path / "c.csv").decode()
+            return text, {r.split(",")[6] for r in text.splitlines()[-5:]}
+
+        exact, modes = evals("--seed", "1")
+        assert modes == {"exact"}
+        assert evals("--seed", "2")[0] == exact
+        simulated, modes = evals("--mode", "simulated", "--seed", "1")
+        assert modes == {"simulated"}
+        assert evals("--mode", "simulated", "--seed", "2")[0] != simulated
+
+
+class TestManifestTimings:
+    @pytest.mark.parametrize("argv", [
+        ["solve"],
+        ["simulate", "--horizon", "2000", "--warmup", "0", "--reps", "2"],
+        ["compare", "--pe", "0.1", "--pq", "0.3"],
+        ["regions", "--kind", "greedy"],
+        ["sweep", "--kind", "greedy", "--target", "3.0", "--pq", "0.3"],
+        ["trace", "EVENTS"],
+    ], ids=lambda argv: argv[0])
+    def test_duration_survives_a_wall_clock_step_back(
+        self, tmp_path, cfg, monkeypatch, argv
+    ):
+        events = tmp_path / "events.txt"
+        events.write_text("0 1 0\n1 0 1\n", encoding="utf-8")
+        argv = [str(events) if a == "EVENTS" else a for a in argv]
+        # every read of the wall clock lands an hour before the last one
+        clock = iter(range(10**9, 0, -3600))
+        monkeypatch.setattr(cli.time, "time", lambda: float(next(clock)))
+        out = str(tmp_path / "o")
+        assert main(argv + ["--config", cfg, "--out", out]) == EXIT_OK
+        assert json.loads(read(out + ".manifest.json"))["duration_s"] >= 0
+
 
 class TestBenchmarkHooks:
     """The traced benchmark wraps names that `semsched.cli` and

@@ -66,9 +66,7 @@ class TestComparePolicies:
 
     def test_simulated_mode_is_close_to_exact(self):
         cfg = SimConfig(horizon=300_000, seed=3, warmup=5000)
-        sim_rows = compare_policies(
-            SMALL, policy_set=("greedy",), mode="simulated", sim_cfg=cfg
-        )
+        sim_rows = compare_policies(SMALL, policy_set=("greedy",), sim_cfg=cfg)
         exact_rows = compare_policies(SMALL, policy_set=("greedy",))
         assert sim_rows[0].eval_mode == "simulated"
         assert sim_rows[0].qvaoi == pytest.approx(exact_rows[0].qvaoi, rel=0.05)

@@ -21,7 +21,6 @@ from semsched.mdp import (
     _closed_classes,
     _single_recurrent_class,
     _solve_chain,
-    build_state_space,
     enumerate_optimal_bruteforce,
     evaluate_policy_exact,
     evaluation_chain_size,
@@ -34,7 +33,7 @@ from semsched.mdp import (
     transition,
 )
 from semsched.metrics import step_aoi, step_vaoi
-from semsched.policies import PolicyTable, greedy_policy, state_index
+from semsched.policies import PolicyTable, greedy_policy, state_count, state_index
 
 
 def small(**over):
@@ -74,18 +73,9 @@ def instance_and_state(draw):
 
 class TestStateSpace:
     def test_sizes(self):
-        assert len(build_state_space(small(B=1, delta_max=3))) == 16
-        assert len(build_state_space(SystemParams())) == 2222
-
-    def test_canonical_order_matches_state_index(self):
-        p = small()
-        states = build_state_space(p)
-        for i, s in enumerate(states):
-            assert state_index(p.delta_max, p.B, s) == i
-
-    def test_enumeration_is_deterministic(self):
-        p = small(B=3, delta_max=5)
-        assert build_state_space(p) == build_state_space(p)
+        assert state_count(3, 1) == 16
+        p = SystemParams()
+        assert state_count(p.delta_max, p.B) == 2222
 
 
 class TestTransition:

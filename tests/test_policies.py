@@ -16,7 +16,6 @@ from semsched.mdp import SolveResult, format_solve_result, parse_solve_result
 from semsched.policies import (
     NotThresholdStructured,
     PolicyTable,
-    StateOutOfRange,
     ThresholdPolicy,
     extract_thresholds,
     format_policy,
@@ -24,7 +23,6 @@ from semsched.policies import (
     greedy_policy,
     parse_policy,
     parse_thresholds,
-    policy_action,
     state_count,
     state_index,
 )
@@ -76,22 +74,15 @@ class TestPolicyTable:
         with pytest.raises(ValueError):
             t.actions[3] = 1
 
-    def test_lookup_out_of_range(self):
-        t = make_table(np.zeros(30, dtype=np.int8))
-        with pytest.raises(StateOutOfRange):
-            policy_action(t, AgentState(5, 0, 0))
-        with pytest.raises(StateOutOfRange):
-            policy_action(t, AgentState(0, 3, 0))
-
 
 class TestGreedy:
     def test_transmits_iff_battery(self):
         g = greedy_policy(PARAMS)
         for m in range(5):
             for q in (0, 1):
-                assert g.action(AgentState(m, 0, q)) == Action.IDLE
-                assert g.action(AgentState(m, 1, q)) == Action.TRANSMIT
-                assert g.action(AgentState(m, 2, q)) == Action.TRANSMIT
+                assert g.actions[state_index(4, 2, AgentState(m, 0, q))] == Action.IDLE
+                assert g.actions[state_index(4, 2, AgentState(m, 1, q))] == Action.TRANSMIT
+                assert g.actions[state_index(4, 2, AgentState(m, 2, q))] == Action.TRANSMIT
 
     def test_stamped(self):
         assert greedy_policy(PARAMS).params_stamp == params_stamp(PARAMS)
@@ -124,8 +115,9 @@ class TestThresholds:
             actions[state_index(4, 2, AgentState(m, 1, 0))] = 1
         tp = extract_thresholds(make_table(actions))
         assert tp.thresholds[(1, 0)] == 2
-        assert policy_action(tp, AgentState(2, 1, 0)) == Action.TRANSMIT
-        assert policy_action(tp, AgentState(1, 1, 0)) == Action.IDLE
+        back = tp.to_table().actions
+        assert back[state_index(4, 2, AgentState(2, 1, 0))] == Action.TRANSMIT
+        assert back[state_index(4, 2, AgentState(1, 1, 0))] == Action.IDLE
 
     @given(st.integers(0, 2**30 - 1))
     def test_threshold_tables_agree_with_origin(self, bits):

@@ -1,6 +1,7 @@
 """Monte Carlo simulator tests: bit-for-bit agreement with the per-slot
 reference loop, determinism, conservation laws, agreement with the exact
-chain, trace replay, and the monitor-side offsets."""
+chain, replay of the reference loop's flags, and the monitor-side CSV
+columns."""
 
 import dataclasses
 import math
@@ -22,9 +23,7 @@ from semsched.sim import (
     MismatchedStamp,
     SimConfig,
     SimSummary,
-    SimTrace,
     _stream,
-    monitor_metrics,
     replicate,
     simulate,
     summary_csv_header,
@@ -41,15 +40,11 @@ REFERENCE_CHUNK = 1 << 18
 
 
 def reference_simulate(
-    params: SystemParams,
-    policy: PolicyTable | ThresholdPolicy,
-    cfg: SimConfig,
-    record_trace: bool = False,
-) -> SimSummary:
+    params: SystemParams, policy: PolicyTable, cfg: SimConfig
+) -> tuple[SimSummary, list[SlotEvents]]:
     """The per-slot loop that `simulate` replaced, kept as its reference:
-    same streams, same draws, one Python step per slot."""
-    if isinstance(policy, ThresholdPolicy):
-        policy = policy.to_table()
+    same streams, same draws, one Python step per slot. Also returns each
+    post-warmup slot's (delivered, new_version, query) flags."""
     if policy.params_stamp != params_stamp(params):
         raise MismatchedStamp(
             f"policy stamp {policy.params_stamp} != params stamp {params_stamp(params)}"
@@ -75,9 +70,7 @@ def reference_simulate(
     sum_aoi = sum_vaoi = sum_qaoi = sum_qvaoi = 0
     transmissions = successes = harvested = empty = 0
     query_slots = 0
-    rec_d: list[int] = []
-    rec_v: list[int] = []
-    rec_q: list[int] = []
+    events: list[SlotEvents] = []
 
     warmup = cfg.warmup
     t = 0
@@ -118,10 +111,7 @@ def reference_simulate(
                     query_slots += 1
                     sum_qaoi += aoi
                     sum_qvaoi += vaoi
-                if record_trace:
-                    rec_d.append(delivered)
-                    rec_v.append(v)
-                    rec_q.append(q)
+                events.append(SlotEvents(delivered, v, q))
             q = 1 if qu[i] else 0
         t += n
 
@@ -136,14 +126,7 @@ def reference_simulate(
         MetricKind.QAOI: sum_qaoi / query_slots if query_slots else math.nan,
         MetricKind.QVAOI: sum_qvaoi / query_slots if query_slots else math.nan,
     }
-    trace = None
-    if record_trace:
-        trace = SimTrace(
-            delivered=np.array(rec_d, dtype=bool),
-            new_version=np.array(rec_v, dtype=bool),
-            query=np.array(rec_q, dtype=bool),
-        )
-    return SimSummary(
+    summary = SimSummary(
         avg=avg,
         avg_per_query=avg_pq,
         transmissions=transmissions,
@@ -156,8 +139,8 @@ def reference_simulate(
         horizon=cfg.horizon,
         warmup=warmup,
         seed=cfg.seed,
-        trace=trace,
     )
+    return summary, events
 
 
 
@@ -201,12 +184,10 @@ class TestDeterminism:
     def test_same_seed_is_bit_identical(self):
         cfg = SimConfig(horizon=50_000, seed=11, warmup=1000)
         pol = greedy_policy(MID)
-        a = simulate(MID, pol, cfg, record_trace=True)
-        b = simulate(MID, pol, cfg, record_trace=True)
+        a = simulate(MID, pol, cfg)
+        b = simulate(MID, pol, cfg)
         assert summary_fields(a) == summary_fields(b)
-        assert np.array_equal(a.trace.delivered, b.trace.delivered)
-        assert np.array_equal(a.trace.new_version, b.trace.new_version)
-        assert np.array_equal(a.trace.query, b.trace.query)
+        assert summary_csv_row(MID, "greedy", a) == summary_csv_row(MID, "greedy", b)
 
     def test_different_seed_differs(self):
         pol = greedy_policy(MID)
@@ -278,30 +259,19 @@ class TestKnownValues:
 
 
 class TestTraceReplay:
-    def test_recorded_flags_replay_to_the_reported_sums(self):
+    def test_reference_flags_replay_to_the_reported_sums(self):
         cfg = SimConfig(horizon=20_000, seed=9, warmup=0)
-        s = simulate(MID, greedy_policy(MID), cfg, record_trace=True)
-        events = [
-            SlotEvents(int(d), int(v), int(q))
-            for d, v, q in zip(s.trace.delivered, s.trace.new_version, s.trace.query)
-        ]
+        pol = greedy_policy(MID)
+        s = simulate(MID, pol, cfg)
+        _, events = reference_simulate(MID, pol, cfg)
         replay = evolve_trace(events, MID.delta_max)
         n = cfg.horizon
         assert sum(replay.aoi) / n == s.avg[MetricKind.AOI]
         assert sum(replay.vaoi) / n == s.avg[MetricKind.VAOI]
         assert sum(replay.qaoi) / n == s.avg[MetricKind.QAOI]
         assert sum(replay.qvaoi) / n == s.avg[MetricKind.QVAOI]
-        assert int(s.trace.query.sum()) == s.query_slots
-        assert int(s.trace.delivered.sum()) == s.successes
-
-    def test_trace_is_post_warmup_only(self):
-        cfg = SimConfig(horizon=5000, seed=9, warmup=2000)
-        s = simulate(MID, greedy_policy(MID), cfg, record_trace=True)
-        assert len(s.trace.delivered) == 3000
-
-    def test_no_trace_by_default(self):
-        s = simulate(MID, greedy_policy(MID), SimConfig(horizon=100, seed=1, warmup=0))
-        assert s.trace is None
+        assert sum(e.query for e in events) == s.query_slots
+        assert sum(e.delivered for e in events) == s.successes
 
 
 class TestStampCheck:
@@ -312,51 +282,17 @@ class TestStampCheck:
 
 
 class TestMonitorSide:
-    def test_zero_hops_changes_nothing(self):
-        p = dataclasses.replace(MID, N=0)
-        cfg = SimConfig(horizon=50_000, seed=4, warmup=1000)
-        s = simulate(p, greedy_policy(p), cfg, record_trace=True)
-        mm = monitor_metrics(s, s.trace, p, seed=cfg.seed)
-        assert mm.analytic[MetricKind.AOI] == s.avg[MetricKind.AOI]
-        assert mm.analytic[MetricKind.VAOI] == s.avg[MetricKind.VAOI]
-        assert mm.overlay[MetricKind.VAOI] == s.avg[MetricKind.VAOI]
-
-    def test_age_offset_is_exact(self):
-        p = dataclasses.replace(MID, N=7)
-        cfg = SimConfig(horizon=50_000, seed=4, warmup=1000)
-        s = simulate(p, greedy_policy(p), cfg, record_trace=True)
-        mm = monitor_metrics(s, s.trace, p, seed=cfg.seed)
-        assert mm.analytic[MetricKind.AOI] == s.avg[MetricKind.AOI] + 7
-        assert mm.analytic[MetricKind.QAOI] == s.avg_per_query[MetricKind.QAOI] + 7
-        assert mm.overlay[MetricKind.AOI] == mm.analytic[MetricKind.AOI]
-
-    def test_version_offset_matches_overlay_in_the_mean(self):
-        p = dataclasses.replace(MID, N=4)
-        cfg = SimConfig(horizon=200_000, seed=4, warmup=1000)
-        s = simulate(p, greedy_policy(p), cfg, record_trace=True)
-        mm = monitor_metrics(s, s.trace, p, seed=cfg.seed)
-        assert mm.analytic[MetricKind.VAOI] == s.avg[MetricKind.VAOI] + 4 * p.p_v
-        # Binomial(4, .25) noise over 199k slots: the overlay mean sits
-        # within a few mills of the closed form
-        assert mm.overlay[MetricKind.VAOI] == pytest.approx(
-            mm.analytic[MetricKind.VAOI], abs=0.02
-        )
-        assert mm.overlay[MetricKind.QVAOI] == pytest.approx(
-            mm.analytic[MetricKind.QVAOI], abs=0.1
-        )
-
-    def test_overlay_requires_a_trace(self):
-        s = simulate(MID, greedy_policy(MID), SimConfig(horizon=100, seed=1, warmup=0))
-        with pytest.raises(ValueError):
-            monitor_metrics(s, None, MID, seed=1)
-
-    def test_overlay_is_deterministic_in_the_seed(self):
-        p = dataclasses.replace(MID, N=4)
-        cfg = SimConfig(horizon=20_000, seed=4, warmup=0)
-        s = simulate(p, greedy_policy(p), cfg, record_trace=True)
-        a = monitor_metrics(s, s.trace, p, seed=cfg.seed)
-        b = monitor_metrics(s, s.trace, p, seed=cfg.seed)
-        assert a.overlay == b.overlay
+    @pytest.mark.parametrize("N", [0, 4, 10])
+    def test_csv_adds_the_relay_offsets(self, N):
+        p = dataclasses.replace(MID, N=N)
+        s = simulate(p, greedy_policy(p), SimConfig(horizon=50_000, seed=4, warmup=1000))
+        columns = summary_csv_header().split(",")
+        fields = zip(columns, summary_csv_row(p, "greedy", s).split(","))
+        row = {k: float(v) for k, v in fields if k != "policy"}
+        assert row["mon_aoi"] == row["aoi"] + N
+        assert row["mon_qaoi"] == row["qaoi_per_query"] + N
+        assert row["mon_vaoi"] == row["vaoi"] + N * p.p_v
+        assert row["mon_qvaoi"] == row["qvaoi_per_query"] + N * p.p_v
 
 
 class TestReplication:
@@ -364,7 +300,7 @@ class TestReplication:
         cfg = SimConfig(horizon=5000, seed=100, warmup=100)
         r = replicate(MID, greedy_policy(MID), cfg, n_reps=3)
         assert [s.seed for s in r.summaries] == [100, 101, 102]
-        assert r.n_reps == 3
+        assert len(r.summaries) == 3
 
     def test_interval_shrinks_with_sample_size(self):
         cfg = SimConfig(horizon=5000, seed=100, warmup=100)
@@ -443,7 +379,9 @@ def reference_policy(name, p, solved_tables):
             for b in range(p.B + 1)
             for q in (0, 1)
         }
-        return ThresholdPolicy(MetricKind.VAOI, stamp, p.delta_max, p.B, thresholds)
+        return ThresholdPolicy(
+            MetricKind.VAOI, stamp, p.delta_max, p.B, thresholds
+        ).to_table()
     if name == "always":
         # asks to transmit in every state, battery 0 included, which
         # PolicyTable refuses: only the simulator's forced Idle stops it
@@ -460,16 +398,13 @@ def reference_policy(name, p, solved_tables):
 
 
 def assert_matches_reference(p, policy, cfg):
-    got = simulate(p, policy, cfg, record_trace=True)
-    want = reference_simulate(p, policy, cfg, record_trace=True)
+    got = simulate(p, policy, cfg)
+    want, _ = reference_simulate(p, policy, cfg)
     # repr: bit-identical floats (nan included) and the same Python types;
     # rewalked_slots is a diagnostic of the lane walk the reference lacks
     for f in dataclasses.fields(SimSummary):
-        if f.name not in ("trace", "rewalked_slots"):
+        if f.name != "rewalked_slots":
             assert repr(getattr(got, f.name)) == repr(getattr(want, f.name)), f.name
-    for name in ("delivered", "new_version", "query"):
-        a, b = getattr(got.trace, name), getattr(want.trace, name)
-        assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 class TestMatchesReference:
