@@ -9,7 +9,7 @@ reproduces the reference trace exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .core import MetricKind
 

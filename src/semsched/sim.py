@@ -27,14 +27,24 @@ then proves the last pass: a lane is exact when its left neighbour is
 and its start equals that neighbour's end. A lane that fails the check
 is walked again, serially, from the corrected start. The result is the
 serial walk, bit for bit, and `rewalked_slots` counts the slots walked
-again. numpy then folds the state sequence into the actions,
-deliveries, harvests and both metrics.
+again.
+
+A slot's step index s * 16 + c (its state and code) fixes its
+transmission, delivery, harvest, empty battery, query flag and the
+policy's own metric after the slot (the successor's metric). So a
+histogram of the step indices, dotted with per-step tables, gives the
+counters and the own metric's sums exactly. Only the other metric family
+(VAoI for an age-family policy, AoI for a version-family one) is not in
+the walk state; numpy folds it, `_CHUNK` slots at a time, from the
+slots' deliveries and versions.
 
 Randomness comes from counter-based Philox streams keyed (seed, stream)
 so every stochastic process is independent and reproducible regardless of
 evaluation order: energy=1, channel=2, version=3, query=4, init=5. One
 draw is consumed per slot per stream; the channel draw is discarded on
-Idle slots. Replication r reuses the same streams under seed + r.
+Idle slots. A slot's flag is `random() < p`, read off the raw 64-bit
+word without the float (`_below`). Replication r reuses the same streams
+under seed + r.
 
 All accumulators are integers, so identical inputs give bit-identical
 summaries on any platform.
@@ -59,7 +69,7 @@ STREAM_VERSION = 3
 STREAM_QUERY = 4
 STREAM_INIT = 5
 
-_CHUNK = 1 << 14  # slots per metric fold
+_CHUNK = 1 << 14  # slots per fold of the other metric family
 _WALK_CHUNK = 1 << 17  # slots per lane walk
 _LANES = 256  # time segments walked side by side
 # a numpy pass over the lanes costs about as much as walking this many
@@ -176,10 +186,8 @@ def _lane_walk(
     """Walk the slot codes from state `start` through the flat successor
     table nxt[s * _CODES + c] = succ[s, c] * _CODES.
 
-    Returns each slot's step index s * _CODES + c, which indexes the tx
-    and harvest tables, as a (lanes, length) view whose [j, k] is slot
-    j * length + k (read slots with `_slots`), and the number of slots
-    walked again.
+    Returns each slot's step index s * _CODES + c, which indexes the
+    per-step tables, in slot order, and the number of slots walked again.
     """
     n = codes.size
     length = -(-n // _LANES)
@@ -225,14 +233,19 @@ def _lane_walk(
             lane_steps[j, : seg.size] = s * _CODES + seg
             end = nxt[lane_steps[j, seg.size - 1]]
             rewalked += seg.size
-    return lane_steps, rewalked
+    return lane_steps.ravel()[:n], rewalked
 
 
-def _slots(lane_steps: np.ndarray, a: int, b: int) -> np.ndarray:
-    """Slots [a, b) of a walk held as rows of lanes, in slot order."""
-    length = lane_steps.shape[1]
-    j = a // length
-    return lane_steps[j : -(-b // length)].ravel()[a - j * length : b - j * length]
+def _below(raw: np.ndarray, p: float) -> np.ndarray:
+    """`(raw >> 11) * 2**-53 < p` on raw Philox words, without the float:
+    the flags `Generator.random() < p` gives on the same words, bit for bit.
+
+    random() is the word's top 53 bits times 2**-53, and an integer x has
+    x * 2**-53 < p exactly when x < ceil(p * 2**53).
+    """
+    if p == 1:  # the threshold 2**64 overflows uint64; every word is below
+        return np.ones(raw.shape, dtype=bool)
+    return raw < np.uint64(math.ceil(p * 2**53) << 11)
 
 
 def simulate(
@@ -255,10 +268,20 @@ def simulate(
     dm = p.delta_max
     B = p.B
     bp1 = B + 1
-    succ, tx_table, harvest_table = _step_table(p, policy)
-    tx_table, harvest_table = tx_table.ravel(), harvest_table.ravel()
+    succ, tx, harvest = _step_table(p, policy)
     nxt = succ.ravel() * _CODES
     rows = _linked_rows(succ)
+    # per step index s * _CODES + c: what the slot counts, and the policy's
+    # own metric after it (the successor's metric)
+    step = np.arange(succ.size)
+    tx = tx.ravel()
+    delivered = tx & (step >> 1 & 1 == 1)
+    query = step & 1
+    own = succ.ravel() // bp1
+    run_tables = np.stack([tx, delivered, harvest.ravel(), step // _CODES % bp1 == 0])
+    window_tables = np.stack([query, own, own * query])
+    counts = np.zeros(succ.size, dtype=np.int64)  # step indices of all slots
+    warm = np.zeros_like(counts)  # step indices of the warm-up slots
 
     g_ch = _stream(cfg.seed, STREAM_CHANNEL)
     g_en = _stream(cfg.seed, STREAM_ENERGY)
@@ -266,23 +289,21 @@ def simulate(
     g_qu = _stream(cfg.seed, STREAM_QUERY)
     q_next = _stream(cfg.seed, STREAM_INIT).random() < p.p_q
 
-    aoi = dm
-    vaoi = 0
-    state = ((aoi if policy.kind.age_family else vaoi) * bp1 + B) * _CODES
+    age_family = policy.kind.age_family
+    # the metric the walk state does not hold: VAoI from 0, AoI from dm
+    other = 0 if age_family else dm
+    state = ((dm if age_family else 0) * bp1 + B) * _CODES
     initial_battery = B
 
-    sum_aoi = sum_vaoi = sum_qaoi = sum_qvaoi = 0
-    transmissions = successes = harvested = empty = 0
-    query_slots = rewalked = 0
-
+    sum_other = sum_qother = rewalked = 0
     warmup = cfg.warmup
     t = 0
     while t < cfg.horizon:
         n = min(_WALK_CHUNK, cfg.horizon - t)
-        ch = g_ch.random(n) < p.p_s
-        en = g_en.random(n) < p.p_e
-        v = g_vr.random(n) < p.p_v
-        qu = g_qu.random(n) < p.p_q
+        ch = _below(g_ch.bit_generator.random_raw(n), p.p_s)
+        en = _below(g_en.bit_generator.random_raw(n), p.p_e)
+        v = _below(g_vr.bit_generator.random_raw(n), p.p_v)
+        qu = _below(g_qu.bit_generator.random_raw(n), p.p_q)
         # slot i acts on the query flag drawn at the end of slot i - 1
         q = np.concatenate(([q_next], qu[:-1]))
         q_next = qu[-1]
@@ -291,44 +312,46 @@ def simulate(
             | en.view(np.uint8) << 2 | v.view(np.uint8) << 3
         )
         del ch, en, v, qu, q
-        lane_steps, r = _lane_walk(nxt, rows, codes, state)
+        steps, r = _lane_walk(nxt, rows, codes, state)
         rewalked += r
-        state = int(nxt[lane_steps.flat[n - 1]])
+        state = int(nxt[steps[-1]])
+        counts += np.bincount(steps, minlength=counts.size)
+        if t < warmup:
+            warm += np.bincount(steps[: warmup - t], minlength=counts.size)
 
         for a in range(0, n, _CHUNK):
             code = codes[a : a + _CHUNK]
-            m = code.size
-            step = _slots(lane_steps, a, a + m)
-            q = (code & 1).view(bool)
-            v = (code >> 3).view(bool)
-            tx = tx_table[step]
-            delivered = tx & (code >> 1 & 1).view(bool)
-            empty += m - int(np.count_nonzero(step // _CODES % bp1))
-            transmissions += int(np.count_nonzero(tx))
-            successes += int(np.count_nonzero(delivered))
-            harvested += int(np.count_nonzero(harvest_table[step]))
-
-            # both metrics restart at the chunk's last delivery (AoI at 1, VAoI
-            # at that slot's version) and otherwise carry over from the last
-            # chunk; every increment is >= 0, so one cap at dm is exact
-            i = np.arange(m)
-            reset = np.maximum.accumulate(np.where(delivered, i, -1))
-            has_reset = reset >= 0
-            aoi_t = np.minimum(np.where(has_reset, i - reset + 1, aoi + i + 1), dm)
-            versions = np.cumsum(v, dtype=np.int64) + vaoi
-            before_reset = np.where(has_reset, versions[reset] - v[reset], 0)
-            vaoi_t = np.minimum(versions - before_reset, dm)
-            aoi, vaoi = int(aoi_t[-1]), int(vaoi_t[-1])
+            dl = delivered[steps[a : a + _CHUNK]]
+            # the metric restarts at the chunk's last delivery and otherwise
+            # carries over from the last chunk; every increment is >= 0, so
+            # one cap at dm is exact
+            if age_family:
+                # VAoI: the versions since the last delivery, its own included;
+                # the count before a slot never falls, so a running max of it
+                # over the deliveries reads the last one's
+                v = (code >> 3).view(bool)
+                versions = np.cumsum(v, dtype=np.int64) + other
+                before = np.maximum.accumulate(np.where(dl, versions - v, 0))
+                other_t = np.minimum(versions - before, dm)
+            else:
+                # AoI: slots since the last delivery, taken `other` slots
+                # before the chunk when it has none
+                i = np.arange(code.size)
+                last = np.maximum.accumulate(np.where(dl, i, -other))
+                other_t = np.minimum(i - last + 1, dm)
+            other = int(other_t[-1])
 
             w = max(warmup - t - a, 0)
-            qw = q[w:]
-            sum_aoi += int(aoi_t[w:].sum())
-            sum_vaoi += int(vaoi_t[w:].sum())
-            query_slots += int(np.count_nonzero(qw))
-            sum_qaoi += int(aoi_t[w:][qw].sum())
-            sum_qvaoi += int(vaoi_t[w:][qw].sum())
+            sum_other += int(other_t[w:].sum())
+            sum_qother += int(np.dot(other_t[w:], (code[w:] & 1).view(bool)))
         t += n
 
+    transmissions, successes, harvested, empty = (run_tables @ counts).tolist()
+    query_slots, sum_own, sum_qown = (window_tables @ (counts - warm)).tolist()
+    if age_family:
+        sum_aoi, sum_qaoi, sum_vaoi, sum_qvaoi = sum_own, sum_qown, sum_other, sum_qother
+    else:
+        sum_aoi, sum_qaoi, sum_vaoi, sum_qvaoi = sum_other, sum_qother, sum_own, sum_qown
     span = cfg.horizon - warmup
     avg = {
         MetricKind.AOI: sum_aoi / span,

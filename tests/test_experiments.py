@@ -10,7 +10,6 @@ import pytest
 import semsched.experiments as experiments
 from semsched.core import MetricKind, SystemParams, params_stamp
 from semsched.experiments import (
-    POLICY_NAMES,
     TargetUnreachable,
     action_map,
     charging_sweep,

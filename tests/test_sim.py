@@ -1,7 +1,7 @@
 """Monte Carlo simulator tests: bit-for-bit agreement with the per-slot
-reference loop, determinism, conservation laws, agreement with the exact
-chain, replay of the reference loop's flags, and the monitor-side CSV
-columns."""
+reference loop, the flag draw from raw Philox words, determinism,
+conservation laws, agreement with the exact chain, replay of the
+reference loop's flags, and the monitor-side CSV columns."""
 
 import dataclasses
 import math
@@ -347,6 +347,38 @@ class TestReplication:
             replicate(MID, greedy_policy(MID), SimConfig(horizon=100, seed=1, warmup=0), n_reps=1)
 
 
+# rates where p * 2**53 is an integer (0.25, 0.8, 1 - 2**-53) and where
+# it is not (the neighbours of 0.25), down to the smallest steps
+DRAW_RATES = [
+    0.0, 2.0**-53, 3 * 2.0**-53,
+    math.nextafter(0.25, 0), 0.25, math.nextafter(0.25, 1),
+    0.8, 1 - 2.0**-53, 1.0,
+]
+
+
+class TestRawDraws:
+    """`_below` against numpy's conversion of a raw word to random()."""
+
+    @pytest.mark.parametrize("p", DRAW_RATES)
+    def test_words_around_the_threshold(self, p):
+        top = math.ceil(p * 2**53)
+        words = [
+            (k << 11) + d for k in (top - 1, top, top + 1) for d in (-1, 0, 2047)
+        ]
+        raw = np.array([w for w in words if 0 <= w < 2**64], dtype=np.uint64)
+        as_random = (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        assert np.array_equal(sim._below(raw, p), as_random < p)
+
+    @pytest.mark.parametrize("p", [*DRAW_RATES, 0.2, 0.3])
+    def test_matches_random_on_philox_streams(self, p):
+        for seed in (0, 5, 2**64 - 1):
+            raw, floats = _stream(seed, STREAM_CHANNEL), _stream(seed, STREAM_CHANNEL)
+            # lengths off Philox's 4-word block keep both generators mid-block
+            for n in (1, 7, 4096):
+                flags = sim._below(raw.bit_generator.random_raw(n), p)
+                assert np.array_equal(flags, floats.random(n) < p)
+
+
 REF_BASE = SystemParams(
     p_s=0.8, p_v=0.3, p_q=0.4, p_e=0.3, B=3, delta_max=5,
     allow_tight_truncation=True,
@@ -425,6 +457,19 @@ class TestMatchesReference:
             assert_matches_reference(
                 p, policy, SimConfig(horizon=1400, seed=10 + B, warmup=warmup)
             )
+
+    @pytest.mark.parametrize("name", REF_POLICIES)
+    @pytest.mark.parametrize("rates", [(0.0, 0.0, 0.0), REF_RATES[0], (1.0, 1.0, 1.0)])
+    @pytest.mark.parametrize("B", [1, 3])
+    def test_certain_channel(self, B, rates, name, solved_tables):
+        # p_s = 1 draws every channel flag through the p = 1 case of the
+        # raw-word draw, which the reference's random() < p does not share
+        pe, pq, pv = rates
+        p = dataclasses.replace(REF_BASE, B=B, p_s=1.0, p_e=pe, p_q=pq, p_v=pv)
+        policy = reference_policy(name, p, solved_tables)
+        for warmup in (0, 1501):
+            cfg = SimConfig(horizon=3000, seed=20 + B, warmup=warmup)
+            assert_matches_reference(p, policy, cfg)
 
     @pytest.mark.parametrize("name", ["greedy", "aoi", "qvaoi", "threshold"])
     def test_warmups_at_the_chunk_boundary(self, name, solved_tables):
