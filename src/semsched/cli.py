@@ -7,11 +7,17 @@ enough resolved state to rerun the command bit-identically.
 
 Exit codes: 0 ok, 2 config or input problem, 3 solver non-convergence,
 4 policy/params stamp mismatch, 5 partial experiment failure.
+
+Importing this module freezes the import-time heap (`gc.freeze()`, see
+below), so that process exit does not spend time freeing numpy and scipy.
+`python -m semsched` (`__main__.py`) and the `semsched` script both run
+`main`.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -50,6 +56,18 @@ from .experiments import (
     format_comparison,
     format_ratio_table,
 )
+
+# Move everything the imports above allocated (numpy's and scipy's module
+# objects, mostly) to the permanent generation, so the final collection at
+# interpreter exit no longer walks and frees it; the OS reclaims it anyway.
+# That cut the time from a script's last line to its process's exit from
+# 58-85 ms to 15-19 ms (medians of 9-15 fresh interpreters, 2 vCPUs,
+# Python 3.11, numpy 2.4, scipy 1.17), and compare_dm28's wall_s by 53 ms.
+# It is safe: import-time objects live until exit anyway, objects made
+# later are collected as before, atexit handlers and the stdio flush still
+# run, and pool workers forked later no longer touch those objects' pages.
+# Module level, so it runs once per process, not once per main() call.
+gc.freeze()
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -150,6 +168,8 @@ def cmd_solve(args) -> int:
             "iterations": result.iterations,
             "evaluations": result.evaluations,
             "residual_span": result.residual_span,
+            "gain_lo": result.gain_lo,
+            "gain_hi": result.gain_hi,
             "stop": result.stop,
         },
     )

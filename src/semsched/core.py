@@ -118,6 +118,16 @@ def params_stamp(params: SystemParams) -> str:
 _PROBABILITY_FIELDS = ("p_s", "p_v", "p_q", "p_e")
 _INT_FIELDS = ("B", "N", "delta_max")
 
+# Largest (metric, battery, query) state space validate_params accepts.
+# Building the solver's model takes about 700 bytes per state (719 MB
+# peak at 1.01 M states), so a config past this ceiling exits 2 where it
+# would otherwise exhaust memory.
+MAX_STATES = 2**20
+
+
+def state_count(delta_max: int, B: int) -> int:
+    return (delta_max + 1) * (B + 1) * 2
+
 
 def validate_params(raw: SystemParams | Mapping[str, object]) -> SystemParams:
     """Validate a candidate parameter set, reporting every violation at once.
@@ -167,6 +177,13 @@ def validate_params(raw: SystemParams | Mapping[str, object]) -> SystemParams:
             truncation.append(
                 f"delta_max={candidate.delta_max} below guard {guard} "
                 f"(10*ceil(1/p_s)); set allow_tight_truncation to override"
+            )
+    if not (out_of_range or capacity):
+        n = state_count(candidate.delta_max, candidate.B)
+        if n > MAX_STATES:
+            out_of_range.append(
+                f"delta_max={candidate.delta_max}, B={candidate.B} give {n} "
+                f"states, above the ceiling of {MAX_STATES}"
             )
 
     all_violations = out_of_range + capacity + truncation

@@ -112,6 +112,10 @@ class SolveResult:
     residual_span: float
     converged: bool = True
     evaluations: int = 0  # exact table evaluations; not kept in the result file
+    # min and max of the last sweep's change, which bracket the optimal
+    # gain (Odoni); nan before the first sweep, not kept in the result file
+    gain_lo: float = np.nan
+    gain_hi: float = np.nan
 
     @property
     def stop(self) -> str | None:
@@ -368,7 +372,7 @@ def rvia_solve(
     tau = _DAMPING
     h = np.zeros(m.n_states) if h0 is None else h0.astype(float) / tau
     big = np.where(m.feas1, 0.0, np.inf)
-    span = np.inf
+    span = lo = hi = np.inf
     gain = np.nan
     certified = None
     evaluations = 0
@@ -380,7 +384,8 @@ def rvia_solve(
         w1 = m.c1 + (1 - tau) * h + tau * e1 + big
         w = np.minimum(w0, w1)
         diff = w - h
-        span = float(diff.max() - diff.min())
+        lo, hi = float(diff.min()), float(diff.max())
+        span = hi - lo
         gain = float(w[0])
         h = w - gain
         if span < SPAN_TOL:
@@ -402,6 +407,8 @@ def rvia_solve(
         residual_span=span,
         converged=certified is not None or span < SPAN_TOL,
         evaluations=evaluations,
+        gain_lo=lo,
+        gain_hi=hi,
     )
     if not result.converged:
         raise NotConverged(result)

@@ -15,7 +15,15 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import Action, AgentState, ConfigError, MetricKind, SystemParams, params_stamp
+from .core import (
+    Action,
+    AgentState,
+    ConfigError,
+    MetricKind,
+    SystemParams,
+    params_stamp,
+    state_count,
+)
 
 
 class NotThresholdStructured(ValueError):
@@ -32,10 +40,6 @@ class NotThresholdStructured(ValueError):
 def state_index(delta_max: int, B: int, s: AgentState) -> int:
     """Canonical enumeration order: metric-major, then battery, then query."""
     return (s.metric * (B + 1) + s.battery) * 2 + s.query
-
-
-def state_count(delta_max: int, B: int) -> int:
-    return (delta_max + 1) * (B + 1) * 2
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,8 +3,11 @@ determinism, and the exit-code contract."""
 
 import importlib.util
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -22,7 +25,7 @@ from semsched.cli import (
     EXIT_STAMP,
     main,
 )
-from semsched.core import SystemParams, format_config, params_stamp
+from semsched.core import MetricKind, SystemParams, format_config, params_stamp
 from semsched.mdp import load_solve_result
 from semsched.policies import greedy_policy
 
@@ -59,12 +62,16 @@ class TestSolve:
         assert out + ".thresholds" in manifest["outputs"]
         # the table settles within 128 sweeps, long before the span does
         assert result.residual_span >= 1e-9
+        solved = mdp.rvia_solve(SMALL, MetricKind.QVAOI)
         assert manifest["solver"] == {
             "iterations": result.iterations,
             "evaluations": 1,  # the first greedy table is already optimal
             "residual_span": result.residual_span,
+            "gain_lo": solved.gain_lo,
+            "gain_hi": solved.gain_hi,
             "stop": "certificate",
         }
+        assert solved.gain_lo <= result.gain <= solved.gain_hi
 
     def test_manifest_names_a_span_stop(self, tmp_path, cfg, monkeypatch):
         monkeypatch.setattr(mdp, "_CERT_EVERY", 10**9)  # no certificate check
@@ -74,12 +81,16 @@ class TestSolve:
         assert result.residual_span < 1e-9
         assert "stop" not in header  # derived, not stored in the result file
         solver = json.loads(read(out + ".manifest.json"))["solver"]
+        solved = mdp.rvia_solve(SMALL, MetricKind.QVAOI)
         assert solver == {
             "iterations": result.iterations,
             "evaluations": 0,
             "residual_span": result.residual_span,
+            "gain_lo": solved.gain_lo,
+            "gain_hi": solved.gain_hi,
             "stop": "span",
         }
+        assert solved.gain_lo <= result.gain <= solved.gain_hi
 
     def test_no_single_gain_exits_3_before_sweeping(self, tmp_path, capsys):
         # no harvest and no versions: each version lag is stranded at battery 0
@@ -358,6 +369,23 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert "not UTF-8 text" in err and "Traceback" not in err
 
+    def test_state_space_past_the_ceiling_exits_before_building(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # B = 1 and delta_max 262,144 give 2^20 + 4 states
+        def build(*args):
+            raise AssertionError("built a model past the state-count ceiling")
+
+        monkeypatch.setattr(mdp, "_build_model", build)
+        path = tmp_path / "huge.cfg"
+        path.write_text(format_config(replace(SMALL, B=1, delta_max=262_144)),
+                        encoding="utf-8")
+        out = tmp_path / "o.txt"
+        rc = main(["solve", "--config", str(path), "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert "1048580 states, above the ceiling of 1048576" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_out_of_range_override(self, tmp_path, cfg):
         rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "o.txt"),
                    "--pe", "1.5"])
@@ -567,6 +595,75 @@ class TestBenchmarkHooks:
         names = {s["name"] for s in rec.spans}
         assert {"experiments.comparison_grid", "mdp.solve", "mdp.eval_same",
                 "mdp.eval_cross"} <= names
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run_process(*args, code=None):
+    """`python -m semsched *args`, or `python -c code`, in a fresh process."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    argv = ["-c", code] if code is not None else ["-m", "semsched", *args]
+    return subprocess.run(
+        [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+class TestProcess:
+    """Real `semsched` processes, exit included: the in-process tests above
+    never reach interpreter shutdown."""
+
+    def test_solve_writes_its_files_and_exits_0(self, tmp_path, cfg):
+        out = tmp_path / "policy.txt"
+        proc = run_process("solve", "--config", cfg, "--out", str(out))
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert re.fullmatch(r"gain \S+ after \d+ iterations\n", proc.stdout)
+        result, _ = load_solve_result(str(out))
+        assert proc.stdout.startswith(f"gain {result.gain!r} ")
+        assert (tmp_path / "policy.txt.thresholds").read_text(encoding="utf-8")
+        manifest = json.loads(read(str(out) + ".manifest.json"))
+        assert manifest["solver"]["stop"] == "certificate"
+
+    def test_bad_config_exits_2(self, tmp_path):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("p_e = banana\n", encoding="utf-8")
+        proc = run_process("solve", "--config", str(bad), "--out", str(tmp_path / "o.txt"))
+        assert proc.returncode == EXIT_CONFIG
+        assert "config error: line 1" in proc.stderr
+        assert not (tmp_path / "o.txt").exists()
+
+    def test_stamp_mismatch_exits_4(self, tmp_path, cfg):
+        pol = str(tmp_path / "policy.txt")
+        assert run_process("solve", "--config", cfg, "--out", pol).returncode == EXIT_OK
+        proc = run_process(
+            "simulate", "--config", cfg, "--out", str(tmp_path / "s.csv"),
+            "--policy", pol, "--pe", "0.2", "--horizon", "1000", "--warmup", "0",
+            "--reps", "2",
+        )
+        assert proc.returncode == EXIT_STAMP
+        assert "stamp mismatch" in proc.stderr
+
+    def test_two_workers_write_the_same_bytes_as_one(self, tmp_path, cfg):
+        outs = []
+        for jobs in ("1", "2"):
+            out = str(tmp_path / f"sim{jobs}.csv")
+            proc = run_process(
+                "simulate", "--config", cfg, "--out", out, "--horizon", "20000",
+                "--warmup", "1000", "--seed", "7", "--reps", "3", "--jobs", jobs,
+            )
+            assert proc.returncode == EXIT_OK, proc.stderr
+            outs.append(read(out))
+        assert outs[0] == outs[1]
+
+    def test_only_the_cli_freezes_the_import_time_heap(self):
+        code = "import gc, {}; print(gc.get_freeze_count())"
+        frozen = run_process(code=code.format("semsched.cli"))
+        assert frozen.returncode == 0, frozen.stderr
+        assert int(frozen.stdout) > 0
+        library = run_process(code=code.format("semsched"))
+        assert library.returncode == 0, library.stderr
+        assert int(library.stdout) == 0
 
 
 class TestReadme:

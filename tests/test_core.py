@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from semsched.core import (
+    MAX_STATES,
     ConfigError,
     NonPositiveCapacity,
     OutOfRange,
@@ -14,6 +15,7 @@ from semsched.core import (
     format_config,
     params_stamp,
     parse_config,
+    state_count,
     validate_params,
 )
 
@@ -54,6 +56,21 @@ class TestValidateParams:
         p = validate_params({"delta_max": 19, "allow_tight_truncation": True})
         assert p.delta_max == 19
         assert validate_params({"delta_max": 20}).delta_max == 20
+
+    def test_state_count_ceiling(self):
+        # B = 1: (delta_max + 1) * 2 * 2 states, so 262,143 lands on 2^20
+        assert state_count(262_143, 1) == MAX_STATES == 2**20
+        assert validate_params({"B": 1, "delta_max": 262_143}).delta_max == 262_143
+        with pytest.raises(OutOfRange) as err:
+            validate_params({"B": 1, "delta_max": 262_144})
+        assert str(err.value) == (
+            "delta_max=262144, B=1 give 1048580 states, above the ceiling of 1048576"
+        )
+        # a ceiling breach is reported with the other violations
+        with pytest.raises(OutOfRange) as err:
+            validate_params({"B": 100_000, "delta_max": 19})
+        assert len(err.value.violations) == 2
+        assert "guard 20" in str(err.value) and "4000040 states" in str(err.value)
 
     def test_all_violations_reported_together(self):
         with pytest.raises(OutOfRange) as err:

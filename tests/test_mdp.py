@@ -354,6 +354,57 @@ class TestRviaSolve:
         assert res.gain == pytest.approx(0.0 if kind.query_gated else p.delta_max, abs=1e-9)
 
 
+class TestGainBracket:
+    """`gain_lo`/`gain_hi`: the last sweep's min and max change, which
+    bracket the optimal gain."""
+
+    CASES = [
+        small(B=1, delta_max=3, p_e=0.3, p_q=0.4),
+        small(B=2, delta_max=2, p_e=0.2, p_q=0.5, p_v=0.4),
+        small(B=1, delta_max=4, p_s=1.0, p_v=1.0, p_e=0.2, p_q=0.2),
+    ]
+
+    @pytest.mark.parametrize("kind", list(MetricKind))
+    def test_both_stops_bracket_the_optimal_gain(self, kind, monkeypatch):
+        stops = set()
+        for p in self.CASES:
+            _, optimal = enumerate_optimal_bruteforce(p, kind)
+            for every in (1, 10**9):  # every sweep, or never: the span stops
+                monkeypatch.setattr(mdp, "_CERT_EVERY", every)
+                res = rvia_solve(p, kind)
+                stops.add(res.stop)
+                assert res.gain_lo - 1e-12 <= res.gain <= res.gain_hi + 1e-12
+                assert res.gain_lo - 1e-9 <= optimal <= res.gain_hi + 1e-9
+                assert res.gain_hi - res.gain_lo == res.residual_span
+                if res.stop == "span":
+                    assert res.gain_hi - res.gain_lo < mdp.SPAN_TOL
+        assert stops == {"span", "certificate"}
+
+    def test_bracket_holds_before_convergence(self, monkeypatch):
+        p = self.CASES[0]
+        _, optimal = enumerate_optimal_bruteforce(p, MetricKind.AOI)
+        monkeypatch.setattr(mdp, "_MAX_SWEEPS", 3)
+        with pytest.raises(NotConverged) as exc:
+            rvia_solve(p, MetricKind.AOI)
+        res = exc.value.result
+        assert res.gain_hi - res.gain_lo == res.residual_span >= mdp.SPAN_TOL
+        assert res.gain_lo <= optimal <= res.gain_hi
+
+    def test_no_bracket_without_a_sweep(self):
+        with pytest.raises(NotConverged) as exc:
+            rvia_solve(small(p_e=0.0, p_v=0.0, p_q=0.3, B=1), MetricKind.VAOI)
+        res = exc.value.result
+        assert res.iterations == 0
+        assert np.isnan(res.gain_lo) and np.isnan(res.gain_hi)
+
+    def test_not_kept_in_the_result_file(self):
+        p = self.CASES[0]
+        res = rvia_solve(p, MetricKind.QAOI)
+        back, header = parse_solve_result(format_solve_result(p, res))
+        assert "gain_lo" not in header and "gain_hi" not in header
+        assert np.isnan(back.gain_lo) and np.isnan(back.gain_hi)
+
+
 class TestExactEvaluation:
     def test_all_idle_age_saturates_at_truncation(self):
         p = small()
