@@ -18,7 +18,6 @@ from .core import (
 from .metrics import SlotEvents, evolve_trace, stage_cost, step_aoi, step_vaoi
 from .mdp import (
     SolveResult,
-    enumerate_optimal_bruteforce,
     evaluate_policy_exact,
     rvia_solve,
     transition,
@@ -43,7 +42,6 @@ __all__ = [
     "SolveResult",
     "SystemParams",
     "ThresholdPolicy",
-    "enumerate_optimal_bruteforce",
     "evaluate_policy_exact",
     "evolve_trace",
     "extract_thresholds",

@@ -280,6 +280,8 @@ def cmd_compare(args) -> int:
                     "iterations": r.iterations,
                     "evaluations": r.evaluations,
                     "stop": r.stop,
+                    "gain_lo": r.gain_lo,
+                    "gain_hi": r.gain_hi,
                 }
                 for c in cells for r in c.rows
             ],

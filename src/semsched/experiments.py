@@ -75,17 +75,23 @@ class CompareRow:
     # evaluation_chain_size: the lumped chain the row is averaged over;
     # the evaluator factors only its recurrent class
     chain_states: int | None = None
-    # the solve's sweeps, exact evaluations and stop; None for greedy
+    # the solve's sweeps, exact evaluations, stop and the last sweep's
+    # bracket on the optimal gain (None before any sweep); None for greedy
     iterations: int | None = None
     evaluations: int | None = None
     stop: str | None = None
+    gain_lo: float | None = None
+    gain_hi: float | None = None
 
 
 def _solver_fields(result: SolveResult) -> dict:
+    swept = result.iterations > 0
     return {
         "iterations": result.iterations,
         "evaluations": result.evaluations,
         "stop": result.stop,
+        "gain_lo": result.gain_lo if swept else None,
+        "gain_hi": result.gain_hi if swept else None,
     }
 
 
@@ -322,12 +328,25 @@ def charging_sweep(
     The true p_e* lies in [bracket_lo, bracket_hi] on both sides, so the
     ratio interval is [lo_p / hi_g, hi_p / lo_g] by interval division; a
     failed point is recorded and the sweep continues.
+
+    Greedy ignores the query flag, so its per-query average, and with it
+    its required charging rate, is the same at every query rate: it is
+    found once, at the first point that needs it, and reused (or its
+    error re-raised) at the others.
     """
     out: list[RatioPoint] = []
+    greedy = None  # greedy's ChargingRateResult, or the error it raised
     for pq in p_q_values:
         try:
             rp = required_charging_rate(policy_kind, target, params, pq, tol)
-            rg = required_charging_rate("greedy", target, params, pq, tol)
+            if greedy is None:
+                try:
+                    greedy = required_charging_rate("greedy", target, params, pq, tol)
+                except (TargetUnreachable, MonotonicityViolation) as exc:
+                    greedy = exc
+            if isinstance(greedy, Exception):
+                raise greedy
+            rg = greedy
         except (TargetUnreachable, MonotonicityViolation, NotConverged) as exc:
             out.append(
                 RatioPoint(pq, math.nan, math.nan, math.nan, math.nan, math.nan,

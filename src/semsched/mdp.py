@@ -1,13 +1,21 @@
 """Average-cost MDP construction and solution.
 
-State (metric, battery, query), actions Idle/Transmit, slot mechanics:
-a transmitted packet occupies one slot and consumes one battery unit
-regardless of channel outcome; energy, version, and next-query draws are
-independent Bernoulli events folded into the transition product. That
-product lives in one model, _build_model, which the solver, the evaluator
-and the oracle read; transition() and expected_stage_cost() are its rows.
-Every exact gain, bias and stationary vector comes from one factor of one
-bordered linear system (_solve_chain).
+Policies see (metric, battery, query), actions Idle/Transmit, slot
+mechanics: a transmitted packet occupies one slot and consumes one battery
+unit regardless of channel outcome; energy and version draws are
+independent Bernoulli events folded into the transition product. The next
+query flag is a Bernoulli(p_q) draw independent of everything else, so the
+model, _build_model, is a chain over (metric, battery) alone with the
+query flag as an exogenous input (dynamic programming with an
+uncontrollable state component, Bertsekas, DP and Optimal Control I,
+§1.4): a policy's chain is Q = sum_q p(q) P_a(q), with cost sum_q p(q)
+c_a(q), half the size of the (metric, battery, query) chain and with the
+same gains. The solver and the evaluator read that model; transition()
+re-expands the next query flag from p_q, and transition() and
+expected_stage_cost() are its rows. Action tables and the written bias
+keep the (metric, battery, query) layout. Every exact gain, bias and
+stationary vector comes from one factor of one bordered linear system
+(_solve_chain).
 
 Cost accounting. The query-agnostic kinds charge the metric value itself
 every slot. The query-aware kinds charge, at query slots only, the metric
@@ -19,10 +27,12 @@ distinct from their query-agnostic counterparts. Query-agnostic policies
 such as greedy remain free to transmit at any slot and can be evaluated
 under any cost.
 
-Solved with Relative Value Iteration over the damped operator
-P~ = (1-tau) I + tau P, which leaves stationary distributions, gains, and
-argmins untouched while guaranteeing span convergence on periodic chains;
-the reported bias is rescaled back to the undamped fixed point. The greedy
+Solved with Relative Value Iteration on the (metric, battery) chain,
+W = (1 - tau) H + sum_q p(q) min_a [c_a(q) + tau P_a H], the damped
+operator Q~ = (1-tau) I + tau Q, which leaves stationary distributions,
+gains, and argmins untouched while guaranteeing span convergence on
+periodic chains; the reported bias is rescaled back to the undamped fixed
+point and expanded to h(q) = c_a(q) - g + P_a H per query flag. The greedy
 table is usually near-optimal long before the span settles, so every
 _CERT_EVERY sweeps it seeds policy-iteration steps (modified policy
 iteration, Puterman 1994, §8.6-8.7): the table is evaluated exactly and
@@ -57,7 +67,6 @@ from .policies import (
     parse_table,
     policy_from_table,
     state_count,
-    state_index,
 )
 
 _DAMPING = 0.5
@@ -65,7 +74,6 @@ _TIE_EPS = 1e-12
 _CERT_EVERY = 128  # sweeps between optimality-certificate checks
 _MAX_SWEEPS = 10**6  # rvia_solve raises NotConverged past this many sweeps
 SPAN_TOL = 1e-9  # rvia_solve's span tolerance
-_ORACLE_STATES = 64  # enumerate_optimal_bruteforce's state-count guard
 
 
 class InfeasibleAction(ValueError):
@@ -90,10 +98,6 @@ class MultichainPolicy(ValueError):
 
 
 class SingularSolve(RuntimeError):
-    pass
-
-
-class TooLarge(ValueError):
     pass
 
 
@@ -130,25 +134,34 @@ class SolveResult:
 
 @dataclass(frozen=True, eq=False)
 class _Model:
-    """Dense transition/cost arrays for one (params, kind).
+    """Dense transition/cost arrays for one (params, kind) on the chain over
+    (metric, battery), with the query flag as an exogenous input.
 
-    nxt0/nxt1 hold next-state indices per outcome column, pr0/pr1 the
-    state-independent outcome probabilities; feas1 marks states where the
-    solver may choose Transmit (battery for all kinds, plus the query
-    restriction for the query-aware policy class). Rows are valid where
-    feas1 is False too: a Transmit at battery 0 keeps battery 0.
+    The next query flag is a Bernoulli(p_q) draw independent of everything
+    else, so a transition from (m, b, q) under action a factors as
+    P_a((m, b) -> (m', b')) p(q'), and the (m, b, q) chain lumps onto the
+    (m, b) chain Q = sum_q p(q) P_a(q) with cost sum_q p(q) c_a(q).
+    nxt0/nxt1 hold next (m, b) indices per outcome column, (e, v) for Idle
+    and (u, e, v) for Transmit, and pr0/pr1 the state-independent outcome
+    probabilities; pq is the law [1 - p_q, p_q] of the query flag. feas1,
+    c0 and c1 are per ((m, b), q), shape (n_states, 2): feas1 marks where
+    the solver may choose Transmit (battery for all kinds, plus the query
+    restriction for the query-aware policy class), and an action table
+    read with `PolicyTable.actions.reshape(-1, 2)` has the same shape.
+    Rows are valid where feas1 is False too: a Transmit at battery 0 keeps
+    battery 0.
     """
 
     params: SystemParams
     kind: MetricKind
-    n_states: int
+    n_states: int  # (m, b) states; a PolicyTable has twice as many
     metric: np.ndarray
     battery: np.ndarray
-    query: np.ndarray
     nxt0: np.ndarray
     pr0: np.ndarray
     nxt1: np.ndarray
     pr1: np.ndarray
+    pq: np.ndarray
     feas1: np.ndarray
     c0: np.ndarray
     c1: np.ndarray
@@ -157,59 +170,50 @@ class _Model:
 @lru_cache(maxsize=32)
 def _build_model(params: SystemParams, kind: MetricKind) -> _Model:
     p = params
-    n = state_count(p.delta_max, p.B)
+    n = (p.delta_max + 1) * (p.B + 1)
     idx = np.arange(n)
-    metric = idx // ((p.B + 1) * 2)
-    battery = (idx // 2) % (p.B + 1)
-    query = idx % 2
-
-    def next_index(m, b, q):
-        return (m * (p.B + 1) + b) * 2 + q
+    metric = idx // (p.B + 1)
+    battery = idx % (p.B + 1)
 
     def step_metric(delivered, v):
         grow = 1 if kind.age_family else v
         return np.full(n, grow) if delivered else np.minimum(metric + grow, p.delta_max)
 
-    # idle: outcomes (energy, version, q2); transmit adds the channel draw
-    # u in front. Cross-family evaluation reads the delivering columns off
-    # this (u, e, v, q2) order.
+    # idle: outcomes (energy, version); transmit adds the channel draw u in
+    # front. Cross-family evaluation reads the delivering columns off this
+    # (u, e, v) order.
     idle_cols, idle_pr = [], []
     tx_cols, tx_pr = [], []
     for u, pu in ((1, p.p_s), (0, 1 - p.p_s)):
         for e, pe in ((1, p.p_e), (0, 1 - p.p_e)):
             for v, pv in ((1, p.p_v), (0, 1 - p.p_v)):
-                for q2, pq2 in ((1, p.p_q), (0, 1 - p.p_q)):
-                    tx_cols.append(
-                        next_index(step_metric(u, v), np.clip(battery - 1 + e, 0, p.B), q2)
-                    )
-                    tx_pr.append(pu * pe * pv * pq2)
-                    if u == 0:
-                        idle_cols.append(
-                            next_index(step_metric(0, v), np.minimum(battery + e, p.B), q2)
-                        )
-                        idle_pr.append(pe * pv * pq2)
+                tx_b = np.clip(battery - 1 + e, 0, p.B)
+                tx_cols.append(step_metric(u, v) * (p.B + 1) + tx_b)
+                tx_pr.append(pu * pe * pv)
+                if u == 0:
+                    idle_b = np.minimum(battery + e, p.B)
+                    idle_cols.append(step_metric(0, v) * (p.B + 1) + idle_b)
+                    idle_pr.append(pe * pv)
 
     nxt0 = np.stack(idle_cols, axis=1)
     nxt1 = np.stack(tx_cols, axis=1)
     pr0 = np.array(idle_pr)
     pr1 = np.array(tx_pr)
 
-    feas1 = battery >= 1
+    feas1 = np.repeat(battery[:, None] >= 1, 2, axis=1)
     if kind.query_gated:
-        feas1 = feas1 & (query == 1)
+        feas1[:, 0] = False
         # cost: query times expected end-of-slot metric
-        m_next0 = (nxt0 // ((p.B + 1) * 2)).astype(float) @ pr0
-        m_next1 = (nxt1 // ((p.B + 1) * 2)).astype(float) @ pr1
-        c0 = query * m_next0
-        c1 = query * m_next1
+        query = np.array([0.0, 1.0])
+        c0 = np.outer(metric[nxt0] @ pr0, query)
+        c1 = np.outer(metric[nxt1] @ pr1, query)
     else:
-        c0 = metric.astype(float)
+        c0 = np.repeat(metric[:, None].astype(float), 2, axis=1)
         c1 = c0.copy()
 
     return _Model(
-        params=p, kind=kind, n_states=n,
-        metric=metric, battery=battery, query=query,
-        nxt0=nxt0, pr0=pr0, nxt1=nxt1, pr1=pr1,
+        params=p, kind=kind, n_states=n, metric=metric, battery=battery,
+        nxt0=nxt0, pr0=pr0, nxt1=nxt1, pr1=pr1, pq=np.array([1 - p.p_q, p.p_q]),
         feas1=feas1, c0=c0, c1=c1,
     )
 
@@ -217,13 +221,13 @@ def _build_model(params: SystemParams, kind: MetricKind) -> _Model:
 def _model_row(
     params: SystemParams, kind: MetricKind, s: AgentState, a: Action
 ) -> tuple[_Model, int]:
-    """The model of (params, kind) and the row index of state `s`."""
+    """The model of (params, kind) and the (m, b) row index of state `s`."""
     if not (0 <= s.metric <= params.delta_max and 0 <= s.battery <= params.B
             and s.query in (0, 1)):
         raise ValueError(f"state {s} lies outside the state space")
     if a == Action.TRANSMIT and s.battery < 1:
         raise InfeasibleAction(f"Transmit at battery 0 in state {s}")
-    return _build_model(params, kind), state_index(params.delta_max, params.B, s)
+    return _build_model(params, kind), s.metric * (params.B + 1) + s.battery
 
 
 def transition(
@@ -232,17 +236,18 @@ def transition(
     """Row `s` of the solver's own model (_build_model) under action `a`.
 
     Its outcome columns (channel success for Transmit only, x energy
-    arrival x version generation x next-slot query) are merged by next
-    state, zero-probability states dropped, and returned in canonical
-    state order; probabilities sum to 1.
+    arrival x version generation) are merged by next (metric, battery),
+    each re-expanded over the next query flag by its law p_q, zero-
+    probability states dropped, and returned in canonical state order;
+    probabilities sum to 1.
     """
     m, i = _model_row(params, kind, s, a)
     nxt, pr = (m.nxt1, m.pr1) if a == Action.TRANSMIT else (m.nxt0, m.pr0)
-    merged = np.bincount(nxt[i], weights=pr)
+    merged = np.outer(np.bincount(nxt[i], weights=pr), m.pq).ravel()
     # rounding can carry a merged sure outcome a hair past 1
     return [
         TransitionEntry(
-            AgentState(int(m.metric[j]), int(m.battery[j]), int(m.query[j])),
+            AgentState(int(m.metric[j // 2]), int(m.battery[j // 2]), int(j % 2)),
             min(float(merged[j]), 1.0),
         )
         for j in np.flatnonzero(merged)
@@ -253,25 +258,31 @@ def expected_stage_cost(
     params: SystemParams, kind: MetricKind, s: AgentState, a: Action
 ) -> float:
     """Expected one-slot cost of (s, a) under `kind`'s accounting: entry
-    `s` of the solver's cost column c1 (Transmit) or c0 (Idle)."""
+    `s` of the solver's cost table c1 (Transmit) or c0 (Idle)."""
     m, i = _model_row(params, kind, s, a)
-    return float((m.c1 if a == Action.TRANSMIT else m.c0)[i])
+    return float((m.c1 if a == Action.TRANSMIT else m.c0)[i, s.query])
 
 
 def _greedy(m: _Model, h: np.ndarray, scale: float, rel: float = 0.0) -> np.ndarray:
-    """Action table greedy in `scale * h`: Transmit where it undercuts Idle
-    by more than _TIE_EPS + rel * |Q0|, Q0 the Idle value; Idle wins ties."""
-    q0 = m.c0 + scale * (h[m.nxt0] @ m.pr0)
-    q1 = m.c1 + scale * (h[m.nxt1] @ m.pr1) + np.where(m.feas1, 0.0, np.inf)
+    """Action table, per ((m, b), q), greedy in `scale * h` over (m, b):
+    Transmit where it undercuts Idle by more than _TIE_EPS + rel * |Q0|,
+    Q0 the Idle value; Idle wins ties."""
+    q0 = m.c0 + scale * (h[m.nxt0] @ m.pr0)[:, None]
+    q1 = m.c1 + scale * (h[m.nxt1] @ m.pr1)[:, None] + np.where(m.feas1, 0.0, np.inf)
     return (q1 < q0 - (_TIE_EPS + rel * np.abs(q0))).astype(np.int8)
 
 
-def _evaluate(m: _Model, actions: np.ndarray) -> tuple[float, np.ndarray] | None:
-    """Exact gain and bias of `actions` (_solve_chain), or None when they
-    are not unique (several closed classes) or the solve cannot be trusted."""
-    c = np.where(actions.astype(bool), m.c1, m.c0)
+def _chain_cost(m: _Model, table: np.ndarray) -> np.ndarray:
+    """Expected one-slot cost per (m, b) under `table`: sum_q p(q) c_a(q)."""
+    return np.where(table.astype(bool), m.c1, m.c0) @ m.pq
+
+
+def _evaluate(m: _Model, table: np.ndarray) -> tuple[float, np.ndarray] | None:
+    """Exact gain and (m, b) bias of `table` (_solve_chain), or None when
+    they are not unique (several closed classes) or the solve cannot be
+    trusted."""
     try:
-        gain, bias, _ = _solve_chain(_policy_matrix(m, actions), c)
+        gain, bias, _ = _solve_chain(_policy_matrix(m, table), _chain_cost(m, table))
     except SingularSolve:
         return None
     return gain, bias
@@ -305,6 +316,18 @@ def _improve(
         best, table = gain, improved
 
 
+def _full_bias(m: _Model, table: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """The (metric, battery, query) bias h = c_a(q) - g + P_a H of `table`
+    under the (m, b) bias H, in PolicyTable order with h(0, 0, 0) = 0,
+    which drops g."""
+    h = np.where(
+        table.astype(bool),
+        m.c1 + (H[m.nxt1] @ m.pr1)[:, None],
+        m.c0 + (H[m.nxt0] @ m.pr0)[:, None],
+    ).ravel()
+    return h - h[0]
+
+
 def _stranded_gain_gap(m: _Model) -> float:
     """Largest gap between the average costs of the closed classes that no
     policy can leave or act in, 0.0 when there are fewer than two.
@@ -315,13 +338,17 @@ def _stranded_gain_gap(m: _Model) -> float:
     by start state, and the span of an RVIA sweep never falls below the
     gap (p_e = p_v = 0 strands every version lag at battery 0).
     """
-    idle = _policy_matrix(m, np.zeros(m.n_states, dtype=np.int8))
+    idle_table = np.zeros_like(m.feas1, dtype=np.int8)
+    idle = _policy_matrix(m, idle_table)
     labels, closed = _closed_classes(idle + _policy_matrix(m, m.feas1))
+    # Transmit can be chosen only at a query flag the draw can take
+    acts = (m.feas1 & (m.pq > 0)).any(axis=1)
+    idle_cost = _chain_cost(m, idle_table)
     costs = []
     for label in np.flatnonzero(closed):
         members = np.flatnonzero(labels == label)
-        if not m.feas1[members].any():
-            costs.append(_solve_chain(idle[np.ix_(members, members)], m.c0[members])[0])
+        if not acts[members].any():
+            costs.append(_solve_chain(idle[np.ix_(members, members)], idle_cost[members])[0])
     return float(max(costs) - min(costs)) if costs else 0.0
 
 
@@ -345,10 +372,12 @@ def rvia_solve(
     policy can act in differ in cost by more than SPAN_TOL, so that no
     single gain exists; `residual_span` is then that difference.
 
-    The reference state is the canonical first state (0, 0, 0); ties
-    between actions break toward Idle within 1e-12. `h0` warm-starts the
-    iteration from a previous solve's `bias` at nearby parameters; on the
-    default sweep that saves 20 of 5,632 sweeps and 30 of 114 exact
+    Sweeps run on the (metric, battery) chain with reference state
+    (0, 0); the written `bias` is over (metric, battery, query), expanded
+    by _full_bias with h(0, 0, 0) = 0. Ties between actions break toward
+    Idle within 1e-12. `h0` warm-starts the iteration from a previous
+    solve's `bias` at nearby parameters, averaged over the query flag; on
+    the default sweep that saves 20 of 5,632 sweeps and 30 of 114 exact
     evaluations, about 15% of the time.
     """
     m = _build_model(params, kind)
@@ -357,32 +386,31 @@ def rvia_solve(
         params_stamp=params_stamp(params),
         delta_max=params.delta_max,
         B=params.B,
-        actions=np.zeros(m.n_states, dtype=np.int8),
+        actions=np.zeros(2 * m.n_states, dtype=np.int8),
     )
     gap = _stranded_gain_gap(m)
     if gap > SPAN_TOL:
         raise NotConverged(
             SolveResult(
-                gain=np.nan, bias=np.zeros(m.n_states), policy=policy,
+                gain=np.nan, bias=np.zeros(2 * m.n_states), policy=policy,
                 iterations=0, residual_span=gap, converged=False,
             ),
             f"closed classes stranded at an empty battery differ in average "
             f"cost by {gap:.3e}; no single gain exists",
         )
     tau = _DAMPING
-    h = np.zeros(m.n_states) if h0 is None else h0.astype(float) / tau
-    big = np.where(m.feas1, 0.0, np.inf)
+    # sweeps run on the (m, b) chain: h0 is averaged over the query flag
+    h = np.zeros(m.n_states) if h0 is None else (h0.reshape(-1, 2) @ m.pq) / tau
+    c1 = np.where(m.feas1, m.c1, np.inf)
     span = lo = hi = np.inf
     gain = np.nan
     certified = None
     evaluations = 0
     it = 0
     for it in range(1, _MAX_SWEEPS + 1):
-        e0 = h[m.nxt0] @ m.pr0
-        e1 = h[m.nxt1] @ m.pr1
-        w0 = m.c0 + (1 - tau) * h + tau * e0
-        w1 = m.c1 + (1 - tau) * h + tau * e1 + big
-        w = np.minimum(w0, w1)
+        e0 = tau * (h[m.nxt0] @ m.pr0)
+        e1 = tau * (h[m.nxt1] @ m.pr1)
+        w = (1 - tau) * h + np.minimum(m.c0 + e0[:, None], c1 + e1[:, None]) @ m.pq
         diff = w - h
         lo, hi = float(diff.min()), float(diff.max())
         span = hi - lo
@@ -396,13 +424,13 @@ def rvia_solve(
             if certified is not None:
                 break
     if certified is None:
-        actions, bias = _greedy(m, h, tau), h * tau
+        table, bias = _greedy(m, h, tau), h * tau
     else:
-        actions, gain, bias = certified
+        table, gain, bias = certified
     result = SolveResult(
         gain=gain,
-        bias=bias,
-        policy=replace(policy, actions=actions),
+        bias=_full_bias(m, table, bias),
+        policy=replace(policy, actions=table.ravel()),
         iterations=it,
         residual_span=span,
         converged=certified is not None or span < SPAN_TOL,
@@ -428,35 +456,28 @@ def _factor(A: sp.csc_matrix):
         raise SingularSolve(str(exc)) from exc
 
 
-def _policy_matrix(m: _Model, actions: np.ndarray) -> sp.csr_matrix:
-    """Sparse chain transition matrix under the given action vector."""
+def _policy_matrix(m: _Model, table: np.ndarray) -> sp.csr_matrix:
+    """Sparse (m, b) chain transition matrix under the action table, per
+    ((m, b), q): Q = sum_q p(q) P_a(q)."""
     n = m.n_states
-    a = actions.astype(bool)
-    k0, k1 = m.pr0.size, m.pr1.size
-    idle_idx = np.flatnonzero(~a)
-    tx_idx = np.flatnonzero(a)
-    rows = np.concatenate([np.repeat(idle_idx, k0), np.repeat(tx_idx, k1)])
-    cols = np.concatenate([m.nxt0[idle_idx].ravel(), m.nxt1[tx_idx].ravel()])
-    vals = np.concatenate([np.tile(m.pr0, idle_idx.size), np.tile(m.pr1, tx_idx.size)])
+    a = table.astype(bool)
+    # each action's weight per (m, b): the probability of the query flags
+    # at which the table takes it
+    idle, tx = (~a) @ m.pq, a @ m.pq
+    rows = np.repeat(np.arange(n), m.pr0.size + m.pr1.size)
+    cols = np.concatenate([m.nxt0, m.nxt1], axis=1).ravel()
+    vals = np.concatenate([np.outer(idle, m.pr0), np.outer(tx, m.pr1)], axis=1).ravel()
     P = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
     P.sum_duplicates()
     P.eliminate_zeros()  # zero-prob outcomes must not become graph edges
     return P
 
 
-def _start_indices(params: SystemParams, kind: MetricKind) -> list[int]:
-    """Simulator initial states: full battery, fresh metric convention,
-    query flag per its Bernoulli support."""
+def _start_index(params: SystemParams, kind: MetricKind) -> int:
+    """The simulator's initial (m, b) state: full battery, fresh metric
+    convention (its query flag is a draw like any other)."""
     m0 = params.delta_max if kind.age_family else 0
-    qs = [0, 1]
-    if params.p_q == 0:
-        qs = [0]
-    elif params.p_q == 1:
-        qs = [1]
-    return [
-        state_index(params.delta_max, params.B, AgentState(m0, params.B, q))
-        for q in qs
-    ]
+    return m0 * (params.B + 1) + params.B
 
 
 def _solve_chain(
@@ -516,16 +537,11 @@ def _closed_classes(P: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _single_recurrent_class(
-    P: sp.csr_matrix, starts: list[int]
+    P: sp.csr_matrix, start: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Reachable set and the unique closed class within it, or raise."""
-    n = P.shape[0]
-    reach = np.zeros(n, dtype=bool)
-    for s0 in starts:
-        if not reach[s0]:
-            order = breadth_first_order(P, s0, return_predecessors=False)
-            reach[order] = True
-    ridx = np.flatnonzero(reach)
+    """Set reachable from `start` and the unique closed class within it,
+    or raise."""
+    ridx = np.sort(breadth_first_order(P, start, return_predecessors=False))
     labels, closed = _closed_classes(P[np.ix_(ridx, ridx)].tocsr())
     n_closed = np.count_nonzero(closed)
     if n_closed != 1:
@@ -557,30 +573,34 @@ def _level_average(
     The meter's metric resets on delivery or steps up by 0 or 1 and never
     feeds back into the policy, so the chain over (meter level, policy
     state) lumps onto the policy chain, stationary vector mu (Kemeny &
-    Snell 1960, §6.3). With its transitions split into R_m (deliveries
-    resetting the meter to m), U (steps up) and S (keeps), the mass x_m at
-    level m solves x_m (I - S) = mu R_m + x_{m-1} U for m < delta_max, and
-    x_delta_max = mu - sum of the rest (Latouche & Ramaswami 1999). I - S
-    is singular only when nothing on mu's class moves the meter, which
-    then keeps its start value. Raises SingularSolve unless every x_m is
-    finite and >= -1e-9; x is then clipped at 0, as _solve_chain clips pi,
-    since x_delta_max carries the rounding of every other level.
+    Snell 1960, §6.3). The query flag is drawn afresh each slot, so the
+    mass at (level m, metric, battery, query) factors as x_m(metric,
+    battery) p(query), and the levels run on the policy's (m, b) chain.
+    With its transitions split into R_m (deliveries resetting the meter to
+    m), U (steps up) and S (keeps), the mass x_m at level m solves
+    x_m (I - S) = mu R_m + x_{m-1} U for m < delta_max, and x_delta_max =
+    mu - sum of the rest (Latouche & Ramaswami 1999). I - S is singular
+    only when nothing on mu's class moves the meter, which then keeps its
+    start value. Raises SingularSolve unless every x_m is finite and
+    >= -1e-9; x is then clipped at 0, as _solve_chain clips pi, since
+    x_delta_max carries the rounding of every other level.
     """
     pol = _build_model(params, policy.kind)
     met = _build_model(params, kind)
-    P = _policy_matrix(pol, policy.actions)
-    _, members = _single_recurrent_class(P, _start_indices(params, policy.kind))
+    table = policy.actions.reshape(-1, 2)
+    P = _policy_matrix(pol, table)
+    _, members = _single_recurrent_class(P, _start_index(params, policy.kind))
     mu = _solve_chain(P[np.ix_(members, members)], np.zeros(members.size))[2]
 
     # the meter's level after each outcome column from level 0 at full
-    # battery; the first half of the (u, e, v, q2) transmit columns delivers
-    idle_to = met.metric[met.nxt0[2 * params.B]]
-    tx_to = met.metric[met.nxt1[2 * params.B]]
+    # battery; the first half of the (u, e, v) transmit columns delivers
+    idle_to = met.metric[met.nxt0[params.B]]
+    tx_to = met.metric[met.nxt1[params.B]]
     delivers = np.arange(tx_to.size) < tx_to.size // 2
 
     def part(idle_cols, tx_cols):
         cols = replace(pol, pr0=pol.pr0 * idle_cols, pr1=pol.pr1 * tx_cols)
-        return _policy_matrix(cols, policy.actions)[np.ix_(members, members)]
+        return _policy_matrix(cols, table)[np.ix_(members, members)]
 
     U = part(idle_to == 1, ~delivers & (tx_to == 1))
     S = part(idle_to == 0, ~delivers & (tx_to == 0))
@@ -588,7 +608,7 @@ def _level_average(
     dm = params.delta_max
     x = np.zeros((dm + 1, members.size))
     if U.nnz == 0 and not any(Rm.nnz for Rm in R.values()):
-        x[met.metric[_start_indices(params, kind)[0]]] = mu
+        x[met.metric[_start_index(params, kind)]] = mu
     else:
         lu = _factor((sp.eye(members.size) - S).T.tocsc())
         for lvl in range(dm):
@@ -600,17 +620,19 @@ def _level_average(
         if not (np.all(np.isfinite(x)) and x.min() >= -1e-9):
             raise SingularSolve(f"negative or non-finite level mass {x.min():.3e}")
         np.clip(x, 0.0, None, out=x)
-    bq = members % (2 * (params.B + 1))  # battery and query, alike in both models
-    a = policy.actions[members].astype(bool)
-    c0, c1 = met.c0.reshape(dm + 1, -1)[:, bq], met.c1.reshape(dm + 1, -1)[:, bq]
-    return float(np.sum(x * np.where(a, c1, c0)))
+    # the meter's cost at (level, policy state's battery, query)
+    b = pol.battery[members]
+    grid = (dm + 1, params.B + 1, 2)
+    c0, c1 = met.c0.reshape(grid)[:, b], met.c1.reshape(grid)[:, b]
+    cost = np.where(table[members].astype(bool), c1, c0) @ met.pq
+    return float(np.sum(x * cost))
 
 
 def evaluate_policy_exact(
     params: SystemParams, kind: MetricKind, policy: PolicyTable
 ) -> float:
     """Long-run average cost of a fixed policy: the gain of _solve_chain
-    on the policy chain's unique recurrent class.
+    on the unique recurrent class of the policy's (m, b) chain.
 
     `kind` selects the cost being averaged and may differ from
     `policy.kind`: a query-agnostic policy is metered on a query-aware
@@ -623,131 +645,25 @@ def evaluate_policy_exact(
     if _reads_other_family(params, kind, policy):
         return _level_average(params, kind, policy)
     m = _build_model(params, kind)
-    P = _policy_matrix(m, policy.actions)
-    _, members = _single_recurrent_class(P, _start_indices(params, kind))
-    cost = np.where(policy.actions.astype(bool), m.c1, m.c0)
-    return _solve_chain(P[np.ix_(members, members)], cost[members])[0]
+    table = policy.actions.reshape(-1, 2)
+    P = _policy_matrix(m, table)
+    _, members = _single_recurrent_class(P, _start_index(params, kind))
+    return _solve_chain(P[np.ix_(members, members)], _chain_cost(m, table)[members])[0]
 
 
 def evaluation_chain_size(
     params: SystemParams, kind: MetricKind, policy: PolicyTable
 ) -> int:
-    """The model's own state count, or, for a policy that reads the other
-    metric family, (delta_max + 1) meter levels times it: the size of the
-    lumped chain that policy is averaged over. The evaluator factors
-    nothing that large: its matrices are the size of the evaluated chain's
-    recurrent class."""
+    """The policy table's (metric, battery, query) state count, or, for a
+    policy that reads the other metric family, (delta_max + 1) meter
+    levels times it: the size of the lumped chain that policy is averaged
+    over. The evaluator factors nothing that large: its matrices are the
+    size of the recurrent class of the policy's (metric, battery) chain,
+    at most half the count."""
     n = state_count(params.delta_max, params.B)
     if _reads_other_family(params, kind, policy):
         return (params.delta_max + 1) * n
     return n
-
-
-# --- brute-force oracle --------------------------------------------------
-
-def _bruteforce_chunk(
-    m: _Model, choice: np.ndarray, masks: np.ndarray, starts: list[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Average costs for a chunk of policy bitmasks (nan = multichain).
-
-    Stationary vectors come from the identity pi (I - P + 1 1^T) = 1^T,
-    nonsingular exactly when the chain is unichain; rows of states
-    unreachable from the starts are first redirected to a start state so
-    that closed classes outside the reachable set cannot make the system
-    singular without changing the reachable dynamics.
-    """
-    n = m.n_states
-    nc = choice.size
-    nm = masks.size
-    k0 = m.pr0.size
-    P0 = np.zeros((n, n))
-    np.add.at(
-        P0,
-        (np.repeat(np.arange(n), k0), m.nxt0.ravel()),
-        np.tile(m.pr0, n),
-    )
-    bits = ((masks[:, None] >> np.arange(nc)) & 1).astype(bool) if nc else np.zeros((nm, 0), bool)
-    P = np.broadcast_to(P0, (nm, n, n)).copy()
-    for j in range(nc):
-        row1 = np.zeros(n)
-        np.add.at(row1, m.nxt1[choice[j]], m.pr1)
-        P[bits[:, j], choice[j], :] = row1
-    A = (P > 0.0) | np.eye(n, dtype=bool)
-    Af = A.astype(np.float32)
-    for _ in range(max(1, int(np.ceil(np.log2(n))) + 1)):
-        Af = (Af @ Af > 0.0).astype(np.float32)
-    A = Af > 0.0
-    reach = A[:, starts, :].any(axis=1)
-    rec = reach & np.all(~A | A.transpose(0, 2, 1), axis=2)
-    multi = (rec[:, :, None] & rec[:, None, :] & ~A).any(axis=(1, 2))
-
-    s0 = starts[0]
-    unreach = ~reach
-    Pm = np.where(unreach[:, :, None], 0.0, P)
-    Pm[:, :, s0] += unreach.astype(float)
-    good = np.flatnonzero(~multi)
-    costs = np.full(nm, np.nan)
-    if good.size:
-        M = np.transpose(np.eye(n) - Pm[good], (0, 2, 1)) + 1.0
-        try:
-            pi = np.linalg.solve(M, np.ones((good.size, n, 1)))[..., 0]
-        except np.linalg.LinAlgError as exc:
-            raise SingularSolve(str(exc)) from exc
-        act = np.zeros((good.size, n), dtype=bool)
-        if nc:
-            act[:, choice] = bits[good]
-        c = np.where(act, m.c1, m.c0)
-        costs[good] = (pi * c).sum(axis=1)
-    return costs, bits
-
-
-def enumerate_optimal_bruteforce(
-    params: SystemParams, kind: MetricKind
-) -> tuple[PolicyTable, float]:
-    """Evaluate every stationary deterministic policy in the solved class.
-
-    Only states where Transmit is actually choosable vary (battery >= 1,
-    plus query = 1 for the query-aware kinds); everything else is Idle.
-    Policies inducing several reachable recurrent classes are skipped: in
-    a weakly communicating MDP the optimum is attained by a policy that is
-    unichain from the start states, so skipping cannot hide the optimum.
-    Raises TooLarge past _ORACLE_STATES states or 2^24 free choices.
-    """
-    m = _build_model(params, kind)
-    n = m.n_states
-    if n > _ORACLE_STATES:
-        raise TooLarge(f"{n} states exceed the {_ORACLE_STATES}-state guard")
-    choice = np.flatnonzero(m.feas1)
-    if choice.size > 24:
-        raise TooLarge(f"2^{choice.size} policies exceed the 2^24 guard")
-    starts = _start_indices(params, kind)
-    best_cost = np.inf
-    best_mask = 0
-    chunk = 4096
-    total = 1 << choice.size
-    for lo in range(0, total, chunk):
-        masks = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
-        costs, _ = _bruteforce_chunk(m, choice, masks, starts)
-        finite = np.isfinite(costs)
-        if not finite.any():
-            continue
-        i = int(np.nanargmin(costs))
-        if costs[i] < best_cost - 1e-15:
-            best_cost = float(costs[i])
-            best_mask = int(masks[i])
-    if not np.isfinite(best_cost):
-        raise MultichainPolicy("every enumerated policy was multichain")
-    actions = np.zeros(n, dtype=np.int8)
-    picked = choice[[i for i in range(choice.size) if best_mask >> i & 1]]
-    actions[picked] = 1
-    policy = PolicyTable(
-        kind=kind,
-        params_stamp=params_stamp(params),
-        delta_max=params.delta_max,
-        B=params.B,
-        actions=actions,
-    )
-    return policy, best_cost
 
 
 # --- SolveResult serialization ------------------------------------------

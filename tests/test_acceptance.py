@@ -14,12 +14,7 @@ import pytest
 
 from semsched.core import Action, AgentState, MetricKind, SystemParams, params_stamp
 from semsched.experiments import action_map, charging_sweep, comparison_grid
-from semsched.mdp import (
-    enumerate_optimal_bruteforce,
-    evaluate_policy_exact,
-    rvia_solve,
-    transition,
-)
+from semsched.mdp import evaluate_policy_exact, rvia_solve, transition
 from semsched.metrics import SlotEvents, evolve_trace
 from semsched.policies import PolicyTable, greedy_policy
 from semsched.sim import (
@@ -29,6 +24,7 @@ from semsched.sim import (
     summary_csv_header,
     summary_csv_row,
 )
+from test_mdp import bruteforce_optimum
 
 
 @contextmanager
@@ -79,7 +75,7 @@ def test_solver_agrees_with_exhaustive_oracle_on_small_instances():
             )
             for kind in MetricKind:
                 res = rvia_solve(p, kind)
-                _, best = enumerate_optimal_bruteforce(p, kind)
+                _, best = bruteforce_optimum(p, kind)
                 gap = abs(res.gain - best)
                 worst_gap = max(worst_gap, gap)
                 assert gap <= 1e-6, (p, kind, res.gain, best)

@@ -26,7 +26,7 @@ from semsched.cli import (
     main,
 )
 from semsched.core import MetricKind, SystemParams, format_config, params_stamp
-from semsched.mdp import load_solve_result
+from semsched.mdp import load_solve_result, rvia_solve
 from semsched.policies import greedy_policy
 
 SMALL = SystemParams(
@@ -257,6 +257,18 @@ class TestCompare:
             assert r["iterations"] >= 1 and r["evaluations"] >= 0
             assert r["stop"] in ("span", "certificate")
 
+    def test_solved_rows_carry_their_gain_bracket(self, tmp_path, cfg):
+        out = str(tmp_path / "cmp.csv")
+        rc = main(["compare", "--config", cfg, "--out", out, "--pe", "0.1", "--pq", "0.3"])
+        assert rc == EXIT_OK
+        rows = json.loads(read(out + ".manifest.json"))["evaluation"]["rows"]
+        assert (rows[0]["policy"], rows[0]["gain_lo"], rows[0]["gain_hi"]) == (
+            "greedy", None, None)
+        cell = replace(SMALL, p_e=0.1, p_q=0.3)
+        for r in rows[1:]:
+            gain = rvia_solve(cell, MetricKind(r["policy"])).gain
+            assert r["gain_lo"] <= gain <= r["gain_hi"]
+
     def test_failed_solves_keep_their_counts(self, tmp_path):
         path = tmp_path / "stranded.cfg"
         path.write_text(format_config(replace(SMALL, p_v=0.0)), encoding="utf-8")
@@ -271,6 +283,7 @@ class TestCompare:
         for name, r in failed.items():
             assert errors[name].startswith("closed classes stranded at an empty battery")
             assert (r["iterations"], r["evaluations"], r["stop"]) == (0, 0, None)
+            assert (r["gain_lo"], r["gain_hi"]) == (None, None)  # no sweep, no bracket
 
     def test_default_grid(self, tmp_path, cfg):
         out = str(tmp_path / "cmp.csv")

@@ -184,6 +184,35 @@ class TestChargingSweep:
         assert pt.ratio <= 1.0 + 1e-12
         assert pt.pe_policy <= pt.pe_greedy + 1e-12
 
+    def test_greedy_is_bisected_once_per_sweep(self, monkeypatch):
+        # greedy's per-query average does not depend on p_q, so one search,
+        # p_e = 1 and ten bisection points, serves every point
+        made = []
+        monkeypatch.setattr(
+            experiments, "greedy_policy", lambda p: made.append(p) or greedy_policy(p)
+        )
+        pts = charging_sweep(SMALL, "qvaoi", 2.5, (0.1, 0.2, 0.3, 0.4), tol=1e-3)
+        assert len(made) == 11
+        assert len({pt.pe_greedy for pt in pts}) == 1
+        for pt in pts:
+            alone = required_charging_rate("greedy", 2.5, SMALL, pt.p_q, tol=1e-3)
+            assert pt.error is None and pt.pe_greedy == alone.p_e_star
+
+    def test_a_greedy_error_is_reported_at_every_point(self, monkeypatch):
+        searched = []
+        search = experiments.required_charging_rate
+
+        def failing_greedy(kind, target, params, p_q, tol):
+            if kind != "greedy":
+                return search(kind, target, params, p_q, tol)
+            searched.append(p_q)
+            raise TargetUnreachable(target, 9.0)
+
+        monkeypatch.setattr(experiments, "required_charging_rate", failing_greedy)
+        pts = charging_sweep(SMALL, "qvaoi", 2.5, (0.2, 0.3), tol=1e-2)
+        assert searched == [0.2]
+        assert [pt.error for pt in pts] == [str(TargetUnreachable(2.5, 9.0))] * 2
+
     def test_failed_points_do_not_stop_the_sweep(self):
         pts = charging_sweep(SMALL, "qvaoi", 0.0, (0.2, 0.3), tol=1e-2)
         assert len(pts) == 2

@@ -2,6 +2,7 @@
 exact policy evaluation, and solve-result serialization."""
 
 import dataclasses
+import hashlib
 from itertools import product
 
 import numpy as np
@@ -17,11 +18,9 @@ from semsched.mdp import (
     NotConverged,
     SolveResult,
     SingularSolve,
-    TooLarge,
     _closed_classes,
     _single_recurrent_class,
     _solve_chain,
-    enumerate_optimal_bruteforce,
     evaluate_policy_exact,
     evaluation_chain_size,
     expected_stage_cost,
@@ -69,6 +68,145 @@ def instance_and_state(draw):
     else:
         a = Action.IDLE
     return p, kind, s, a
+
+
+# --- dense reference chains ----------------------------------------------
+# Built outcome by outcome from the scalar step rules of `metrics`, the
+# battery rule and the gated cost, with no semsched.mdp code, so that the
+# solver and the evaluator are checked against a model they do not share.
+
+def outcomes(p, a):
+    """Each outcome of one slot under action `a`: (probability, delivered,
+    new version, harvest, next query); Transmit adds the channel draw."""
+    channel = [(1, p.p_s), (0, 1 - p.p_s)] if a else [(0, 1.0)]
+    for (u, pu), (e, pe), (v, pv), (q2, pq2) in product(
+        channel,
+        [(1, p.p_e), (0, 1 - p.p_e)],
+        [(1, p.p_v), (0, 1 - p.p_v)],
+        [(1, p.p_q), (0, 1 - p.p_q)],
+    ):
+        yield pu * pe * pv * pq2, bool(a and u), bool(v), e, q2
+
+
+def dense_chain(p, ages, act):
+    """Dense chain over (one metric per entry of `ages`, battery, query),
+    states in product order, under act(state) in {0, 1}; True in `ages` is
+    an age, False a version lag. Also returns each state's expected
+    closing value of every metric, the value the slot ends with, which a
+    query-aware meter charges at query slots."""
+    dm, B = p.delta_max, p.B
+    states = list(product(*[range(dm + 1)] * len(ages), range(B + 1), (0, 1)))
+    index = {s: i for i, s in enumerate(states)}
+    P = np.zeros((len(states), len(states)))
+    closing = np.zeros((len(states), len(ages)))
+    for i, s in enumerate(states):
+        *ms, b, q = s
+        a = act(s)
+        for prob, delivered, v, e, q2 in outcomes(p, a):
+            ms2 = [
+                step_aoi(m, delivered, dm) if age else step_vaoi(m, delivered, v, dm)
+                for age, m in zip(ages, ms)
+            ]
+            P[i, index[(*ms2, min(b - a + e, B), q2)]] += prob
+            closing[i] += prob * np.array(ms2)
+    return states, P, closing
+
+
+def stage_costs(kind, states, closing, k=0):
+    """`kind`'s expected one-slot cost per state, metered on metric k: the
+    metric itself, or the closing metric at query slots only."""
+    if kind.query_gated:
+        return np.array([s[-1] for s in states]) * closing[:, k]
+    return np.array([s[k] for s in states], dtype=float)
+
+
+def start_states(p, states, metrics):
+    """The simulator's initial states: the given metrics, full battery,
+    and each query flag the Bernoulli(p_q) draw can take."""
+    return [
+        states.index((*metrics, p.B, q))
+        for q, pq in ((0, 1 - p.p_q), (1, p.p_q)) if pq > 0
+    ]
+
+
+def chain_averages(P, c, starts):
+    """Long-run average cost of each chain P[k] under the costs c[k] from
+    the start states; nan where several recurrent classes are reachable.
+
+    Stationary vectors come from pi (I - P + 1 1^T) = 1^T, nonsingular
+    exactly when the chain is unichain; rows of states unreachable from
+    the starts are first redirected to a start, so that closed classes out
+    of reach cannot make the system singular.
+    """
+    nm, n, _ = P.shape
+    A = ((P > 0.0) | np.eye(n, dtype=bool)).astype(np.float32)
+    for _ in range(int(np.ceil(np.log2(n))) + 1):
+        A = (A @ A > 0.0).astype(np.float32)
+    A = A > 0.0  # A[k, i, j]: j reachable from i
+    reach = A[:, starts, :].any(axis=1)
+    recurrent = reach & np.all(~A | A.transpose(0, 2, 1), axis=2)
+    multi = (recurrent[:, :, None] & recurrent[:, None, :] & ~A).any(axis=(1, 2))
+    unreach = ~reach
+    Pm = np.where(unreach[:, :, None], 0.0, P)
+    Pm[:, :, starts[0]] += unreach
+    good = np.flatnonzero(~multi)
+    averages = np.full(nm, np.nan)
+    if good.size:
+        M = np.transpose(np.eye(n) - Pm[good], (0, 2, 1)) + 1.0
+        pi = np.linalg.solve(M, np.ones((good.size, n, 1)))[..., 0]
+        averages[good] = (pi * c[good]).sum(axis=1)
+    return averages
+
+
+def bellman_model(p, kind):
+    """The dense (metric, battery, query) chain under each action, as
+    (P0, c0, P1, c1, where Transmit may be chosen): battery >= 1, and for
+    the query-aware kinds the query flag up. P1 idles at battery 0."""
+    ages = (kind.age_family,)
+    states, P0, closing0 = dense_chain(p, ages, lambda s: 0)
+    _, P1, closing1 = dense_chain(p, ages, lambda s: int(s[1] >= 1))
+    free = np.array([b >= 1 and (q == 1 or not kind.query_gated) for _, b, q in states])
+    return (
+        states,
+        P0, stage_costs(kind, states, closing0),
+        P1, stage_costs(kind, states, closing1),
+        free,
+    )
+
+
+def bruteforce_optimum(p, kind):
+    """Exhaustive search over the stationary deterministic policies of the
+    solved class: the best table and its average cost.
+
+    Only states where Transmit may be chosen vary; everything else idles.
+    Policies with several recurrent classes reachable from the start
+    states are skipped: in a weakly communicating MDP the optimum is
+    attained by a policy that is unichain from them.
+    """
+    states, P0, c0, P1, c1, free = bellman_model(p, kind)
+    choice = np.flatnonzero(free)
+    assert choice.size <= 16, f"2^{choice.size} policies are too many to enumerate"
+    starts = start_states(p, states, (p.delta_max if kind.age_family else 0,))
+    masks = np.arange(1 << choice.size)
+    bits = ((masks[:, None] >> np.arange(choice.size)) & 1).astype(bool)
+    costs = np.empty(masks.size)
+    for lo in range(0, masks.size, 4096):
+        act = np.zeros((min(4096, masks.size - lo), len(states)), dtype=bool)
+        act[:, choice] = bits[lo:lo + 4096]
+        costs[lo:lo + act.shape[0]] = chain_averages(
+            np.where(act[:, :, None], P1, P0), np.where(act, c1, c0), starts
+        )
+    best = int(np.nanargmin(costs))  # raises when every policy is multichain
+    actions = np.zeros(len(states), dtype=np.int8)
+    actions[choice[bits[best]]] = 1
+    policy = PolicyTable(
+        kind=kind,
+        params_stamp=params_stamp(p),
+        delta_max=p.delta_max,
+        B=p.B,
+        actions=actions,
+    )
+    return policy, float(costs[best])
 
 
 class TestStateSpace:
@@ -316,7 +454,7 @@ class TestRviaSolve:
 
     def test_improvement_stops_when_the_gain_does_not_fall(self, monkeypatch):
         m = mdp._build_model(small(B=3, delta_max=8), MetricKind.QVAOI)
-        idle = np.zeros(m.n_states, dtype=np.int8)
+        idle = np.zeros_like(m.feas1, dtype=np.int8)  # per ((m, b), q)
         certified, n = mdp._improve(m, idle)
         assert certified is not None and n >= 2
         evaluate = mdp._evaluate
@@ -368,7 +506,7 @@ class TestGainBracket:
     def test_both_stops_bracket_the_optimal_gain(self, kind, monkeypatch):
         stops = set()
         for p in self.CASES:
-            _, optimal = enumerate_optimal_bruteforce(p, kind)
+            _, optimal = bruteforce_optimum(p, kind)
             for every in (1, 10**9):  # every sweep, or never: the span stops
                 monkeypatch.setattr(mdp, "_CERT_EVERY", every)
                 res = rvia_solve(p, kind)
@@ -382,7 +520,7 @@ class TestGainBracket:
 
     def test_bracket_holds_before_convergence(self, monkeypatch):
         p = self.CASES[0]
-        _, optimal = enumerate_optimal_bruteforce(p, MetricKind.AOI)
+        _, optimal = bruteforce_optimum(p, MetricKind.AOI)
         monkeypatch.setattr(mdp, "_MAX_SWEEPS", 3)
         with pytest.raises(NotConverged) as exc:
             rvia_solve(p, MetricKind.AOI)
@@ -475,7 +613,7 @@ class TestExactEvaluation:
             )
         )
         with pytest.raises(MultichainPolicy):
-            _single_recurrent_class(P, [0])
+            _single_recurrent_class(P, 0)
 
     def test_closed_classes(self):
         # 0 leaks into both {1} and {2, 3}, which no edge leaves
@@ -504,7 +642,7 @@ class TestExactEvaluation:
                 ]
             )
         )
-        _, members = _single_recurrent_class(P, [0])
+        _, members = _single_recurrent_class(P, 0)
         assert members.tolist() == [1]
 
 
@@ -596,52 +734,19 @@ class TestSolveChain:
 
 def joint_chain_average(p, kind, policy):
     """Independent reference for cross-family evaluation: the dense chain
-    over (policy metric, meter metric, battery, query), built outcome by
-    outcome from the scalar step rules, averaged on its recurrent class."""
+    over (policy metric, meter metric, battery, query) under `policy`,
+    averaged from its start states."""
     dm, B = p.delta_max, p.B
 
-    def step(age, m, delivered, v):
-        return step_aoi(m, delivered, dm) if age else step_vaoi(m, delivered, v, dm)
+    def act(s):
+        return int(policy.actions[state_index(dm, B, AgentState(s[0], s[2], s[3]))])
 
-    states = list(product(range(dm + 1), range(dm + 1), range(B + 1), (0, 1)))
-    index = {s: i for i, s in enumerate(states)}
-    n = len(states)
-    P = np.zeros((n, n))
-    cost = np.zeros(n)
-    for i, (mp, mm, b, q) in enumerate(states):
-        a = int(policy.actions[state_index(dm, B, AgentState(mp, b, q))])
-        channel = [(1, p.p_s), (0, 1 - p.p_s)] if a else [(0, 1.0)]
-        for (u, pu), (e, pe), (v, pv), (q2, pq2) in product(
-            channel,
-            [(1, p.p_e), (0, 1 - p.p_e)],
-            [(1, p.p_v), (0, 1 - p.p_v)],
-            [(1, p.p_q), (0, 1 - p.p_q)],
-        ):
-            prob = pu * pe * pv * pq2
-            delivered = bool(a and u)
-            mm2 = step(kind.age_family, mm, delivered, bool(v))
-            mp2 = step(policy.kind.age_family, mp, delivered, bool(v))
-            P[i, index[(mp2, mm2, min(b - a + e, B), q2)]] += prob
-            # gated meters charge the reply's (closing) metric at query slots
-            cost[i] += prob * q * mm2 if kind.query_gated else 0.0
-        if not kind.query_gated:
-            cost[i] = mm
-    mp0 = dm if policy.kind.age_family else 0
-    mm0 = dm if kind.age_family else 0
-    qs = [q for q, pq in ((0, 1 - p.p_q), (1, p.p_q)) if pq > 0]
-    starts = [index[(mp0, mm0, B, q)] for q in qs]
-    reach = (P > 0) | np.eye(n, dtype=bool)
-    for _ in range(int(np.ceil(np.log2(n))) + 1):
-        reach = (reach.astype(float) @ reach.astype(float)) > 0
-    seen = reach[starts].any(axis=0)
-    rec = np.flatnonzero(seen & np.all(~reach | reach.T, axis=1))
-    assert reach[np.ix_(rec, rec)].all(), "several recurrent classes"
-    Q = P[np.ix_(rec, rec)]
-    A = np.vstack([Q.T - np.eye(rec.size), np.ones(rec.size)])
-    rhs = np.zeros(rec.size + 1)
-    rhs[-1] = 1.0
-    pi = np.linalg.lstsq(A, rhs, rcond=None)[0]
-    return float(pi @ cost[rec])
+    ages = (policy.kind.age_family, kind.age_family)
+    states, P, closing = dense_chain(p, ages, act)
+    starts = start_states(p, states, tuple(dm if age else 0 for age in ages))
+    (avg,) = chain_averages(P[None], stage_costs(kind, states, closing, k=1)[None], starts)
+    assert not np.isnan(avg), "several recurrent classes"
+    return float(avg)
 
 
 class TestCrossFamilyEvaluation:
@@ -756,7 +861,7 @@ class TestBruteForce:
 
     def test_matches_rvia_on_small_instances(self):
         for p, kind in self.CASES:
-            pol, cost = enumerate_optimal_bruteforce(p, kind)
+            pol, cost = bruteforce_optimum(p, kind)
             res = rvia_solve(p, kind)
             assert cost == pytest.approx(res.gain, abs=1e-6)
             assert evaluate_policy_exact(p, kind, pol) == pytest.approx(cost, abs=1e-9)
@@ -766,7 +871,7 @@ class TestBruteForce:
         # checking every sweep is what puts the certificate to work
         monkeypatch.setattr(mdp, "_CERT_EVERY", 1)
         for p, kind in self.CASES:
-            _, cost = enumerate_optimal_bruteforce(p, kind)
+            _, cost = bruteforce_optimum(p, kind)
             res = rvia_solve(p, kind)
             assert res.converged
             assert res.residual_span >= 1e-9  # stopped on the certificate
@@ -774,17 +879,111 @@ class TestBruteForce:
 
     def test_oracle_never_loses_to_greedy(self):
         p = small(B=1, delta_max=3, p_e=0.3, p_q=0.4)
-        _, cost = enumerate_optimal_bruteforce(p, MetricKind.VAOI)
+        _, cost = bruteforce_optimum(p, MetricKind.VAOI)
         assert cost <= evaluate_policy_exact(p, MetricKind.VAOI, greedy_policy(p)) + 1e-12
 
-    def test_state_count_guard(self):
-        with pytest.raises(TooLarge, match="64-state guard"):
-            enumerate_optimal_bruteforce(SystemParams(), MetricKind.AOI)
 
-    def test_policy_count_guard(self):
-        # 42 states fit, but 7 * 2 * 2 = 28 free choices exceed 2^24
-        with pytest.raises(TooLarge, match="2\\^"):
-            enumerate_optimal_bruteforce(small(B=2, delta_max=6), MetricKind.AOI)
+class TestFullScaleOptimality:
+    """rvia_solve's (metric, battery, query) bias h at delta_max 100,
+    checked against the Bellman operator T of the dense chain. Odoni's
+    bracket [min(Th - h), max(Th - h)] holds the optimal gain whatever h
+    is, so a narrow bracket around the reported gain, with every chosen
+    action attaining the minimum in Th, shows the solve optimal."""
+
+    @pytest.mark.parametrize("p_e, p_q", [
+        (0.05, 0.2), (0.05, 0.4), (0.2, 0.2), (0.2, 0.4), (1.0, 0.3),
+    ])
+    @pytest.mark.parametrize("age_family", [True, False])
+    def test_the_bias_is_a_bellman_fixed_point(self, p_e, p_q, age_family):
+        p = dataclasses.replace(SystemParams(), p_e=p_e, p_q=p_q)
+        for kind in MetricKind:
+            if kind.age_family != age_family:
+                continue
+            _, P0, c0, P1, c1, free = bellman_model(p, kind)
+            res = rvia_solve(p, kind)
+            q0 = c0 + P0 @ res.bias
+            q1 = np.where(free, c1 + P1 @ res.bias, np.inf)
+            Th = np.minimum(q0, q1)
+            lo, hi = (Th - res.bias).min(), (Th - res.bias).max()
+            # a span stop reads its gain off the sweep before h, whose
+            # bracket, residual_span wide, holds this one
+            slack = res.residual_span if res.stop == "span" else 0.0
+            assert lo - slack <= res.gain <= hi + slack, kind
+            assert hi - lo <= (1e-11 if res.stop == "certificate" else 1e-9), kind
+            chosen = np.where(res.policy.actions == 1, q1, q0)
+            assert np.all(chosen <= Th + 1e-9), kind
+
+
+# sha256 of policy.actions.tobytes() at delta_max 28, kinds in MetricKind
+# order (aoi, vaoi, qaoi, qvaoi), keyed by (p_e, p_q)
+PINNED_TABLES = {
+    (0.05, 0.0): (
+        "d88cbd480269a14ae510e5de49f193cb6a0d309a5903fba52390881da7c563f3",
+        "de3489588455d83e423f43f0777caeacff75a43c642155bea28d08c8931f1c90",
+        "eff5742656c514bfefaefe5efb2b02771e20d60a7ae276ac57a939083b704933",
+        "eff5742656c514bfefaefe5efb2b02771e20d60a7ae276ac57a939083b704933",
+    ),
+    (0.05, 0.2): (
+        "d88cbd480269a14ae510e5de49f193cb6a0d309a5903fba52390881da7c563f3",
+        "de3489588455d83e423f43f0777caeacff75a43c642155bea28d08c8931f1c90",
+        "461aa431c7d7c8e621c73c7ce9e3c17a42f6951173e8c10bcb02b232b8a973a3",
+        "367c39f738edbc679f2ae094b3e47c8f6052a4a576428b8146d56ccb9f047e77",
+    ),
+    (0.05, 1.0): (
+        "d88cbd480269a14ae510e5de49f193cb6a0d309a5903fba52390881da7c563f3",
+        "de3489588455d83e423f43f0777caeacff75a43c642155bea28d08c8931f1c90",
+        "ff3479833688455cc900d4ed52898e75b649c477121845962d893904d9b05c57",
+        "4d1223d581d0f3e081233ca52a4b84101c78c94910c1573e5fb947100ae48264",
+    ),
+    (0.2, 0.0): (
+        "3f387f48ac12674e3841d84816b681736b32c39567fa06641cb01fc18ab694a9",
+        "4b3d2b533e55a20068de61b6fd36273599b71ea0afb1e1caf5fc94ed5fd90d4e",
+        "eff5742656c514bfefaefe5efb2b02771e20d60a7ae276ac57a939083b704933",
+        "eff5742656c514bfefaefe5efb2b02771e20d60a7ae276ac57a939083b704933",
+    ),
+    (0.2, 0.2): (
+        "3f387f48ac12674e3841d84816b681736b32c39567fa06641cb01fc18ab694a9",
+        "4b3d2b533e55a20068de61b6fd36273599b71ea0afb1e1caf5fc94ed5fd90d4e",
+        "46c3684700923410ce19894f79570c3b606d4a3e2cdaee96da6fad96dd578462",
+        "d4ca72531d10d2ab018265d6db269da42e5797228250ffb32d73a8de57f79511",
+    ),
+    (0.2, 1.0): (
+        "3f387f48ac12674e3841d84816b681736b32c39567fa06641cb01fc18ab694a9",
+        "4b3d2b533e55a20068de61b6fd36273599b71ea0afb1e1caf5fc94ed5fd90d4e",
+        "aefdad427a4b3d4567c9e1658eeaf6080c96b07e79010530d609cd3e039b8369",
+        "7b93ce9912229f4403c06a530599c514d8b806121d7986dea72cab3a98a82d9c",
+    ),
+    (1.0, 0.0): (
+        "cf0b85e6132243d734b6946ed191568a488e7e1194059146e693b7ef139bfee9",
+        "cf0b85e6132243d734b6946ed191568a488e7e1194059146e693b7ef139bfee9",
+        "eff5742656c514bfefaefe5efb2b02771e20d60a7ae276ac57a939083b704933",
+        "eff5742656c514bfefaefe5efb2b02771e20d60a7ae276ac57a939083b704933",
+    ),
+    (1.0, 0.2): (
+        "cf0b85e6132243d734b6946ed191568a488e7e1194059146e693b7ef139bfee9",
+        "cf0b85e6132243d734b6946ed191568a488e7e1194059146e693b7ef139bfee9",
+        "eff5742656c514bfefaefe5efb2b02771e20d60a7ae276ac57a939083b704933",
+        "eff5742656c514bfefaefe5efb2b02771e20d60a7ae276ac57a939083b704933",
+    ),
+    (1.0, 1.0): (
+        "cf0b85e6132243d734b6946ed191568a488e7e1194059146e693b7ef139bfee9",
+        "cf0b85e6132243d734b6946ed191568a488e7e1194059146e693b7ef139bfee9",
+        "eff5742656c514bfefaefe5efb2b02771e20d60a7ae276ac57a939083b704933",
+        "eff5742656c514bfefaefe5efb2b02771e20d60a7ae276ac57a939083b704933",
+    ),
+}
+
+
+@pytest.mark.parametrize("p_e, p_q", list(PINNED_TABLES))
+def test_solved_tables_are_pinned(p_e, p_q):
+    # the tables the solver wrote before it moved to the (metric, battery)
+    # chain, at the charging-rate and query-rate edges and in between
+    p = dataclasses.replace(SystemParams(), delta_max=28, p_e=p_e, p_q=p_q)
+    digests = tuple(
+        hashlib.sha256(rvia_solve(p, kind).policy.actions.tobytes()).hexdigest()
+        for kind in MetricKind
+    )
+    assert digests == PINNED_TABLES[(p_e, p_q)]
 
 
 class TestSolveResultSerialization:
