@@ -194,12 +194,11 @@ def validate_params(raw: SystemParams | Mapping[str, object]) -> SystemParams:
     if truncation:
         raise TruncationTooTight(all_violations)
 
-    if isinstance(candidate.p_s, int):
-        # normalize int-typed probabilities (e.g. p_s = 1 from config)
-        candidate = replace(
-            candidate,
-            **{k: float(getattr(candidate, k)) for k in _PROBABILITY_FIELDS},
-        )
+    # int-typed probabilities (p_q = 1 as well as 1.0) become floats, so
+    # that equal parameter sets also share one params_stamp
+    ints = [k for k in _PROBABILITY_FIELDS if isinstance(getattr(candidate, k), int)]
+    if ints:
+        candidate = replace(candidate, **{k: float(getattr(candidate, k)) for k in ints})
     return candidate
 
 

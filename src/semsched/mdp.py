@@ -149,7 +149,11 @@ class _Model:
     restriction for the query-aware policy class), and an action table
     read with `PolicyTable.actions.reshape(-1, 2)` has the same shape.
     Rows are valid where feas1 is False too: a Transmit at battery 0 keeps
-    battery 0.
+    battery 0. entry, indptr and indices are the merged CSR pattern of all
+    12 outcome columns, built once per model from one np.unique of
+    row * n + column; every policy chain (_policy_matrix) is one bincount
+    of its outcome weights into it, and models made from this one with
+    dataclasses.replace (the outcome splits of _level_average) share it.
     """
 
     params: SystemParams
@@ -165,6 +169,11 @@ class _Model:
     feas1: np.ndarray
     c0: np.ndarray
     c1: np.ndarray
+    # entry[i, k]: the pattern entry of row i's outcome column k (Idle's,
+    # then Transmit's); indptr/indices: the pattern, columns sorted in a row
+    entry: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
 
 
 @lru_cache(maxsize=32)
@@ -211,10 +220,14 @@ def _build_model(params: SystemParams, kind: MetricKind) -> _Model:
         c0 = np.repeat(metric[:, None].astype(float), 2, axis=1)
         c1 = c0.copy()
 
+    cols = np.concatenate([nxt0, nxt1], axis=1)
+    keys, entry = np.unique((idx[:, None] * n + cols).ravel(), return_inverse=True)
     return _Model(
         params=p, kind=kind, n_states=n, metric=metric, battery=battery,
         nxt0=nxt0, pr0=pr0, nxt1=nxt1, pr1=pr1, pq=np.array([1 - p.p_q, p.p_q]),
-        feas1=feas1, c0=c0, c1=c1,
+        feas1=feas1, c0=c0, c1=c1, entry=entry.reshape(cols.shape),
+        indptr=np.searchsorted(keys, idx.size * np.arange(n + 1)).astype(np.int32),
+        indices=(keys % n).astype(np.int32),
     )
 
 
@@ -338,18 +351,17 @@ def _stranded_gain_gap(m: _Model) -> float:
     by start state, and the span of an RVIA sweep never falls below the
     gap (p_e = p_v = 0 strands every version lag at battery 0).
     """
-    idle_table = np.zeros_like(m.feas1, dtype=np.int8)
-    idle = _policy_matrix(m, idle_table)
-    labels, closed = _closed_classes(idle + _policy_matrix(m, m.feas1))
     # Transmit can be chosen only at a query flag the draw can take
-    acts = (m.feas1 & (m.pq > 0)).any(axis=1)
-    idle_cost = _chain_cost(m, idle_table)
-    costs = []
-    for label in np.flatnonzero(closed):
-        members = np.flatnonzero(labels == label)
-        if not acts[members].any():
-            costs.append(_solve_chain(idle[np.ix_(members, members)], idle_cost[members])[0])
-    return float(max(costs) - min(costs)) if costs else 0.0
+    tx = m.feas1 @ m.pq
+    labels, closed = _closed_classes(_outcome_matrix(m, np.ones(m.n_states), tx))
+    classes = (np.flatnonzero(labels == c) for c in np.flatnonzero(closed))
+    stranded = [members for members in classes if not tx[members].any()]
+    if not stranded:
+        return 0.0
+    idle_table = np.zeros_like(m.feas1, dtype=np.int8)
+    idle, idle_cost = _policy_matrix(m, idle_table), _chain_cost(m, idle_table)
+    costs = [_solve_chain(_submatrix(idle, s), idle_cost[s])[0] for s in stranded]
+    return float(max(costs) - min(costs))
 
 
 def rvia_solve(
@@ -456,21 +468,80 @@ def _factor(A: sp.csc_matrix):
         raise SingularSolve(str(exc)) from exc
 
 
+def _kept_indptr(keep: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """The index pointer of a compressed matrix once only the entries
+    marked in `keep` are left."""
+    return np.concatenate(([0], np.cumsum(keep)))[indptr]
+
+
+def _outcome_matrix(m: _Model, idle: np.ndarray, tx: np.ndarray) -> sp.csr_matrix:
+    """Sparse (m, b) matrix whose row i puts weight idle[i] on each Idle
+    outcome and tx[i] on each Transmit outcome, in canonical CSR form.
+
+    One bincount sums the outcomes into the model's merged pattern, in
+    outcome-column order, which is how a COO build with sum_duplicates
+    adds them, bit for bit; exact zeros are dropped, so a zero-probability
+    outcome never becomes a graph edge."""
+    w = np.concatenate([np.outer(idle, m.pr0), np.outer(tx, m.pr1)], axis=1)
+    data = np.bincount(m.entry.ravel(), weights=w.ravel(), minlength=m.indices.size)
+    keep = data != 0
+    return sp.csr_matrix(
+        (data[keep], m.indices[keep], _kept_indptr(keep, m.indptr)), shape=(m.n_states,) * 2
+    )
+
+
 def _policy_matrix(m: _Model, table: np.ndarray) -> sp.csr_matrix:
     """Sparse (m, b) chain transition matrix under the action table, per
-    ((m, b), q): Q = sum_q p(q) P_a(q)."""
-    n = m.n_states
+    ((m, b), q): Q = sum_q p(q) P_a(q). Each action's weight per (m, b) is
+    the probability of the query flags at which the table takes it."""
     a = table.astype(bool)
-    # each action's weight per (m, b): the probability of the query flags
-    # at which the table takes it
-    idle, tx = (~a) @ m.pq, a @ m.pq
-    rows = np.repeat(np.arange(n), m.pr0.size + m.pr1.size)
-    cols = np.concatenate([m.nxt0, m.nxt1], axis=1).ravel()
-    vals = np.concatenate([np.outer(idle, m.pr0), np.outer(tx, m.pr1)], axis=1).ravel()
-    P = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    P.sum_duplicates()
-    P.eliminate_zeros()  # zero-prob outcomes must not become graph edges
-    return P
+    return _outcome_matrix(m, (~a) @ m.pq, a @ m.pq)
+
+
+def _submatrix(P: sp.csr_matrix, members: np.ndarray) -> sp.csr_matrix:
+    """P[np.ix_(members, members)] for a canonical CSR P and sorted
+    `members`, read off P's arrays through an index map."""
+    n = P.shape[0]
+    if members.size == n:
+        return P
+    inside = np.zeros(n, dtype=bool)
+    inside[members] = True
+    keep = np.repeat(inside, np.diff(P.indptr)) & inside[P.indices]
+    at = np.cumsum(inside) - 1  # new index of each member
+    indptr = _kept_indptr(keep, np.append(P.indptr[members], P.nnz))
+    return sp.csr_matrix(
+        (P.data[keep], at[P.indices[keep]], indptr), shape=(members.size,) * 2
+    )
+
+
+def _identity_minus(M: sp.csr_matrix | sp.csc_matrix) -> tuple:
+    """The (data, indices, indptr) arrays of I - M in M's own compressed
+    layout, for canonical M: 1 - M_ii on the diagonal, a 1 inserted where
+    M has no diagonal entry and exact zeros dropped, which is what
+    sp.eye - M gives."""
+    n = M.shape[0]
+    major = np.repeat(np.arange(n), np.diff(M.indptr))
+    diag = M.indices == major
+    data = -M.data
+    data[diag] += 1.0
+    missing = np.ones(n, dtype=bool)
+    missing[major[diag]] = False
+    gaps = np.flatnonzero(missing)
+    # each inserted 1 lands at its sorted place within its row (column),
+    # shifted by the 1s inserted before it
+    at = np.searchsorted(major * n + M.indices, gaps * (n + 1)) + np.arange(gaps.size)
+    moved = np.ones(data.size + gaps.size, dtype=bool)
+    moved[at] = False
+    out = np.ones(moved.size)
+    out[moved] = data
+    indices = np.empty(moved.size, dtype=M.indices.dtype)
+    indices[moved] = M.indices
+    indices[at] = gaps
+    indptr = M.indptr + np.concatenate(([0], np.cumsum(missing)))
+    if out.all():
+        return out, indices, indptr
+    keep = out != 0
+    return out[keep], indices[keep], _kept_indptr(keep, indptr)
 
 
 def _start_index(params: SystemParams, kind: MetricKind) -> int:
@@ -478,6 +549,22 @@ def _start_index(params: SystemParams, kind: MetricKind) -> int:
     convention (its query flag is a draw like any other)."""
     m0 = params.delta_max if kind.age_family else 0
     return m0 * (params.B + 1) + params.B
+
+
+def _bordered(P: sp.csr_matrix) -> sp.csc_matrix:
+    """I - P with its first column replaced by ones, in CSC form: the
+    arrays sp.hstack gives for [1 | (sp.eye - P)[:, 1:]]."""
+    n = P.shape[0]
+    data, rows, ptr = _identity_minus(P.tocsc())
+    k = ptr[1]  # where column 1 starts
+    return sp.csc_matrix(
+        (
+            np.concatenate((np.ones(n), data[k:])),
+            np.concatenate((np.arange(n, dtype=rows.dtype), rows[k:])),
+            np.concatenate(([0], ptr[1:] - k + n)),
+        ),
+        shape=(n, n),
+    )
 
 
 def _solve_chain(
@@ -492,6 +579,9 @@ def _solve_chain(
     from (I - P) 1 = 0), the pairing of potentials and stationary vector
     that performance derivatives use (Cao & Chen, IEEE TAC 1997). A is
     nonsingular exactly when P has one closed class; pi is 0 off it.
+    P is a canonical CSR matrix; A is assembled from its arrays in CSC
+    form (_bordered) and pi P is read off them, so no transposed or
+    intermediate sparse matrix is built.
     Raises SingularSolve, before any factor, unless P has one closed
     class; and when SuperLU finds A singular or the solution is not
     finite, has a bias residual above 1e-9 max(1, ||c||_inf),
@@ -501,10 +591,7 @@ def _solve_chain(
     if n_closed != 1:
         raise SingularSolve(f"{n_closed} closed classes: no single gain")
     n = P.shape[0]
-    A = sp.hstack(
-        [sp.csc_matrix(np.ones((n, 1))), (sp.eye(n, format="csc") - P)[:, 1:]],
-        format="csc",
-    )
+    A = _bordered(P)
     e1 = np.zeros(n)
     e1[0] = 1.0
     with np.errstate(all="ignore"):
@@ -512,7 +599,9 @@ def _solve_chain(
         x = lu.solve(c)
         pi = lu.solve(e1, trans="T")
         residual = np.abs(A @ x - c).max()
-        balance = np.abs(P.T @ pi - pi).max()
+        weights = P.data * np.repeat(pi, np.diff(P.indptr))
+        pi_P = np.bincount(P.indices, weights=weights, minlength=n)
+        balance = np.abs(pi_P - pi).max()
     # a non-finite entry makes a residual nan or inf, which fails its test
     tol = 1e-9 * max(1.0, np.abs(c).max())
     if not (residual <= tol and balance <= 1e-9 and pi.min() >= -1e-9):
@@ -527,10 +616,9 @@ def _solve_chain(
 
 def _closed_classes(P: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
     """Strongly connected component label per state, and per component
-    whether it is closed (no edge leaves it)."""
+    whether it is closed (no edge leaves it), read off the CSR P's arrays."""
     ncomp, labels = connected_components(P, directed=True, connection="strong")
-    coo = P.tocoo()
-    src, dst = labels[coo.row], labels[coo.col]
+    src, dst = np.repeat(labels, np.diff(P.indptr)), labels[P.indices]
     closed = np.ones(ncomp, dtype=bool)
     closed[src[src != dst]] = False
     return labels, closed
@@ -540,15 +628,17 @@ def _single_recurrent_class(
     P: sp.csr_matrix, start: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Set reachable from `start` and the unique closed class within it,
-    or raise."""
+    or raise. No edge leaves the reachable set, so a class of P that it
+    meets lies in it, and is closed there exactly when it is closed in P."""
     ridx = np.sort(breadth_first_order(P, start, return_predecessors=False))
-    labels, closed = _closed_classes(P[np.ix_(ridx, ridx)].tocsr())
-    n_closed = np.count_nonzero(closed)
-    if n_closed != 1:
+    labels, closed = _closed_classes(P)
+    reached = np.unique(labels[ridx])
+    hits = reached[closed[reached]]
+    if hits.size != 1:
         raise MultichainPolicy(
-            f"{n_closed} recurrent classes reachable from the start states"
+            f"{hits.size} recurrent classes reachable from the start states"
         )
-    return ridx, ridx[labels == np.flatnonzero(closed)[0]]
+    return ridx, np.flatnonzero(labels == hits[0])
 
 
 def _reads_other_family(
@@ -590,7 +680,7 @@ def _level_average(
     table = policy.actions.reshape(-1, 2)
     P = _policy_matrix(pol, table)
     _, members = _single_recurrent_class(P, _start_index(params, policy.kind))
-    mu = _solve_chain(P[np.ix_(members, members)], np.zeros(members.size))[2]
+    mu = _solve_chain(_submatrix(P, members), np.zeros(members.size))[2]
 
     # the meter's level after each outcome column from level 0 at full
     # battery; the first half of the (u, e, v) transmit columns delivers
@@ -600,7 +690,7 @@ def _level_average(
 
     def part(idle_cols, tx_cols):
         cols = replace(pol, pr0=pol.pr0 * idle_cols, pr1=pol.pr1 * tx_cols)
-        return _policy_matrix(cols, table)[np.ix_(members, members)]
+        return _submatrix(_policy_matrix(cols, table), members)
 
     U = part(idle_to == 1, ~delivers & (tx_to == 1))
     S = part(idle_to == 0, ~delivers & (tx_to == 0))
@@ -610,11 +700,14 @@ def _level_average(
     if U.nnz == 0 and not any(Rm.nnz for Rm in R.values()):
         x[met.metric[_start_index(params, kind)]] = mu
     else:
-        lu = _factor((sp.eye(members.size) - S).T.tocsc())
+        # (I - S)^T in CSC has the arrays of I - S in CSR
+        lu = _factor(sp.csc_matrix(_identity_minus(S), shape=S.shape))
+        UT = U.T
+        resets = {r: mu @ Rm for r, Rm in R.items()}
         for lvl in range(dm):
-            rhs = U.T @ x[lvl - 1] if lvl else np.zeros(members.size)
-            if lvl in R:
-                rhs = rhs + mu @ R[lvl]
+            rhs = UT @ x[lvl - 1] if lvl else np.zeros(members.size)
+            if lvl in resets:
+                rhs = rhs + resets[lvl]
             x[lvl] = lu.solve(rhs)
         x[dm] = mu - x[:dm].sum(axis=0)
         if not (np.all(np.isfinite(x)) and x.min() >= -1e-9):
@@ -648,7 +741,7 @@ def evaluate_policy_exact(
     table = policy.actions.reshape(-1, 2)
     P = _policy_matrix(m, table)
     _, members = _single_recurrent_class(P, _start_index(params, kind))
-    return _solve_chain(P[np.ix_(members, members)], _chain_cost(m, table)[members])[0]
+    return _solve_chain(_submatrix(P, members), _chain_cost(m, table)[members])[0]
 
 
 def evaluation_chain_size(

@@ -35,6 +35,18 @@ class TestValidateParams:
         p = validate_params({"p_e": 0.1})
         assert validate_params(p) == p
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [(f, v) for f in ("p_v", "p_q", "p_e") for v in (0, 1)] + [("p_s", 1)],
+    )
+    def test_int_probabilities_become_floats(self, field, value):
+        # an int probability equals its float form, so it must also stamp
+        # like it: a policy solved under one must simulate under the other
+        as_int = validate_params(SystemParams(**{field: value}))
+        as_float = validate_params(SystemParams(**{field: float(value)}))
+        assert type(getattr(as_int, field)) is float
+        assert params_stamp(as_int) == params_stamp(as_float)
+
     def test_probability_bounds(self):
         with pytest.raises(OutOfRange, match="p_e=1.5"):
             validate_params({"p_e": 1.5})

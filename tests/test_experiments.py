@@ -63,6 +63,17 @@ class TestComparePolicies:
         for r in rows:
             assert best <= r.qvaoi + 1e-9
 
+    def test_delta_max_28_cell_is_pinned_to_the_last_bit(self):
+        # the benchmark's comparison cell, as its CSV prints the qvaoi column
+        p = dataclasses.replace(SystemParams(), delta_max=28, p_e=0.05, p_q=0.2)
+        assert [(r.policy, repr(r.qvaoi)) for r in compare_policies(p)] == [
+            ("greedy", "1.2333121686001005"),
+            ("aoi", "0.7380946905123216"),
+            ("vaoi", "0.6333929192083702"),
+            ("qaoi", "0.549143149551055"),
+            ("qvaoi", "0.4793851023925359"),
+        ]
+
     def test_simulated_mode_is_close_to_exact(self):
         cfg = SimConfig(horizon=300_000, seed=3, warmup=5000)
         sim_rows = compare_policies(SMALL, policy_set=("greedy",), sim_cfg=cfg)

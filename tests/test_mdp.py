@@ -732,6 +732,107 @@ class TestSolveChain:
             _solve_chain(P, np.array([1.0, 2.0, 3.0]))
 
 
+def coo_policy_matrix(m, table):
+    """Reference build of the policy chain: every outcome column as a COO
+    entry, then scipy's own merge and zero drop."""
+    a = table.astype(bool)
+    idle, tx = (~a) @ m.pq, a @ m.pq
+    rows = np.repeat(np.arange(m.n_states), m.pr0.size + m.pr1.size)
+    cols = np.concatenate([m.nxt0, m.nxt1], axis=1).ravel()
+    vals = np.concatenate([np.outer(idle, m.pr0), np.outer(tx, m.pr1)], axis=1).ravel()
+    P = sp.csr_matrix((vals, (rows, cols)), shape=(m.n_states,) * 2)
+    P.sum_duplicates()
+    P.eliminate_zeros()
+    return P
+
+
+def same_arrays(A, B):
+    """Bit-for-bit equal compressed sparse matrices."""
+    return (
+        A.shape == B.shape
+        and np.array_equal(A.indptr, B.indptr)
+        and np.array_equal(A.indices, B.indices)
+        and A.data.dtype == B.data.dtype
+        and A.data.tobytes() == B.data.tobytes()
+    )
+
+
+# the edge rates p_s = 1 and p_v, p_q, p_e in {0, 1}, and points between
+ASSEMBLY_CASES = [
+    small(p_s=p_s, p_v=p_v, p_q=p_q, p_e=p_e, B=2, delta_max=5)
+    for p_s in (1.0, 0.8)
+    for p_v in (0.0, 0.25, 1.0)
+    for p_q in (0.0, 0.2, 1.0)
+    for p_e in (0.0, 0.05, 1.0)
+]
+
+
+class TestChainAssembly:
+    """The policy chain, its sub-chains and the bordered system are read
+    off the model's merged pattern; each must equal the scipy build."""
+
+    @pytest.mark.parametrize("kind", list(MetricKind))
+    def test_policy_matrix_matches_the_coo_build(self, kind):
+        rng = np.random.default_rng(7)
+        for p in ASSEMBLY_CASES:
+            m = mdp._build_model(p, kind)
+            tables = [rng.integers(0, 2, m.feas1.shape, dtype=np.int8) for _ in range(4)]
+            tables += [m.feas1.astype(np.int8), np.ones_like(m.feas1, dtype=np.int8)]
+            for table in tables:
+                P = mdp._policy_matrix(m, table)
+                assert same_arrays(P, coo_policy_matrix(m, table)), (p, table)
+                assert np.all(P.data > 0)
+
+    def test_transmitting_at_both_flags_leaves_no_idle_edges(self):
+        # Idle carries weight 0 everywhere, so only Transmit's outcomes are
+        # edges; with no energy arrivals every edge from a charged battery
+        # spends one unit, where an Idle edge would keep it
+        p = small(p_e=0.0, p_v=1.0, B=2, delta_max=5)
+        m = mdp._build_model(p, MetricKind.AOI)
+        P = mdp._policy_matrix(m, np.ones_like(m.feas1, dtype=np.int8))
+        rows = np.repeat(np.arange(m.n_states), np.diff(P.indptr))
+        full = m.battery[rows] >= 1
+        assert np.all(m.battery[P.indices[full]] == m.battery[rows[full]] - 1)
+
+    @pytest.mark.parametrize("kind", list(MetricKind))
+    def test_bordered_matrix_matches_hstack(self, kind):
+        rng = np.random.default_rng(11)
+        for p in ASSEMBLY_CASES:
+            m = mdp._build_model(p, kind)
+            P = mdp._policy_matrix(m, rng.integers(0, 2, m.feas1.shape, dtype=np.int8))
+            n = P.shape[0]
+            want = sp.hstack(
+                [sp.csc_matrix(np.ones((n, 1))), (sp.eye(n, format="csc") - P)[:, 1:]],
+                format="csc",
+            )
+            assert same_arrays(mdp._bordered(P), want), p
+            i_minus_p = sp.eye(n, format="csr") - P
+            assert same_arrays(sp.csr_matrix(mdp._identity_minus(P), shape=P.shape), i_minus_p)
+
+    def test_bordered_matrix_drops_an_absorbing_diagonal(self):
+        # 1 - P_ii is an exact zero at an absorbing state and is no entry
+        P = sp.csr_matrix(np.array([[0.5, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.3, 0.7]]))
+        A = mdp._bordered(P)
+        want = sp.hstack(
+            [sp.csc_matrix(np.ones((3, 1))), (sp.eye(3, format="csc") - P)[:, 1:]],
+            format="csc",
+        )
+        assert same_arrays(A, want)
+        # three ones, then -0.5 and -0.3 in column 1 and 0.3 in column 2
+        assert A.nnz == 6 and np.all(A.data != 0)
+
+    @pytest.mark.parametrize("kind", list(MetricKind))
+    def test_submatrix_matches_fancy_indexing(self, kind):
+        rng = np.random.default_rng(13)
+        for p in ASSEMBLY_CASES:
+            m = mdp._build_model(p, kind)
+            P = mdp._policy_matrix(m, rng.integers(0, 2, m.feas1.shape, dtype=np.int8))
+            for size in (1, m.n_states // 3, m.n_states - 1, m.n_states):
+                members = np.sort(rng.choice(m.n_states, size, replace=False))
+                sub = mdp._submatrix(P, members)
+                assert same_arrays(sub, P[np.ix_(members, members)].tocsr()), (p, size)
+
+
 def joint_chain_average(p, kind, policy):
     """Independent reference for cross-family evaluation: the dense chain
     over (policy metric, meter metric, battery, query) under `policy`,
@@ -974,16 +1075,42 @@ PINNED_TABLES = {
 }
 
 
+# repr of the same solves' gains, kinds in MetricKind order: a move in the
+# last bit of the exact path shows up here
+PINNED_GAINS = {
+    (0.05, 0.0): ("13.404297655807143", "3.1669645960418555", "0.0", "0.0"),
+    (0.05, 0.2): (
+        "13.404297655807143", "3.1669645960418555", "2.031284833411992", "0.4793851023925359",
+    ),
+    (0.05, 1.0): (
+        "13.404297655807143", "3.1669645960418555", "13.404297655807143", "3.166964596041854",
+    ),
+    (0.2, 0.0): ("3.8346427981640723", "0.6770238533042295", "0.0", "0.0"),
+    (0.2, 0.2): (
+        "3.8346427981640723", "0.6770238533042295", "0.48649273070994126", "0.11295240632135208",
+    ),
+    (0.2, 1.0): (
+        "3.8346427981640723", "0.6770238533042295", "3.8346427981640723", "0.6770238533042279",
+    ),
+    (1.0, 0.0): ("1.2499999999898965", "0.3124999999984845", "0.0", "0.0"),
+    (1.0, 0.2): (
+        "1.2499999999898965", "0.31249999999848455", "0.4477432635400119", "0.11249999035965201",
+    ),
+    (1.0, 1.0): (
+        "1.2499999999898965", "0.3124999999984845", "1.2499999999906448", "0.3124999999976612",
+    ),
+}
+
+
 @pytest.mark.parametrize("p_e, p_q", list(PINNED_TABLES))
 def test_solved_tables_are_pinned(p_e, p_q):
     # the tables the solver wrote before it moved to the (metric, battery)
     # chain, at the charging-rate and query-rate edges and in between
     p = dataclasses.replace(SystemParams(), delta_max=28, p_e=p_e, p_q=p_q)
-    digests = tuple(
-        hashlib.sha256(rvia_solve(p, kind).policy.actions.tobytes()).hexdigest()
-        for kind in MetricKind
-    )
+    results = [rvia_solve(p, kind) for kind in MetricKind]
+    digests = tuple(hashlib.sha256(r.policy.actions.tobytes()).hexdigest() for r in results)
     assert digests == PINNED_TABLES[(p_e, p_q)]
+    assert tuple(repr(r.gain) for r in results) == PINNED_GAINS[(p_e, p_q)]
 
 
 class TestSolveResultSerialization:
