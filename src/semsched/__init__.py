@@ -16,12 +16,7 @@ from .core import (
     validate_params,
 )
 from .metrics import SlotEvents, evolve_trace, stage_cost, step_aoi, step_vaoi
-from .mdp import (
-    SolveResult,
-    evaluate_policy_exact,
-    rvia_solve,
-    transition,
-)
+from .mdp import SolveResult, evaluate_policy_exact, rvia_solve
 from .policies import (
     PolicyTable,
     ThresholdPolicy,
@@ -55,6 +50,5 @@ __all__ = [
     "stage_cost",
     "step_aoi",
     "step_vaoi",
-    "transition",
     "validate_params",
 ]

@@ -252,11 +252,3 @@ def load_config(path: str) -> SystemParams:
     except UnicodeDecodeError as exc:
         raise ConfigError(None, f"{path} is not UTF-8 text: {exc}") from exc
     return validate_params(parse_config(text))
-
-
-def format_config(params: SystemParams) -> str:
-    """Render params back to config text (round-trips through parse)."""
-    lines = [f"{k} = {getattr(params, k)}" for k in _STAMP_FIELDS]
-    if params.allow_tight_truncation:
-        lines.append("allow_tight_truncation = true")
-    return "\n".join(lines) + "\n"

@@ -10,12 +10,10 @@ query flag as an exogenous input (dynamic programming with an
 uncontrollable state component, Bertsekas, DP and Optimal Control I,
 §1.4): a policy's chain is Q = sum_q p(q) P_a(q), with cost sum_q p(q)
 c_a(q), half the size of the (metric, battery, query) chain and with the
-same gains. The solver and the evaluator read that model; transition()
-re-expands the next query flag from p_q, and transition() and
-expected_stage_cost() are its rows. Action tables and the written bias
-keep the (metric, battery, query) layout. Every exact gain, bias and
-stationary vector comes from one factor of one bordered linear system
-(_solve_chain).
+same gains. The solver and the evaluator read that model and no other
+step rules. Action tables and the written bias keep the (metric, battery,
+query) layout. Every exact gain, bias and stationary vector comes from
+one factor of one bordered linear system (_solve_chain).
 
 Cost accounting. The query-agnostic kinds charge the metric value itself
 every slot. The query-aware kinds charge, at query slots only, the metric
@@ -56,28 +54,14 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 from scipy.sparse.linalg import splu
 
-from .core import Action, AgentState, MetricKind, SystemParams, params_stamp
-from .policies import (
-    POLICY_COLUMNS,
-    STAMP_KEYS,
-    PolicyTable,
-    finite_float,
-    format_policy,
-    header_value,
-    parse_table,
-    policy_from_table,
-    state_count,
-)
+from .core import MetricKind, SystemParams, params_stamp
+from .policies import PolicyTable, format_policy, state_count
 
 _DAMPING = 0.5
 _TIE_EPS = 1e-12
 _CERT_EVERY = 128  # sweeps between optimality-certificate checks
 _MAX_SWEEPS = 10**6  # rvia_solve raises NotConverged past this many sweeps
 SPAN_TOL = 1e-9  # rvia_solve's span tolerance
-
-
-class InfeasibleAction(ValueError):
-    pass
 
 
 class NotConverged(RuntimeError):
@@ -101,12 +85,6 @@ class SingularSolve(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class TransitionEntry:
-    next: AgentState
-    prob: float
-
-
 @dataclass(frozen=True, eq=False)
 class SolveResult:
     gain: float
@@ -116,8 +94,9 @@ class SolveResult:
     residual_span: float
     converged: bool = True
     evaluations: int = 0  # exact table evaluations; not kept in the result file
-    # min and max of the last sweep's change, which bracket the optimal
-    # gain (Odoni); nan before the first sweep, not kept in the result file
+    # min and max of the last sweep's change, or after a span stop of one
+    # Bellman step on the written bias, which bracket the optimal gain
+    # (Odoni); nan before the first sweep, not kept in the result file
     gain_lo: float = np.nan
     gain_hi: float = np.nan
 
@@ -231,51 +210,6 @@ def _build_model(params: SystemParams, kind: MetricKind) -> _Model:
     )
 
 
-def _model_row(
-    params: SystemParams, kind: MetricKind, s: AgentState, a: Action
-) -> tuple[_Model, int]:
-    """The model of (params, kind) and the (m, b) row index of state `s`."""
-    if not (0 <= s.metric <= params.delta_max and 0 <= s.battery <= params.B
-            and s.query in (0, 1)):
-        raise ValueError(f"state {s} lies outside the state space")
-    if a == Action.TRANSMIT and s.battery < 1:
-        raise InfeasibleAction(f"Transmit at battery 0 in state {s}")
-    return _build_model(params, kind), s.metric * (params.B + 1) + s.battery
-
-
-def transition(
-    params: SystemParams, kind: MetricKind, s: AgentState, a: Action
-) -> list[TransitionEntry]:
-    """Row `s` of the solver's own model (_build_model) under action `a`.
-
-    Its outcome columns (channel success for Transmit only, x energy
-    arrival x version generation) are merged by next (metric, battery),
-    each re-expanded over the next query flag by its law p_q, zero-
-    probability states dropped, and returned in canonical state order;
-    probabilities sum to 1.
-    """
-    m, i = _model_row(params, kind, s, a)
-    nxt, pr = (m.nxt1, m.pr1) if a == Action.TRANSMIT else (m.nxt0, m.pr0)
-    merged = np.outer(np.bincount(nxt[i], weights=pr), m.pq).ravel()
-    # rounding can carry a merged sure outcome a hair past 1
-    return [
-        TransitionEntry(
-            AgentState(int(m.metric[j // 2]), int(m.battery[j // 2]), int(j % 2)),
-            min(float(merged[j]), 1.0),
-        )
-        for j in np.flatnonzero(merged)
-    ]
-
-
-def expected_stage_cost(
-    params: SystemParams, kind: MetricKind, s: AgentState, a: Action
-) -> float:
-    """Expected one-slot cost of (s, a) under `kind`'s accounting: entry
-    `s` of the solver's cost table c1 (Transmit) or c0 (Idle)."""
-    m, i = _model_row(params, kind, s, a)
-    return float((m.c1 if a == Action.TRANSMIT else m.c0)[i, s.query])
-
-
 def _greedy(m: _Model, h: np.ndarray, scale: float, rel: float = 0.0) -> np.ndarray:
     """Action table, per ((m, b), q), greedy in `scale * h` over (m, b):
     Transmit where it undercuts Idle by more than _TIE_EPS + rel * |Q0|,
@@ -283,6 +217,14 @@ def _greedy(m: _Model, h: np.ndarray, scale: float, rel: float = 0.0) -> np.ndar
     q0 = m.c0 + scale * (h[m.nxt0] @ m.pr0)[:, None]
     q1 = m.c1 + scale * (h[m.nxt1] @ m.pr1)[:, None] + np.where(m.feas1, 0.0, np.inf)
     return (q1 < q0 - (_TIE_EPS + rel * np.abs(q0))).astype(np.int8)
+
+
+def _bellman(m: _Model, c1: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """One Bellman step on the (m, b) chain, sum_q p(q) min_a [c_a(q) +
+    P_a H], with `c1` the Transmit cost, inf where Transmit is infeasible."""
+    q0 = m.c0 + (H[m.nxt0] @ m.pr0)[:, None]
+    q1 = c1 + (H[m.nxt1] @ m.pr1)[:, None]
+    return np.minimum(q0, q1) @ m.pq
 
 
 def _chain_cost(m: _Model, table: np.ndarray) -> np.ndarray:
@@ -371,10 +313,14 @@ def rvia_solve(
     optimality certificate.
 
     The span stop ends the solve once the span of one sweep's change is
-    below SPAN_TOL. Every _CERT_EVERY sweeps the greedy table is handed to
-    policy-iteration steps (_improve): it is evaluated exactly and
-    improved until a table is greedy in its own exact bias, which stops
-    the solve with that table, its exact gain and bias. When the steps
+    below SPAN_TOL; the gain, `gain_lo`/`gain_hi` and `residual_span` are
+    then read off one more Bellman step on the written bias, whose span is
+    no wider (the operator is nonexpansive in the span), so the gain lies
+    in the bracket of the bias it ships with. Every _CERT_EVERY sweeps the
+    greedy table is handed to policy-iteration steps (_improve): it is
+    evaluated exactly and improved until a table is greedy in its own
+    exact bias, which stops the solve with that table, its exact gain and
+    bias. When the steps
     are declined (several closed classes, a failed solve) or the gain
     stops falling, sweeping resumes. `iterations` counts the sweeps run,
     `evaluations` the exact evaluations, and `residual_span` is the span
@@ -420,9 +366,7 @@ def rvia_solve(
     evaluations = 0
     it = 0
     for it in range(1, _MAX_SWEEPS + 1):
-        e0 = tau * (h[m.nxt0] @ m.pr0)
-        e1 = tau * (h[m.nxt1] @ m.pr1)
-        w = (1 - tau) * h + np.minimum(m.c0 + e0[:, None], c1 + e1[:, None]) @ m.pq
+        w = (1 - tau) * h + _bellman(m, c1, tau * h)
         diff = w - h
         lo, hi = float(diff.min()), float(diff.max())
         span = hi - lo
@@ -435,17 +379,27 @@ def rvia_solve(
             evaluations += n
             if certified is not None:
                 break
+    converged = certified is not None or span < SPAN_TOL
     if certified is None:
-        table, bias = _greedy(m, h, tau), h * tau
+        table = _greedy(m, h, tau)
+        bias = _full_bias(m, table, h * tau)
+        if converged:
+            # a span stop: report the gain and bracket of the bias that is
+            # written, from one Bellman step on it, not of the sweep before
+            H = bias.reshape(-1, 2) @ m.pq
+            diff = _bellman(m, c1, H) - H
+            lo, hi = float(diff.min()), float(diff.max())
+            gain, span = float(diff[0]), hi - lo
     else:
-        table, gain, bias = certified
+        table, gain, H = certified
+        bias = _full_bias(m, table, H)
     result = SolveResult(
         gain=gain,
-        bias=_full_bias(m, table, bias),
+        bias=bias,
         policy=replace(policy, actions=table.ravel()),
         iterations=it,
         residual_span=span,
-        converged=certified is not None or span < SPAN_TOL,
+        converged=converged,
         evaluations=evaluations,
         gain_lo=lo,
         gain_hi=hi,
@@ -761,9 +715,6 @@ def evaluation_chain_size(
 
 # --- SolveResult serialization ------------------------------------------
 
-_SOLVE_KEYS = ("gain", "iterations", "residual_span", "converged")
-
-
 def format_solve_result(params: SystemParams, result: SolveResult) -> str:
     """The policy table plus solver diagnostics and a bias column, with
     bit-exact float round-trip (repr shortest form)."""
@@ -776,27 +727,6 @@ def format_solve_result(params: SystemParams, result: SolveResult) -> str:
     return format_policy(result.policy, "solve result", diagnostics, result.bias)
 
 
-def parse_solve_result(text: str) -> tuple[SolveResult, dict[str, str]]:
-    """Inverse of format_solve_result; returns the result and raw header."""
-    header, stamp, values = parse_table(
-        text, POLICY_COLUMNS + ("bias",), STAMP_KEYS + _SOLVE_KEYS
-    )
-    result = SolveResult(
-        gain=header_value(header, "gain", finite_float),
-        bias=values[:, 1].copy(),
-        policy=policy_from_table(stamp, values[:, 0]),
-        iterations=header_value(header, "iterations", int),
-        residual_span=header_value(header, "residual_span", finite_float),
-        converged=header_value(header, "converged", {"0": False, "1": True}.__getitem__),
-    )
-    return result, header
-
-
 def save_solve_result(params: SystemParams, result: SolveResult, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(format_solve_result(params, result))
-
-
-def load_solve_result(path: str) -> tuple[SolveResult, dict[str, str]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_solve_result(fh.read())

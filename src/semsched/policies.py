@@ -8,7 +8,6 @@ table is threshold-structured it compresses to one switch point per
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -17,7 +16,6 @@ import numpy as np
 
 from .core import (
     Action,
-    AgentState,
     ConfigError,
     MetricKind,
     SystemParams,
@@ -37,18 +35,15 @@ class NotThresholdStructured(ValueError):
         )
 
 
-def state_index(delta_max: int, B: int, s: AgentState) -> int:
-    """Canonical enumeration order: metric-major, then battery, then query."""
-    return (s.metric * (B + 1) + s.battery) * 2 + s.query
-
-
 @dataclass(frozen=True, eq=False)
 class PolicyTable:
     """Stationary deterministic policy as a lookup table of 0/1 actions.
 
-    `actions` is indexed in canonical state order; `delta_max`/`B` fix the
-    indexing geometry so the table is self-contained. The greedy baseline
-    is metric-blind; its `kind` field is just the stamp it was built under.
+    `actions` is indexed in canonical state order, metric-major, then
+    battery, then query: (metric * (B + 1) + battery) * 2 + query.
+    `delta_max`/`B` fix the indexing geometry so the table is
+    self-contained. The greedy baseline is metric-blind; its `kind` field
+    is just the stamp it was built under.
     """
 
     kind: MetricKind
@@ -78,15 +73,6 @@ class ThresholdPolicy:
     delta_max: int
     B: int
     thresholds: dict[tuple[int, int], int]
-
-    def to_table(self) -> PolicyTable:
-        """Expand back to the dense table (exact round-trip)."""
-        n = state_count(self.delta_max, self.B)
-        actions = np.zeros(n, dtype=np.int8)
-        for (b, q), thr in self.thresholds.items():
-            for m in range(thr, self.delta_max + 1):
-                actions[state_index(self.delta_max, self.B, AgentState(m, b, q))] = 1
-        return PolicyTable(self.kind, self.params_stamp, self.delta_max, self.B, actions)
 
 
 def greedy_policy(params: SystemParams) -> PolicyTable:
@@ -133,12 +119,12 @@ def extract_thresholds(policy: PolicyTable) -> ThresholdPolicy:
 # Policy, threshold and solve-result files share one layout: a `# title`
 # comment, `key = value` header lines, an optional line of column names,
 # then one row of space-separated fields per key, where the keys are
-# (metric, battery, query) states or (battery, query) slices.
+# (metric, battery, query) states or (battery, query) slices. The package
+# reads only the policy in a file: a policy table, or a solve result read
+# as its policy.
 
-STAMP_KEYS = ("kind", "params_stamp", "delta_max", "B")
-POLICY_COLUMNS = ("metric", "battery", "query", "action")
-_KEY_COLUMNS = ("metric", "battery", "query")
-_THRESHOLD_COLUMNS = ("battery", "query", "threshold")
+_STAMP_KEYS = ("kind", "params_stamp", "delta_max", "B")
+_POLICY_COLUMNS = ("metric", "battery", "query", "action")
 
 
 def format_table(
@@ -156,25 +142,20 @@ def format_table(
     return "\n".join(lines) + "\n"
 
 
-def parse_table(
-    text: str,
-    columns: tuple[str, ...],
-    keys: tuple[str, ...] = STAMP_KEYS,
-    named: bool = True,
-) -> tuple[dict[str, str], dict[str, object], np.ndarray]:
-    """The one reader. Returns the raw header, its typed stamp fields
-    (kind, params_stamp, delta_max, B), and the values of the non-key
-    `columns` as a float array with one row per key, in canonical order.
+def parse_table(text: str) -> tuple[dict[str, object], np.ndarray]:
+    """The one reader. Returns the typed stamp fields (kind, params_stamp,
+    delta_max, B) and the action of each (metric, battery, query) state,
+    in canonical order.
 
-    With `named`, the file's column-name line must start with `columns`;
-    further columns (a solve result's bias, read as a policy) must be
-    present on every row and are skipped. Fails closed with ConfigError on
-    missing or duplicate header keys, missing or duplicate rows, rows
-    outside the geometry the header stamps, non-integer fields, and
-    actions or thresholds out of range.
+    The file's column-name line must start with the policy columns;
+    further columns (a solve result's bias) must be present on every row
+    and are skipped. Fails closed with ConfigError on missing or
+    duplicate header keys, missing or duplicate rows, rows outside the
+    geometry the header stamps, non-integer fields, and actions out of
+    range.
     """
     header: dict[str, str] = {}
-    names = None if named else columns
+    names = None
     rows: list[tuple[int, list[str]]] = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -188,50 +169,49 @@ def parse_table(
             header[key] = value.strip()
         elif names is None:
             names = tuple(stripped.split())
-            if names[: len(columns)] != columns:
-                raise ConfigError(line_no, f"expected columns {' '.join(columns)!r}")
+            if names[: len(_POLICY_COLUMNS)] != _POLICY_COLUMNS:
+                raise ConfigError(
+                    line_no, f"expected columns {' '.join(_POLICY_COLUMNS)!r}"
+                )
         else:
             fields = stripped.split()
             if len(fields) != len(names):
                 raise ConfigError(
                     line_no, f"expected {len(names)} fields, got {len(fields)}"
                 )
-            rows.append((line_no, fields[: len(columns)]))
-    missing = [k for k in keys if k not in header]
+            rows.append((line_no, fields[: len(_POLICY_COLUMNS)]))
+    missing = [k for k in _STAMP_KEYS if k not in header]
     if missing:
         raise ConfigError(None, f"missing header key(s): {', '.join(missing)}")
     stamp = {
-        "kind": header_value(header, "kind", MetricKind),
-        "params_stamp": header_value(header, "params_stamp", _stamp),
-        "delta_max": header_value(header, "delta_max", _positive_int),
-        "B": header_value(header, "B", _positive_int),
+        "kind": _header_value(header, "kind", MetricKind),
+        "params_stamp": _header_value(header, "params_stamp", _stamp),
+        "delta_max": _header_value(header, "delta_max", _positive_int),
+        "B": _header_value(header, "B", _positive_int),
     }
     dm, B = stamp["delta_max"], stamp["B"]
-    top = {"metric": dm, "battery": B, "query": 1, "action": 1, "threshold": dm + 1}
-    n_keys = sum(c in _KEY_COLUMNS for c in columns)
-    shape = [top[c] + 1 for c in columns[:n_keys]]
-    values = np.zeros((int(np.prod(shape)), len(columns) - n_keys))
-    seen = np.zeros(values.shape[0], dtype=bool)
+    actions = np.zeros((dm + 1, B + 1, 2), dtype=np.int8)
+    seen = np.zeros(actions.shape, dtype=bool)
     for line_no, fields in rows:
-        row = [_field(f, c, top, line_no) for f, c in zip(fields, columns)]
-        i = 0
-        for v, size in zip(row[:n_keys], shape):
-            i = i * size + v
-        if seen[i]:
-            raise ConfigError(line_no, f"duplicate row for {tuple(row[:n_keys])}")
-        seen[i] = True
-        values[i] = row[n_keys:]
+        m, b, q, a = (
+            _field(f, c, top, line_no)
+            for f, c, top in zip(fields, _POLICY_COLUMNS, (dm, B, 1, 1))
+        )
+        if seen[m, b, q]:
+            raise ConfigError(line_no, f"duplicate row for {(m, b, q)}")
+        seen[m, b, q] = True
+        actions[m, b, q] = a
     if not seen.all():
-        first = np.unravel_index(int(np.argmin(seen)), shape)
+        first = np.unravel_index(int(np.argmin(seen)), seen.shape)
         raise ConfigError(
             None,
             f"{int((~seen).sum())} row(s) missing, the first for "
             f"{tuple(int(v) for v in first)}",
         )
-    return header, stamp, values
+    return stamp, actions.ravel()
 
 
-def header_value(header: dict[str, str], key: str, convert):
+def _header_value(header: dict[str, str], key: str, convert):
     """`convert(header[key])`, failing with ConfigError."""
     try:
         return convert(header[key])
@@ -251,22 +231,14 @@ def _stamp(text: str) -> str:
     return text
 
 
-def finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(text)
-    return value
-
-
-def _field(text: str, column: str, top: dict[str, int], line_no: int) -> float:
-    """One row field: a bounded integer, or a finite float for columns
-    without bounds."""
+def _field(text: str, column: str, top: int, line_no: int) -> int:
+    """One row field: an integer in 0..top."""
     try:
-        value = int(text) if column in top else finite_float(text)
+        value = int(text)
     except ValueError:
         raise ConfigError(line_no, f"bad {column} value {text!r}") from None
-    if column in top and not 0 <= value <= top[column]:
-        raise ConfigError(line_no, f"{column} {value} outside 0..{top[column]}")
+    if not 0 <= value <= top:
+        raise ConfigError(line_no, f"{column} {value} outside 0..{top}")
     return value
 
 
@@ -293,29 +265,20 @@ def format_policy(
         (idx // (2 * (B + 1))).tolist(), ((idx // 2) % (B + 1)).tolist(),
         (idx % 2).tolist(), policy.actions.tolist(),
     ]
-    names = POLICY_COLUMNS
+    names = _POLICY_COLUMNS
     if bias is not None:
         cols.append(bias.tolist())
         names += ("bias",)
     return format_table(title, {**_stamp_header(policy), **(extra or {})}, names, zip(*cols))
 
 
-def _rejecting(build):
-    """build(), with the ValueError of an invalid table as a ConfigError."""
-    try:
-        return build()
-    except ValueError as exc:
-        raise ConfigError(None, str(exc)) from exc
-
-
-def policy_from_table(stamp: dict[str, object], actions: np.ndarray) -> PolicyTable:
-    return _rejecting(lambda: PolicyTable(**stamp, actions=actions.astype(np.int8)))
-
-
 def parse_policy(text: str) -> PolicyTable:
     """Read a policy table; a solve result reads as its policy."""
-    _, stamp, values = parse_table(text, POLICY_COLUMNS)
-    return policy_from_table(stamp, values[:, 0])
+    stamp, actions = parse_table(text)
+    try:
+        return PolicyTable(**stamp, actions=actions)
+    except ValueError as exc:  # a transmit at empty battery
+        raise ConfigError(None, str(exc)) from exc
 
 
 def load_policy(path: str) -> PolicyTable:
@@ -335,11 +298,3 @@ def format_thresholds(tp: ThresholdPolicy) -> str:
     )
     rows = ((b, q, tp.thresholds[(b, q)]) for b in range(tp.B + 1) for q in (0, 1))
     return format_table(title, _stamp_header(tp), None, rows)
-
-
-def parse_thresholds(text: str) -> ThresholdPolicy:
-    _, stamp, values = parse_table(text, _THRESHOLD_COLUMNS, named=False)
-    thresholds = {(i // 2, i % 2): int(t) for i, t in enumerate(values[:, 0])}
-    tp = ThresholdPolicy(**stamp, thresholds=thresholds)
-    _rejecting(tp.to_table)  # a transmit at empty battery
-    return tp

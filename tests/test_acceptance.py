@@ -12,9 +12,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from semsched.core import Action, AgentState, MetricKind, SystemParams, params_stamp
+import semsched.mdp as mdp
+from semsched.core import MetricKind, SystemParams, params_stamp
 from semsched.experiments import action_map, charging_sweep, comparison_grid
-from semsched.mdp import evaluate_policy_exact, rvia_solve, transition
+from semsched.mdp import evaluate_policy_exact, rvia_solve
 from semsched.metrics import SlotEvents, evolve_trace
 from semsched.policies import PolicyTable, greedy_policy
 from semsched.sim import (
@@ -214,20 +215,20 @@ def test_monitor_side_offsets():
 
 def test_structural_properties_hold():
     with verdict("criterion 8: normalization, conservation, gating dominance, determinism, monotone gain"):
-        # transition rows are probability distributions
+        # the solver's transition rows are probability distributions: every
+        # row of the chain of all Idle, and of Transmit wherever the
+        # battery allows it
         for p in (
             SystemParams(B=2, delta_max=4, allow_tight_truncation=True),
             replace(SystemParams(), p_e=0.2, p_q=0.3),
         ):
             for kind in (MetricKind.AOI, MetricKind.QVAOI):
-                for m in range(0, p.delta_max + 1, max(1, p.delta_max // 7)):
-                    for b in range(p.B + 1):
-                        for q in (0, 1):
-                            s = AgentState(m, b, q)
-                            acts = [Action.IDLE] + ([Action.TRANSMIT] if b else [])
-                            for a in acts:
-                                total = sum(e.prob for e in transition(p, kind, s, a))
-                                assert abs(total - 1.0) <= 1e-12
+                m = mdp._build_model(p, kind)
+                charged = np.repeat(m.battery[:, None] >= 1, 2, axis=1)
+                for table in (np.zeros_like(charged), charged):
+                    P = mdp._policy_matrix(m, table.astype(np.int8))
+                    totals = np.asarray(P.sum(axis=1)).ravel()
+                    assert np.abs(totals - 1.0).max() <= 1e-12
 
         # conservation, gating dominance, determinism on full runs
         p = replace(SystemParams(), p_e=0.2, p_q=0.3)

@@ -25,9 +25,11 @@ from semsched.cli import (
     EXIT_STAMP,
     main,
 )
-from semsched.core import MetricKind, SystemParams, format_config, params_stamp
-from semsched.mdp import load_solve_result, rvia_solve
+from semsched.core import MetricKind, SystemParams, params_stamp
+from semsched.mdp import rvia_solve
 from semsched.policies import greedy_policy
+from test_core import config_text
+from test_policies import split_lines
 
 SMALL = SystemParams(
     p_s=0.8, p_v=0.25, p_q=0.3, p_e=0.1, B=2, delta_max=6,
@@ -38,7 +40,7 @@ SMALL = SystemParams(
 @pytest.fixture
 def cfg(tmp_path):
     path = tmp_path / "small.cfg"
-    path.write_text(format_config(SMALL), encoding="utf-8")
+    path.write_text(config_text(SMALL), encoding="utf-8")
     return str(path)
 
 
@@ -47,13 +49,18 @@ def read(path):
         return fh.read()
 
 
+def solve_header(path):
+    """The `key = value` header of a written solve file."""
+    return split_lines(read(path).decode())[0]
+
+
 class TestSolve:
     def test_writes_table_thresholds_and_manifest(self, tmp_path, cfg, capsys):
         out = str(tmp_path / "policy.txt")
         assert main(["solve", "--config", cfg, "--out", out]) == EXIT_OK
         assert "gain " in capsys.readouterr().out
-        result, header = load_solve_result(out)
-        assert result.converged
+        header = solve_header(out)
+        assert header["converged"] == "1"
         assert header["params_stamp"] == params_stamp(SMALL)
         manifest = json.loads(read(out + ".manifest.json"))
         assert manifest["subcommand"] == "solve"
@@ -61,41 +68,43 @@ class TestSolve:
         assert out in manifest["outputs"]
         assert out + ".thresholds" in manifest["outputs"]
         # the table settles within 128 sweeps, long before the span does
-        assert result.residual_span >= 1e-9
+        residual_span = float(header["residual_span"])
+        assert residual_span >= 1e-9
         solved = mdp.rvia_solve(SMALL, MetricKind.QVAOI)
         assert manifest["solver"] == {
-            "iterations": result.iterations,
+            "iterations": int(header["iterations"]),
             "evaluations": 1,  # the first greedy table is already optimal
-            "residual_span": result.residual_span,
+            "residual_span": residual_span,
             "gain_lo": solved.gain_lo,
             "gain_hi": solved.gain_hi,
             "stop": "certificate",
         }
-        assert solved.gain_lo <= result.gain <= solved.gain_hi
+        assert solved.gain_lo <= float(header["gain"]) <= solved.gain_hi
 
     def test_manifest_names_a_span_stop(self, tmp_path, cfg, monkeypatch):
         monkeypatch.setattr(mdp, "_CERT_EVERY", 10**9)  # no certificate check
         out = str(tmp_path / "policy.txt")
         assert main(["solve", "--config", cfg, "--out", out]) == EXIT_OK
-        result, header = load_solve_result(out)
-        assert result.residual_span < 1e-9
+        header = solve_header(out)
+        residual_span = float(header["residual_span"])
+        assert residual_span < 1e-9
         assert "stop" not in header  # derived, not stored in the result file
         solver = json.loads(read(out + ".manifest.json"))["solver"]
         solved = mdp.rvia_solve(SMALL, MetricKind.QVAOI)
         assert solver == {
-            "iterations": result.iterations,
+            "iterations": int(header["iterations"]),
             "evaluations": 0,
-            "residual_span": result.residual_span,
+            "residual_span": residual_span,
             "gain_lo": solved.gain_lo,
             "gain_hi": solved.gain_hi,
             "stop": "span",
         }
-        assert solved.gain_lo <= result.gain <= solved.gain_hi
+        assert solved.gain_lo <= float(header["gain"]) <= solved.gain_hi
 
     def test_no_single_gain_exits_3_before_sweeping(self, tmp_path, capsys):
         # no harvest and no versions: each version lag is stranded at battery 0
         path = tmp_path / "stranded.cfg"
-        path.write_text(format_config(replace(SMALL, p_e=0.0, p_v=0.0)), encoding="utf-8")
+        path.write_text(config_text(replace(SMALL, p_e=0.0, p_v=0.0)), encoding="utf-8")
         out = tmp_path / "policy.txt"
         rc = main(["solve", "--config", str(path), "--kind", "vaoi", "--out", str(out)])
         assert rc == EXIT_NOT_CONVERGED
@@ -115,8 +124,7 @@ class TestSolve:
     def test_scalar_overrides_change_the_stamp(self, tmp_path, cfg):
         out = str(tmp_path / "p.txt")
         assert main(["solve", "--config", cfg, "--out", out, "--pe", "0.2"]) == EXIT_OK
-        _, header = load_solve_result(out)
-        assert header["params_stamp"] != params_stamp(SMALL)
+        assert solve_header(out)["params_stamp"] != params_stamp(SMALL)
 
 
 class TestSimulate:
@@ -271,7 +279,7 @@ class TestCompare:
 
     def test_failed_solves_keep_their_counts(self, tmp_path):
         path = tmp_path / "stranded.cfg"
-        path.write_text(format_config(replace(SMALL, p_v=0.0)), encoding="utf-8")
+        path.write_text(config_text(replace(SMALL, p_v=0.0)), encoding="utf-8")
         out = str(tmp_path / "cmp.csv")
         rc = main(["compare", "--config", str(path), "--out", out, "--pe", "0", "--pq", "0.3"])
         assert rc == EXIT_PARTIAL
@@ -391,7 +399,7 @@ class TestBadInput:
 
         monkeypatch.setattr(mdp, "_build_model", build)
         path = tmp_path / "huge.cfg"
-        path.write_text(format_config(replace(SMALL, B=1, delta_max=262_144)),
+        path.write_text(config_text(replace(SMALL, B=1, delta_max=262_144)),
                         encoding="utf-8")
         out = tmp_path / "o.txt"
         rc = main(["solve", "--config", str(path), "--out", str(out)])
@@ -632,8 +640,7 @@ class TestProcess:
         proc = run_process("solve", "--config", cfg, "--out", str(out))
         assert proc.returncode == EXIT_OK, proc.stderr
         assert re.fullmatch(r"gain \S+ after \d+ iterations\n", proc.stdout)
-        result, _ = load_solve_result(str(out))
-        assert proc.stdout.startswith(f"gain {result.gain!r} ")
+        assert proc.stdout.startswith(f"gain {solve_header(out)['gain']} ")
         assert (tmp_path / "policy.txt.thresholds").read_text(encoding="utf-8")
         manifest = json.loads(read(str(out) + ".manifest.json"))
         assert manifest["solver"]["stop"] == "certificate"

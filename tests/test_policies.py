@@ -4,15 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semsched.core import (
-    Action,
-    AgentState,
-    ConfigError,
-    MetricKind,
-    SystemParams,
-    params_stamp,
-)
-from semsched.mdp import SolveResult, format_solve_result, parse_solve_result
+from semsched.core import Action, ConfigError, MetricKind, SystemParams, params_stamp
+from semsched.mdp import SolveResult, format_solve_result
 from semsched.policies import (
     NotThresholdStructured,
     PolicyTable,
@@ -22,12 +15,47 @@ from semsched.policies import (
     format_thresholds,
     greedy_policy,
     parse_policy,
-    parse_thresholds,
     state_count,
-    state_index,
 )
 
 PARAMS = SystemParams(B=2, delta_max=4, allow_tight_truncation=True)
+
+
+def grid(actions):
+    """`actions` as a (metric, battery, query) array, a view for writing."""
+    return actions.reshape(PARAMS.delta_max + 1, PARAMS.B + 1, 2)
+
+
+def split_lines(text):
+    """A written table file split by hand: its `key = value` header, and
+    its other non-comment lines as lists of fields."""
+    header, rows = {}, []
+    for line in text.splitlines():
+        if line.startswith("#"):
+            continue
+        if "=" in line:
+            key, _, value = line.partition("=")
+            header[key.strip()] = value.strip()
+        else:
+            rows.append(line.split())
+    return header, rows
+
+
+def split_solve_file(text):
+    """A solve file's header, and its bias column as floats."""
+    header, rows = split_lines(text)
+    assert rows[0] == ["metric", "battery", "query", "action", "bias"]
+    return header, np.array([float(r[4]) for r in rows[1:]])
+
+
+def expands_to(tp, actions):
+    """Whether the switch points of `tp` give exactly the action table:
+    Transmit at metric >= threshold in each (battery, query) slice."""
+    g = actions.reshape(tp.delta_max + 1, tp.B + 1, 2)
+    metric = np.arange(tp.delta_max + 1)
+    return len(tp.thresholds) == (tp.B + 1) * 2 and all(
+        np.array_equal(g[:, b, q], metric >= t) for (b, q), t in tp.thresholds.items()
+    )
 
 
 def make_table(actions):
@@ -41,21 +69,28 @@ def make_table(actions):
 
 
 class TestIndexing:
+    """Canonical order, as the written table lists the states."""
+
+    def rows(self):
+        _, rows = split_lines(format_policy(greedy_policy(PARAMS)))
+        return [tuple(map(int, r[:3])) for r in rows[1:]]
+
     def test_canonical_order(self):
         # metric-major, then battery, then query
-        assert state_index(4, 2, AgentState(0, 0, 0)) == 0
-        assert state_index(4, 2, AgentState(0, 0, 1)) == 1
-        assert state_index(4, 2, AgentState(0, 1, 0)) == 2
-        assert state_index(4, 2, AgentState(1, 0, 0)) == 6
-        assert state_count(4, 2) == 30
+        rows = self.rows()
+        assert rows[0] == (0, 0, 0)
+        assert rows[1] == (0, 0, 1)
+        assert rows[2] == (0, 1, 0)
+        assert rows[6] == (1, 0, 0)
+        assert state_count(4, 2) == 30 == len(rows)
 
     @given(
         m=st.integers(0, 4), b=st.integers(0, 2), q=st.integers(0, 1)
     )
     def test_index_bijective(self, m, b, q):
-        i = state_index(4, 2, AgentState(m, b, q))
+        i = (m * 3 + b) * 2 + q
         assert 0 <= i < state_count(4, 2)
-        assert i == (m * 3 + b) * 2 + q
+        assert self.rows()[i] == (m, b, q)
 
 
 class TestPolicyTable:
@@ -65,7 +100,7 @@ class TestPolicyTable:
 
     def test_rejects_transmit_on_empty_battery(self):
         actions = np.zeros(state_count(4, 2), dtype=np.int8)
-        actions[state_index(4, 2, AgentState(2, 0, 1))] = 1
+        grid(actions)[2, 0, 1] = 1
         with pytest.raises(ValueError, match="empty battery"):
             make_table(actions)
 
@@ -77,12 +112,12 @@ class TestPolicyTable:
 
 class TestGreedy:
     def test_transmits_iff_battery(self):
-        g = greedy_policy(PARAMS)
+        g = grid(greedy_policy(PARAMS).actions)
         for m in range(5):
             for q in (0, 1):
-                assert g.actions[state_index(4, 2, AgentState(m, 0, q))] == Action.IDLE
-                assert g.actions[state_index(4, 2, AgentState(m, 1, q))] == Action.TRANSMIT
-                assert g.actions[state_index(4, 2, AgentState(m, 2, q))] == Action.TRANSMIT
+                assert g[m, 0, q] == Action.IDLE
+                assert g[m, 1, q] == Action.TRANSMIT
+                assert g[m, 2, q] == Action.TRANSMIT
 
     def test_stamped(self):
         assert greedy_policy(PARAMS).params_stamp == params_stamp(PARAMS)
@@ -98,13 +133,13 @@ class TestThresholds:
 
     def test_round_trip_table(self):
         tp = extract_thresholds(greedy_policy(PARAMS))
-        assert np.array_equal(tp.to_table().actions, greedy_policy(PARAMS).actions)
+        assert expands_to(tp, greedy_policy(PARAMS).actions)
 
     def test_violating_slice_reported(self):
         actions = np.zeros(30, dtype=np.int8)
         # transmit at metric 1 but idle at metric 2: not a threshold
-        actions[state_index(4, 2, AgentState(1, 2, 1))] = 1
-        actions[state_index(4, 2, AgentState(3, 2, 1))] = 1
+        grid(actions)[1, 2, 1] = 1
+        grid(actions)[3, 2, 1] = 1
         with pytest.raises(NotThresholdStructured) as err:
             extract_thresholds(make_table(actions))
         assert (2, 1) in err.value.slices
@@ -112,12 +147,12 @@ class TestThresholds:
     def test_inclusive_switch_point(self):
         actions = np.zeros(30, dtype=np.int8)
         for m in (2, 3, 4):
-            actions[state_index(4, 2, AgentState(m, 1, 0))] = 1
+            grid(actions)[m, 1, 0] = 1
         tp = extract_thresholds(make_table(actions))
         assert tp.thresholds[(1, 0)] == 2
-        back = tp.to_table().actions
-        assert back[state_index(4, 2, AgentState(2, 1, 0))] == Action.TRANSMIT
-        assert back[state_index(4, 2, AgentState(1, 1, 0))] == Action.IDLE
+        assert expands_to(tp, actions)
+        assert grid(actions)[2, 1, 0] == Action.TRANSMIT
+        assert grid(actions)[1, 1, 0] == Action.IDLE
 
     @given(st.integers(0, 2**30 - 1))
     def test_threshold_tables_agree_with_origin(self, bits):
@@ -129,7 +164,7 @@ class TestThresholds:
             tp = extract_thresholds(table)
         except NotThresholdStructured:
             return
-        assert np.array_equal(tp.to_table().actions, table.actions)
+        assert expands_to(tp, table.actions)
 
 
 class TestSerialization:
@@ -140,10 +175,9 @@ class TestSerialization:
         assert back.params_stamp == g.params_stamp
         assert np.array_equal(back.actions, g.actions)
 
-    def test_threshold_round_trip(self):
+    def test_threshold_file(self):
         tp = extract_thresholds(greedy_policy(PARAMS))
-        back = parse_thresholds(format_thresholds(tp))
-        assert back == tp
+        assert same_thresholds(format_thresholds(tp), tp)
 
 
 @st.composite
@@ -181,28 +215,32 @@ def same_policy(a, b):
     ) and np.array_equal(a.actions, b.actions)
 
 
-def same_solve(a, b):
-    return (
-        same_policy(a.policy, b.policy)
-        and np.array_equal(a.bias, b.bias)
-        and (a.gain, a.iterations, a.residual_span, a.converged)
-        == (b.gain, b.iterations, b.residual_span, b.converged)
-    )
+def same_solve_file(text, result):
+    """Whether a solve file, split by hand, holds the result's diagnostics
+    and its bias bit for bit."""
+    header, bias = split_solve_file(text)
+    written = tuple(header[k] for k in ("gain", "iterations", "residual_span", "converged"))
+    return written == (
+        repr(result.gain), str(result.iterations), repr(result.residual_span),
+        str(int(result.converged)),
+    ) and bias.tobytes() == result.bias.tobytes()
 
 
-# (file text of an object, reader, equality)
-def codecs(policy, bias, gain, tp):
+def same_thresholds(text, tp):
+    """Whether a threshold file, split by hand, holds the stamp of `tp` and
+    one `battery query threshold` row per slice."""
+    header, rows = split_lines(text)
+    stamp = {"kind": tp.kind.value, "params_stamp": tp.params_stamp,
+             "delta_max": str(tp.delta_max), "B": str(tp.B)}
+    slices = {(int(b), int(q)): int(t) for b, q, t in rows}
+    return header == stamp and len(rows) == len(slices) and slices == tp.thresholds
+
+
+def policy_files(policy, bias, gain):
+    """The files the package reads a policy from, written for `policy`: a
+    policy table, and a solve result, which reads as its policy."""
     params = SystemParams(B=policy.B, delta_max=policy.delta_max, allow_tight_truncation=True)
-    result = solve_result(policy, bias, gain)
-    return [
-        (format_policy(policy), parse_policy, lambda back: same_policy(back, policy)),
-        (format_thresholds(tp), parse_thresholds, lambda back: back == tp),
-        (
-            format_solve_result(params, result),
-            lambda text: parse_solve_result(text)[0],
-            lambda back: same_solve(back, result),
-        ),
-    ]
+    return [format_policy(policy), format_solve_result(params, solve_result(policy, bias, gain))]
 
 
 JUNK = st.sampled_from(["x", "", "nan", "inf", "=", "1e", "0.5.1", "#"])
@@ -212,23 +250,31 @@ class TestCodecRoundTrip:
     @given(tables())
     @settings(max_examples=60, deadline=None)
     def test_every_file_kind_round_trips(self, case):
-        for text, read, same in codecs(*case):
-            assert same(read(text))
+        policy, bias, gain, tp = case
+        policy_text, solve_text = policy_files(policy, bias, gain)
+        for text in (policy_text, solve_text):
+            assert same_policy(parse_policy(text), policy)
+        assert same_solve_file(solve_text, solve_result(policy, bias, gain))
+        assert same_thresholds(format_thresholds(tp), tp)
 
     @given(tables())
     @settings(max_examples=30, deadline=None)
     def test_a_solve_result_reads_as_its_policy(self, case):
         policy, bias, gain, _ = case
-        params = SystemParams(B=policy.B, delta_max=policy.delta_max, allow_tight_truncation=True)
-        text = format_solve_result(params, solve_result(policy, bias, gain))
-        assert same_policy(parse_policy(text), policy)
-        with pytest.raises(ConfigError):
-            parse_solve_result(format_policy(policy))
+        policy_text, solve_text = policy_files(policy, bias, gain)
+        assert same_policy(parse_policy(solve_text), policy)
+        # the policy file's stamp and rows, each row with its bias appended
+        policy_header, policy_rows = split_lines(policy_text)
+        solve_header, solve_rows = split_lines(solve_text)
+        assert policy_header.items() <= solve_header.items()
+        assert [r[:4] for r in solve_rows] == policy_rows
+        assert all(len(r) == 5 for r in solve_rows)
 
     @given(tables(), st.data())
     @settings(max_examples=200, deadline=None)
     def test_a_single_line_mutation_is_rejected_or_harmless(self, case, data):
-        text, read, same = data.draw(st.sampled_from(codecs(*case)))
+        policy, bias, gain, _ = case
+        text = data.draw(st.sampled_from(policy_files(policy, bias, gain)))
         lines = text.splitlines()
         i = data.draw(st.integers(0, len(lines) - 1))
         op = data.draw(
@@ -253,15 +299,15 @@ class TestCodecRoundTrip:
         else:
             lines.insert(i, data.draw(st.text(max_size=20)))
         try:
-            back = read("\n".join(lines) + "\n")
+            back = parse_policy("\n".join(lines) + "\n")
         except ConfigError:
             return
-        assert same(back)
+        assert same_policy(back, policy)
 
 
 class TestFailClosed:
-    """Every malformed policy, threshold or solve-result file is a
-    ConfigError, never a traceback or a silently different table."""
+    """Every malformed policy file, or solve-result file read as a policy,
+    is a ConfigError, never a traceback or a silently different table."""
 
     def policy_lines(self):
         return format_policy(greedy_policy(PARAMS)).splitlines()
@@ -324,28 +370,19 @@ class TestFailClosed:
             with pytest.raises(ConfigError, match=f"bad header value {key}"):
                 self.read(lines)
 
-    def test_threshold_file_checks(self):
-        tp = extract_thresholds(greedy_policy(PARAMS))
-        lines = format_thresholds(tp).splitlines()
-        for bad, match in (
-            (lines[:-1], "missing"),
-            (lines + ["2 1 0"], "duplicate row"),
-            (lines[:-1] + ["2 1 6"], "threshold 6 outside 0..5"),
-            (lines[:-1] + ["2 1"], "expected 3 fields"),
-        ):
-            with pytest.raises(ConfigError, match=match):
-                parse_thresholds("\n".join(bad) + "\n")
-        never_at_empty = [l if l != "0 0 5" else "0 0 4" for l in lines]
-        with pytest.raises(ConfigError, match="empty battery"):
-            parse_thresholds("\n".join(never_at_empty) + "\n")
+    def test_rows_must_match_the_column_line(self):
+        lines = self.policy_lines()
+        with pytest.raises(ConfigError, match="expected 4 fields, got 3"):
+            self.read(lines[:-1] + [lines[-1].rsplit(" ", 1)[0]])
+        with pytest.raises(ConfigError, match="expected columns 'metric battery query action'"):
+            self.read([l if l != "metric battery query action" else "metric query battery action"
+                       for l in lines])
 
-    def test_solve_result_header_checks(self):
+    def test_a_solve_result_row_without_its_bias(self):
         p = SystemParams(B=2, delta_max=4, allow_tight_truncation=True)
         result = solve_result(greedy_policy(p), np.zeros(30), 0.5)
         lines = format_solve_result(p, result).splitlines()
-        for key, value in (("gain", "nan"), ("converged", "yes"), ("iterations", "1.5")):
-            bad = [f"{key} = {value}" if l.startswith(key) else l for l in lines]
-            with pytest.raises(ConfigError, match=f"bad header value {key}"):
-                parse_solve_result("\n".join(bad) + "\n")
-        with pytest.raises(ConfigError, match="missing header key\\(s\\): converged"):
-            parse_solve_result("\n".join(l for l in lines if "converged" not in l))
+        assert same_policy(self.read(lines), result.policy)
+        lines[-1] = lines[-1].rsplit(" ", 1)[0]
+        with pytest.raises(ConfigError, match="expected 5 fields, got 4"):
+            self.read(lines)

@@ -13,7 +13,7 @@ import semsched.sim as sim
 from semsched.core import MetricKind, SystemParams, params_stamp
 from semsched.mdp import evaluate_policy_exact, rvia_solve
 from semsched.metrics import SlotEvents, evolve_trace
-from semsched.policies import PolicyTable, ThresholdPolicy, greedy_policy
+from semsched.policies import PolicyTable, greedy_policy
 from semsched.sim import (
     STREAM_CHANNEL,
     STREAM_ENERGY,
@@ -406,14 +406,13 @@ def reference_policy(name, p, solved_tables):
     if name == "greedy":
         return greedy_policy(p)
     if name == "threshold":
-        thresholds = {
-            (b, q): p.delta_max + 1 if b == 0 else max(1, p.delta_max - b - 2 * q)
-            for b in range(p.B + 1)
-            for q in (0, 1)
-        }
-        return ThresholdPolicy(
-            MetricKind.VAOI, stamp, p.delta_max, p.B, thresholds
-        ).to_table()
+        # transmit from metric max(1, delta_max - b - 2q) up at battery
+        # b >= 1 and query q, never at battery 0
+        m, b, q = np.indices((p.delta_max + 1, p.B + 1, 2))
+        actions = (b >= 1) & (m >= np.maximum(1, p.delta_max - b - 2 * q))
+        return PolicyTable(
+            MetricKind.VAOI, stamp, p.delta_max, p.B, actions.astype(np.int8).ravel()
+        )
     if name == "always":
         # asks to transmit in every state, battery 0 included, which
         # PolicyTable refuses: only the simulator's forced Idle stops it
