@@ -36,7 +36,7 @@ from .core import (
     params_stamp,
     validate_params,
 )
-from .metrics import EmptyTrace, evolve_trace, format_trace_table, parse_events_table
+from .metrics import evolve_trace, format_trace_table, parse_events_table
 from .mdp import NotConverged, format_solve_result, rvia_solve
 from .policies import (
     NotThresholdStructured,
@@ -186,17 +186,10 @@ def cmd_simulate(args) -> int:
     else:
         policy = load_policy(args.policy)
         policy_id = os.path.basename(args.policy)
-    try:
-        cfg = SimConfig(horizon=args.horizon, seed=args.seed, warmup=args.warmup)
-        sim_started = time.perf_counter()
-        rep = replicate(params, policy, cfg, n_reps=args.reps, jobs=args.jobs)
-        sim_seconds = time.perf_counter() - sim_started
-    except MismatchedStamp as exc:
-        print(f"stamp mismatch: {exc}", file=sys.stderr)
-        return EXIT_STAMP
-    except ValueError as exc:
-        print(f"invalid run settings: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = SimConfig(horizon=args.horizon, seed=args.seed, warmup=args.warmup)
+    sim_started = time.perf_counter()
+    rep = replicate(params, policy, cfg, n_reps=args.reps, jobs=args.jobs)
+    sim_seconds = time.perf_counter() - sim_started
     lines = [summary_csv_header()]
     lines.extend(summary_csv_row(params, policy_id, s) for s in rep.summaries)
     for kind in MetricKind:
@@ -230,7 +223,7 @@ def cmd_trace(args) -> int:
         with open(args.events, "r", encoding="utf-8") as fh:
             events = parse_events_table(fh.read())
         trace = evolve_trace(events, params.delta_max)
-    except (OSError, ValueError, EmptyTrace) as exc:
+    except (OSError, ValueError) as exc:
         print(f"cannot replay events: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     _atomic_write(args.out, format_trace_table(events, trace))

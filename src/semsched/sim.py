@@ -419,7 +419,7 @@ def replicate(
     order either way.
     """
     if n_reps < 2:
-        raise ValueError("n_reps must be >= 2")
+        raise ConfigError(None, "n_reps must be >= 2")
     # built here so that a seed + r past the seed range fails before any run
     cfgs = [replace(cfg, seed=cfg.seed + r) for r in range(n_reps)]
     work = ([params] * n_reps, [policy] * n_reps, cfgs)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import semsched.sim as sim
-from semsched.core import MetricKind, SystemParams, params_stamp
+from semsched.core import ConfigError, MetricKind, SystemParams, params_stamp
 from semsched.mdp import evaluate_policy_exact, rvia_solve
 from semsched.metrics import SlotEvents, evolve_trace
 from semsched.policies import PolicyTable, greedy_policy
@@ -343,7 +343,7 @@ class TestReplication:
         assert pools == [3]
 
     def test_needs_at_least_two_reps(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             replicate(MID, greedy_policy(MID), SimConfig(horizon=100, seed=1, warmup=0), n_reps=1)
 
 
