@@ -12,7 +12,7 @@ import hashlib
 import math
 from dataclasses import dataclass, fields, replace
 from enum import Enum, IntEnum
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 
 class MetricKind(str, Enum):
@@ -43,32 +43,8 @@ class Action(IntEnum):
     TRANSMIT = 1
 
 
-class AgentState(NamedTuple):
-    """(metric value, battery level, query flag): the MDP state."""
-
-    metric: int
-    battery: int
-    query: int
-
-
 class ParamError(ValueError):
-    """Base for parameter validation failures; carries every violation found."""
-
-    def __init__(self, violations: list[str]):
-        self.violations = list(violations)
-        super().__init__("; ".join(violations))
-
-
-class OutOfRange(ParamError):
-    pass
-
-
-class NonPositiveCapacity(ParamError):
-    pass
-
-
-class TruncationTooTight(ParamError):
-    pass
+    """Parameter validation failure; the message lists every violation."""
 
 
 class ConfigError(ValueError):
@@ -133,66 +109,57 @@ def validate_params(raw: SystemParams | Mapping[str, object]) -> SystemParams:
     """Validate a candidate parameter set, reporting every violation at once.
 
     Accepts either an existing `SystemParams` (idempotent: a valid one is
-    returned unchanged) or a mapping of field names. Raises the error class
-    of the most severe violation category found, with the message listing
-    all of them.
+    returned unchanged) or a mapping of field names. Raises `ParamError`
+    with a message listing all violations: range and type problems, then
+    B < 1; the state ceiling and the truncation guard only when neither
+    was found.
     """
     if isinstance(raw, SystemParams):
         candidate = raw
     else:
         unknown = set(raw) - {f.name for f in fields(SystemParams)}
         if unknown:
-            raise OutOfRange([f"unknown parameter(s): {sorted(unknown)}"])
+            raise ParamError(f"unknown parameter(s): {sorted(unknown)}")
         candidate = SystemParams(**raw)  # type: ignore[arg-type]
 
-    out_of_range: list[str] = []
-    capacity: list[str] = []
-    truncation: list[str] = []
-
+    violations: list[str] = []
     for name in _PROBABILITY_FIELDS:
         v = getattr(candidate, name)
         if not isinstance(v, (int, float)) or isinstance(v, bool):
-            out_of_range.append(f"{name}={v!r} is not a number")
+            violations.append(f"{name}={v!r} is not a number")
             continue
         if not (0.0 <= v <= 1.0):
-            out_of_range.append(f"{name}={v} outside [0, 1]")
+            violations.append(f"{name}={v} outside [0, 1]")
     if isinstance(candidate.p_s, (int, float)) and candidate.p_s == 0:
-        out_of_range.append("p_s=0: a zero-success channel is degenerate")
+        violations.append("p_s=0: a zero-success channel is degenerate")
 
     for name in _INT_FIELDS:
         v = getattr(candidate, name)
         if not isinstance(v, int) or isinstance(v, bool):
-            out_of_range.append(f"{name}={v!r} is not an integer")
+            violations.append(f"{name}={v!r} is not an integer")
+    if isinstance(candidate.N, int) and candidate.N < 0:
+        violations.append(f"N={candidate.N} < 0")
+    if isinstance(candidate.delta_max, int) and candidate.delta_max < 1:
+        violations.append(f"delta_max={candidate.delta_max} < 1")
     if isinstance(candidate.B, int) and not isinstance(candidate.B, bool):
         if candidate.B < 1:
-            capacity.append(f"B={candidate.B} < 1")
-    if isinstance(candidate.N, int) and candidate.N < 0:
-        out_of_range.append(f"N={candidate.N} < 0")
-    if isinstance(candidate.delta_max, int) and candidate.delta_max < 1:
-        out_of_range.append(f"delta_max={candidate.delta_max} < 1")
+            violations.append(f"B={candidate.B} < 1")
 
-    if not (out_of_range or capacity) and not candidate.allow_tight_truncation:
-        guard = candidate.truncation_guard()
-        if candidate.delta_max < guard:
-            truncation.append(
-                f"delta_max={candidate.delta_max} below guard {guard} "
-                f"(10*ceil(1/p_s)); set allow_tight_truncation to override"
-            )
-    if not (out_of_range or capacity):
+    if not violations:
         n = state_count(candidate.delta_max, candidate.B)
         if n > MAX_STATES:
-            out_of_range.append(
+            violations.append(
                 f"delta_max={candidate.delta_max}, B={candidate.B} give {n} "
                 f"states, above the ceiling of {MAX_STATES}"
             )
-
-    all_violations = out_of_range + capacity + truncation
-    if out_of_range:
-        raise OutOfRange(all_violations)
-    if capacity:
-        raise NonPositiveCapacity(all_violations)
-    if truncation:
-        raise TruncationTooTight(all_violations)
+        guard = candidate.truncation_guard()
+        if candidate.delta_max < guard and not candidate.allow_tight_truncation:
+            violations.append(
+                f"delta_max={candidate.delta_max} below guard {guard} "
+                f"(10*ceil(1/p_s)); set allow_tight_truncation to override"
+            )
+    if violations:
+        raise ParamError("; ".join(violations))
 
     # int-typed probabilities (p_q = 1 as well as 1.0) become floats, so
     # that equal parameter sets also share one params_stamp

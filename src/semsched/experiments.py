@@ -188,7 +188,6 @@ class ActionMap:
     threshold structure."""
 
     policy_id: str
-    params_stamp: str
     grid: np.ndarray = field(repr=False)
     thresholds: ThresholdPolicy | None
     warning: str | None = None
@@ -210,7 +209,6 @@ def action_map(params: SystemParams, kind: MetricKind | str) -> ActionMap:
         warning = str(exc)
     return ActionMap(
         policy_id=name,
-        params_stamp=params_stamp(params),
         grid=grid,
         thresholds=thresholds,
         warning=warning,

@@ -535,21 +535,18 @@ def _closed_classes(P: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
     return labels, closed
 
 
-def _single_recurrent_class(
-    P: sp.csr_matrix, start: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Set reachable from `start` and the unique closed class within it,
-    or raise. No edge leaves the reachable set, so a class of P that it
-    meets lies in it, and is closed there exactly when it is closed in P."""
-    ridx = np.sort(breadth_first_order(P, start, return_predecessors=False))
+def _single_recurrent_class(P: sp.csr_matrix, start: int) -> np.ndarray:
+    """Members of the unique closed class reachable from `start`, or
+    raise. No edge leaves the reachable set, so a class of P that it meets
+    lies in it, and is closed there exactly when it is closed in P."""
     labels, closed = _closed_classes(P)
-    reached = np.unique(labels[ridx])
+    reached = np.unique(labels[breadth_first_order(P, start, return_predecessors=False)])
     hits = reached[closed[reached]]
     if hits.size != 1:
         raise MultichainPolicy(
             f"{hits.size} recurrent classes reachable from the start states"
         )
-    return ridx, np.flatnonzero(labels == hits[0])
+    return np.flatnonzero(labels == hits[0])
 
 
 def _reads_other_family(
@@ -590,7 +587,7 @@ def _level_average(
     met = _build_model(params, kind)
     table = policy.actions.reshape(-1, 2)
     P = _policy_matrix(pol, table)
-    _, members = _single_recurrent_class(P, _start_index(params, policy.kind))
+    members = _single_recurrent_class(P, _start_index(params, policy.kind))
     mu = _solve_chain(_submatrix(P, members), np.zeros(members.size))[2]
 
     # the meter's level after each outcome column from level 0 at full
@@ -650,7 +647,7 @@ def evaluate_policy_exact(
     m = _build_model(params, kind)
     table = policy.actions.reshape(-1, 2)
     P = _policy_matrix(m, table)
-    _, members = _single_recurrent_class(P, _start_index(params, kind))
+    members = _single_recurrent_class(P, _start_index(params, kind))
     return _solve_chain(_submatrix(P, members), _chain_cost(m, table)[members])[0]
 
 

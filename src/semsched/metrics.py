@@ -22,10 +22,6 @@ class SlotEvents(NamedTuple):
     query: int
 
 
-class EmptyTrace(ValueError):
-    pass
-
-
 def step_aoi(aoi: int, delivered: bool, delta_max: int) -> int:
     """Age after one slot: reset to 1 on delivery, else grow, capped."""
     if delivered:
@@ -62,26 +58,14 @@ class MetricTrace:
     qaoi: list[int]
     qvaoi: list[int]
 
-    def __len__(self) -> int:
-        return len(self.aoi)
 
-
-def evolve_trace(
-    events: Sequence[SlotEvents],
-    delta_max: int,
-    initial_aoi: int | None = None,
-    initial_vaoi: int = 0,
-) -> MetricTrace:
-    """Fold the step rules over an event sequence.
-
-    Initial AoI defaults to delta_max (maximally stale before any
-    delivery); initial VAoI to 0. Folding concatenated sequences with the
-    carried final values equals folding the whole.
-    """
+def evolve_trace(events: Sequence[SlotEvents], delta_max: int) -> MetricTrace:
+    """Fold the step rules over an event sequence, from AoI delta_max
+    (maximally stale before any delivery) and VAoI 0."""
     if not events:
-        raise EmptyTrace("event sequence is empty")
-    aoi = delta_max if initial_aoi is None else initial_aoi
-    vaoi = initial_vaoi
+        raise ValueError("event sequence is empty")
+    aoi = delta_max
+    vaoi = 0
     out = MetricTrace([], [], [], [])
     for ev in events:
         aoi = step_aoi(aoi, bool(ev.delivered), delta_max)

@@ -681,9 +681,17 @@ class TestProcess:
         frozen = run_process(code=code.format("semsched.cli"))
         assert frozen.returncode == 0, frozen.stderr
         assert int(frozen.stdout) > 0
-        library = run_process(code=code.format("semsched"))
+        library = run_process(code=code.format("semsched.experiments"))
         assert library.returncode == 0, library.stderr
         assert int(library.stdout) == 0
+
+    def test_the_simulator_imports_without_scipy(self):
+        # only the solver and the evaluator need scipy
+        code = ("import sys, semsched.core, semsched.metrics, semsched.policies, "
+                "semsched.sim; print('scipy' in sys.modules)")
+        done = run_process(code=code)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
 
 class TestReadme:

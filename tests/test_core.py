@@ -9,10 +9,8 @@ from hypothesis import given, strategies as st
 from semsched.core import (
     MAX_STATES,
     ConfigError,
-    NonPositiveCapacity,
-    OutOfRange,
+    ParamError,
     SystemParams,
-    TruncationTooTight,
     params_stamp,
     parse_config,
     state_count,
@@ -54,22 +52,22 @@ class TestValidateParams:
         assert params_stamp(as_int) == params_stamp(as_float)
 
     def test_probability_bounds(self):
-        with pytest.raises(OutOfRange, match="p_e=1.5"):
+        with pytest.raises(ParamError, match="p_e=1.5"):
             validate_params({"p_e": 1.5})
-        with pytest.raises(OutOfRange, match="p_q=-0.1"):
+        with pytest.raises(ParamError, match="p_q=-0.1"):
             validate_params({"p_q": -0.1})
 
     def test_zero_success_channel_rejected(self):
-        with pytest.raises(OutOfRange, match="p_s=0"):
+        with pytest.raises(ParamError, match="p_s=0"):
             validate_params({"p_s": 0.0})
 
     def test_nonpositive_battery(self):
-        with pytest.raises(NonPositiveCapacity, match="B=0"):
+        with pytest.raises(ParamError, match="B=0"):
             validate_params({"B": 0})
 
     def test_truncation_guard(self):
         # p_s=0.8 -> guard 10*ceil(1/0.8) = 20
-        with pytest.raises(TruncationTooTight, match="guard 20"):
+        with pytest.raises(ParamError, match="guard 20"):
             validate_params({"delta_max": 19})
         p = validate_params({"delta_max": 19, "allow_tight_truncation": True})
         assert p.delta_max == 19
@@ -79,35 +77,32 @@ class TestValidateParams:
         # B = 1: (delta_max + 1) * 2 * 2 states, so 262,143 lands on 2^20
         assert state_count(262_143, 1) == MAX_STATES == 2**20
         assert validate_params({"B": 1, "delta_max": 262_143}).delta_max == 262_143
-        with pytest.raises(OutOfRange) as err:
+        with pytest.raises(ParamError) as err:
             validate_params({"B": 1, "delta_max": 262_144})
         assert str(err.value) == (
             "delta_max=262144, B=1 give 1048580 states, above the ceiling of 1048576"
         )
-        # a ceiling breach is reported with the other violations
-        with pytest.raises(OutOfRange) as err:
+        # a ceiling breach is reported before the truncation guard
+        with pytest.raises(ParamError) as err:
             validate_params({"B": 100_000, "delta_max": 19})
-        assert len(err.value.violations) == 2
-        assert "guard 20" in str(err.value) and "4000040 states" in str(err.value)
+        assert str(err.value) == (
+            "delta_max=19, B=100000 give 4000040 states, above the ceiling of "
+            "1048576; delta_max=19 below guard 20 (10*ceil(1/p_s)); set "
+            "allow_tight_truncation to override"
+        )
 
     def test_all_violations_reported_together(self):
-        with pytest.raises(OutOfRange) as err:
-            validate_params({"p_e": 2.0, "B": 0})
-        assert len(err.value.violations) == 2
-        joined = str(err.value)
-        assert "p_e" in joined and "B=0" in joined
-
-    def test_severity_order(self):
-        # an out-of-range probability outranks a capacity problem
-        with pytest.raises(OutOfRange):
-            validate_params({"p_s": -1.0, "B": -2})
+        # range problems first, then the battery capacity
+        with pytest.raises(ParamError) as err:
+            validate_params({"p_e": 2.0, "B": 0, "N": -1})
+        assert str(err.value) == "p_e=2.0 outside [0, 1]; N=-1 < 0; B=0 < 1"
 
     def test_unknown_field(self):
-        with pytest.raises(OutOfRange, match="unknown"):
+        with pytest.raises(ParamError, match="unknown"):
             validate_params({"battery": 3})
 
     def test_negative_relay_count(self):
-        with pytest.raises(OutOfRange, match="N=-1"):
+        with pytest.raises(ParamError, match="N=-1"):
             validate_params({"N": -1})
 
     def test_integer_probability_normalized(self):

@@ -140,7 +140,6 @@ class TestActionMap:
     def test_solved_version_region_spares_zero_lag(self):
         am = action_map(SMALL, MetricKind.QVAOI)
         assert am.policy_id == "qvaoi"
-        assert am.params_stamp == params_stamp(SMALL)
         assert not am.grid[0].any()
 
 

@@ -4,6 +4,7 @@ brute-force oracle, exact policy evaluation, and the solve-result file."""
 import dataclasses
 import hashlib
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 import semsched.mdp as mdp
-from semsched.core import Action, AgentState, MetricKind, SystemParams, params_stamp
+from semsched.core import Action, MetricKind, SystemParams, params_stamp
 from semsched.mdp import (
     MultichainPolicy,
     NotConverged,
@@ -29,6 +30,14 @@ from semsched.mdp import (
 from semsched.metrics import step_aoi, step_vaoi
 from semsched.policies import PolicyTable, greedy_policy, parse_policy, state_count
 from test_policies import split_solve_file
+
+
+class AgentState(NamedTuple):
+    """(metric value, battery level, query flag): one MDP state."""
+
+    metric: int
+    battery: int
+    query: int
 
 
 def small(**over):
@@ -648,7 +657,7 @@ class TestExactEvaluation:
                 ]
             )
         )
-        _, members = _single_recurrent_class(P, 0)
+        members = _single_recurrent_class(P, 0)
         assert members.tolist() == [1]
 
 
@@ -774,8 +783,9 @@ ASSEMBLY_CASES = [
 
 
 class TestChainAssembly:
-    """The policy chain, its sub-chains and the bordered system are read
-    off the model's merged pattern; each must equal the scipy build."""
+    """The policy chain is read off the model's merged pattern, the
+    bordered system splices a ones column onto scipy's I - P, and
+    sub-chains are cut with np.ix_; each must equal the scipy build."""
 
     @pytest.mark.parametrize("kind", list(MetricKind))
     def test_policy_matrix_matches_the_coo_build(self, kind):
