@@ -97,6 +97,12 @@ class TestValidateParams:
             validate_params({"p_e": 2.0, "B": 0, "N": -1})
         assert str(err.value) == "p_e=2.0 outside [0, 1]; N=-1 < 0; B=0 < 1"
 
+    def test_a_range_problem_hides_the_ceiling_and_the_guard(self):
+        # the ceiling and the guard are checked only when nothing else failed
+        with pytest.raises(ParamError) as err:
+            validate_params({"p_e": 2.0, "B": 100_000, "delta_max": 19})
+        assert str(err.value) == "p_e=2.0 outside [0, 1]"
+
     def test_unknown_field(self):
         with pytest.raises(ParamError, match="unknown"):
             validate_params({"battery": 3})

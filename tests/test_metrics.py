@@ -117,6 +117,20 @@ class TestEvolveTrace:
         t = evolve_trace(events, delta_max=25)
         assert all(v <= a for v, a in zip(t.vaoi, t.aoi))
 
+    @given(
+        st.lists(events_st, min_size=2, max_size=40),
+        st.integers(1, 20),
+    )
+    def test_a_prefix_folds_to_the_head_of_the_trace(self, events, cut_raw):
+        # each slot depends on the slots before it only
+        cut = cut_raw % (len(events) - 1) + 1
+        whole = evolve_trace(events, delta_max=12)
+        head = evolve_trace(events[:cut], delta_max=12)
+        assert head.aoi == whole.aoi[:cut]
+        assert head.vaoi == whole.vaoi[:cut]
+        assert head.qaoi == whole.qaoi[:cut]
+        assert head.qvaoi == whole.qvaoi[:cut]
+
 
 class TestTraceTableIO:
     def test_round_trip(self):
