@@ -333,27 +333,20 @@ def cmd_sweep(args) -> int:
     params = _load_params(args)
     pq_values = _parse_float_list(args.pq, (0.1, 0.2, 0.3, 0.4))
     _validate_rates(params, "p_q", pq_values)
-    if not args.tol > 0:
-        raise ConfigError(None, f"--tol must be positive, got {args.tol!r}")
+    if not 0 < args.tol < 1:
+        raise ConfigError(None, f"--tol must be in (0, 1), got {args.tol!r}")
     if not math.isfinite(args.target):
         raise ConfigError(None, f"--target must be finite, got {args.target!r}")
     if 0.0 in pq_values:
         raise ConfigError(None, "sweep needs p_q > 0: the target is a per-query average")
     points = charging_sweep(params, args.kind, args.target, pq_values, tol=args.tol)
-    _atomic_write(
-        args.out,
-        format_ratio_table(
-            params, points, args.kind, args.target,
-            gnuplot=args.emit_gnuplot_ready,
-        ),
-    )
+    _atomic_write(args.out, format_ratio_table(params, points, args.kind, args.target))
     failed = sum(1 for p in points if p.error)
     _write_manifest(
         args.out, "sweep", params,
         {
             "kind": args.kind, "target": args.target, "pq": list(pq_values),
-            "tol": args.tol, "gnuplot": args.emit_gnuplot_ready,
-            "out": args.out,
+            "tol": args.tol, "out": args.out,
         },
         [args.out], started,
     )
@@ -429,7 +422,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=kinds + ["greedy"], default="qvaoi")
     p.add_argument("--target", type=float, required=True)
     p.add_argument("--tol", type=float, default=1e-3)
-    p.add_argument("--emit-gnuplot-ready", action="store_true")
     p.set_defaults(func=cmd_sweep)
 
     return parser

@@ -48,10 +48,9 @@ class ParamError(ValueError):
 
 
 class ConfigError(ValueError):
-    """Malformed config input; `line_no` is 1-based, None off-file."""
+    """Malformed config input at a 1-based line number, None off-file."""
 
     def __init__(self, line_no: int | None, message: str):
-        self.line_no = line_no
         prefix = f"line {line_no}: " if line_no is not None else ""
         super().__init__(prefix + message)
 

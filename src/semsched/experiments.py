@@ -28,7 +28,6 @@ from .mdp import (
 )
 from .policies import (
     NotThresholdStructured,
-    PolicyTable,
     ThresholdPolicy,
     extract_thresholds,
     greedy_policy,
@@ -44,8 +43,6 @@ class TargetUnreachable(ValueError):
     """Average exceeds the target even at p_e = 1."""
 
     def __init__(self, target: float, value_at_one: float):
-        self.target = target
-        self.value_at_one = value_at_one
         super().__init__(
             f"target {target} unreachable: value {value_at_one:.6f} at p_e = 1"
         )
@@ -53,13 +50,6 @@ class TargetUnreachable(ValueError):
 
 class MonotonicityViolation(RuntimeError):
     """Evaluated average increased with p_e; bisection preconditions broken."""
-
-
-def solve_policy(params: SystemParams, name: str) -> PolicyTable:
-    """Greedy by construction, anything else via the solver."""
-    if name == "greedy":
-        return greedy_policy(params)
-    return rvia_solve(params, MetricKind(name)).policy
 
 
 # --- comparison ----------------------------------------------------------
@@ -96,9 +86,7 @@ def _solver_fields(result: SolveResult) -> dict:
 
 
 def compare_policies(
-    params: SystemParams,
-    policy_set: tuple[str, ...] = POLICY_NAMES,
-    sim_cfg: SimConfig | None = None,
+    params: SystemParams, sim_cfg: SimConfig | None = None
 ) -> list[CompareRow]:
     """Average QVAoI of each policy at the CS and at the monitor.
 
@@ -110,7 +98,7 @@ def compare_policies(
     """
     meter = MetricKind.QVAOI
     rows: list[CompareRow] = []
-    for name in policy_set:
+    for name in POLICY_NAMES:
         solver = {}
         if name == "greedy":
             policy = greedy_policy(params)
@@ -149,14 +137,13 @@ class GridCell:
 
 
 def _cell_worker(args) -> GridCell:
-    params, pe, pq, policy_set, sim_cfg = args
+    params, pe, pq, sim_cfg = args
     cell = replace(params, p_e=pe, p_q=pq)
-    return GridCell(pe, pq, compare_policies(cell, policy_set, sim_cfg))
+    return GridCell(pe, pq, compare_policies(cell, sim_cfg))
 
 
 def comparison_grid(
     params: SystemParams,
-    policy_set: tuple[str, ...] = POLICY_NAMES,
     pe_values: tuple[float, ...] = DEFAULT_PE_CELLS,
     pq_values: tuple[float, ...] = DEFAULT_PQ_CELLS,
     sim_cfg: SimConfig | None = None,
@@ -169,7 +156,7 @@ def comparison_grid(
     scheduled.
     """
     work = [
-        (params, pe, pq, policy_set, sim_cfg)
+        (params, pe, pq, sim_cfg)
         for pe in pe_values
         for pq in pq_values
     ]
@@ -196,33 +183,24 @@ class ActionMap:
 def action_map(params: SystemParams, kind: MetricKind | str) -> ActionMap:
     """Transmission region of a solved policy (or greedy) at query = 1."""
     name = kind.value if isinstance(kind, MetricKind) else kind
-    policy = solve_policy(params, name)
+    if name == "greedy":
+        policy = greedy_policy(params)
+    else:
+        policy = rvia_solve(params, MetricKind(name)).policy
     grid = (
         policy.actions.reshape(params.delta_max + 1, params.B + 1, 2)[:, :, 1]
         .copy()
     )
-    thresholds = None
-    warning = None
     try:
-        thresholds = extract_thresholds(policy)
+        return ActionMap(name, grid, extract_thresholds(policy))
     except NotThresholdStructured as exc:
-        warning = str(exc)
-    return ActionMap(
-        policy_id=name,
-        grid=grid,
-        thresholds=thresholds,
-        warning=warning,
-    )
+        return ActionMap(name, grid, None, warning=str(exc))
 
 
 # --- required charging rate ----------------------------------------------
 
 @dataclass(frozen=True)
 class ChargingRateResult:
-    policy: str
-    target: float
-    p_q: float
-    tol: float
     p_e_star: float
     bracket_lo: float
     bracket_hi: float
@@ -242,12 +220,13 @@ def required_charging_rate(
     Each candidate re-solves the policy at that charging rate (solver
     bias warm-starts the next candidate) and evaluates exactly; the
     returned p_e_star is the feasible bracket end, within tol of the true
-    boundary. Feasibility at p_e = 1 is checked before bisecting, and the
+    boundary (or one float away, for a tol below the float spacing there).
+    Feasibility at p_e = 1 is checked before bisecting, and the
     expected decrease of the average in p_e is verified on every point
     actually evaluated.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < 1:
+        raise ValueError(f"tol must be in (0, 1), got {tol!r}")
     if not math.isfinite(target):
         raise ValueError(f"target must be finite, got {target!r}")
     if p_q <= 0:
@@ -278,6 +257,8 @@ def required_charging_rate(
     lo, hi = 0.0, 1.0
     while hi - lo > tol:
         mid = (lo + hi) / 2.0
+        if not lo < mid < hi:  # adjacent floats: the bracket cannot shrink
+            break
         if value(mid) <= target:
             hi = mid
         else:
@@ -291,14 +272,7 @@ def required_charging_rate(
                 f"to {vb:.9f} at p_e={pe_b:.6f}"
             )
     return ChargingRateResult(
-        policy=name,
-        target=target,
-        p_q=p_q,
-        tol=tol,
-        p_e_star=hi,
-        bracket_lo=lo,
-        bracket_hi=hi,
-        evaluations=tuple(evals),
+        p_e_star=hi, bracket_lo=lo, bracket_hi=hi, evaluations=tuple(evals)
     )
 
 
@@ -381,13 +355,9 @@ def format_comparison(
     (all-slot CS values)."""
     lines = _header_lines(params, {"experiment": "compare"})
     if gnuplot:
-        names = list(dict.fromkeys(r.policy for c in cells for r in c.rows))
-        lines.append("p_e,p_q," + ",".join(names))
+        lines.append("p_e,p_q," + ",".join(POLICY_NAMES))
         for c in cells:
-            by_name = {r.policy: r for r in c.rows}
-            vals = [
-                f"{by_name[n].qvaoi!r}" if n in by_name else "nan" for n in names
-            ]
+            vals = [f"{r.qvaoi!r}" for r in c.rows]
             lines.append(f"{c.p_e},{c.p_q}," + ",".join(vals))
     else:
         lines.append(
@@ -431,19 +401,15 @@ def format_ratio_table(
     points: list[RatioPoint],
     policy: str,
     target: float,
-    gnuplot: bool = False,
 ) -> str:
-    """Ratio rows; already one series per column, so gnuplot mode only
-    switches the separator."""
+    """One CSV row per query rate."""
     lines = _header_lines(
         params, {"experiment": "sweep", "policy": policy, "target": target}
     )
-    sep = " " if gnuplot else ","
-    cols = ["p_q", "pe_policy", "pe_greedy", "ratio", "ratio_lo", "ratio_hi", "error"]
-    lines.append(sep.join(cols))
+    lines.append("p_q,pe_policy,pe_greedy,ratio,ratio_lo,ratio_hi,error")
     for pt in points:
         lines.append(
-            sep.join([
+            ",".join([
                 repr(pt.p_q), repr(pt.pe_policy), repr(pt.pe_greedy),
                 repr(pt.ratio), repr(pt.ratio_lo), repr(pt.ratio_hi),
                 pt.error or "",

@@ -15,6 +15,7 @@ from typing import Iterable
 import numpy as np
 
 from .core import (
+    MAX_STATES,
     Action,
     ConfigError,
     MetricKind,
@@ -28,10 +29,8 @@ class NotThresholdStructured(ValueError):
     """Some (battery, query) slice has a Transmit below an Idle."""
 
     def __init__(self, slices: list[tuple[int, int]]):
-        self.slices = list(slices)
         super().__init__(
-            "non-threshold slices (battery, query): "
-            + ", ".join(map(str, self.slices))
+            "non-threshold slices (battery, query): " + ", ".join(map(str, slices))
         )
 
 
@@ -150,9 +149,9 @@ def parse_table(text: str) -> tuple[dict[str, object], np.ndarray]:
     The file's column-name line must start with the policy columns;
     further columns (a solve result's bias) must be present on every row
     and are skipped. Fails closed with ConfigError on missing or
-    duplicate header keys, missing or duplicate rows, rows outside the
-    geometry the header stamps, non-integer fields, and actions out of
-    range.
+    duplicate header keys, a geometry above the state ceiling, missing or
+    duplicate rows, rows outside the geometry the header stamps,
+    non-integer fields, and actions out of range.
     """
     header: dict[str, str] = {}
     names = None
@@ -190,6 +189,11 @@ def parse_table(text: str) -> tuple[dict[str, object], np.ndarray]:
         "B": _header_value(header, "B", _positive_int),
     }
     dm, B = stamp["delta_max"], stamp["B"]
+    if state_count(dm, B) > MAX_STATES:
+        raise ConfigError(
+            None, f"delta_max = {dm}, B = {B} give {state_count(dm, B)} states, "
+            f"above the ceiling of {MAX_STATES}"
+        )
     actions = np.zeros((dm + 1, B + 1, 2), dtype=np.int8)
     seen = np.zeros(actions.shape, dtype=bool)
     for line_no, fields in rows:

@@ -264,6 +264,11 @@ def simulate(
         raise MismatchedStamp(
             f"policy stamp {policy.params_stamp} != params stamp {params_stamp(params)}"
         )
+    if (policy.delta_max, policy.B) != (params.delta_max, params.B):
+        raise MismatchedStamp(
+            f"policy (delta_max, B) = {(policy.delta_max, policy.B)} != "
+            f"params {(params.delta_max, params.B)}"
+        )
     p = params
     dm = p.delta_max
     B = p.B

@@ -27,7 +27,7 @@ from semsched.cli import (
 )
 from semsched.core import MetricKind, SystemParams, params_stamp
 from semsched.mdp import rvia_solve
-from semsched.policies import greedy_policy
+from semsched.policies import format_policy, greedy_policy
 from test_core import config_text
 from test_policies import split_lines
 
@@ -346,8 +346,10 @@ class TestSweep:
     @pytest.mark.parametrize(
         "flags, message",
         [
-            (["--tol", "0"], "--tol must be positive"),
-            (["--tol", "-0.01"], "--tol must be positive"),
+            (["--tol", "0"], "--tol must be in (0, 1), got 0.0"),
+            (["--tol", "-0.01"], "--tol must be in (0, 1)"),
+            (["--tol", "1"], "--tol must be in (0, 1), got 1.0"),
+            (["--tol", "inf"], "--tol must be in (0, 1), got inf"),
             (["--pq", "0"], "sweep needs p_q > 0"),
             (["--pq", "0.3,0"], "sweep needs p_q > 0"),
             (["--pq", ""], "bad rate list"),
@@ -506,6 +508,30 @@ class TestMalformedPolicyFiles:
         err = capsys.readouterr().err
         assert "missing header key(s): kind, params_stamp, delta_max, B" in err
         assert "Traceback" not in err
+
+    def test_geometry_above_the_state_ceiling_is_a_config_error(self, tmp_path, capsys):
+        lines = [
+            l.split(" = ")[0] + f" = {10**12}" if l.startswith(("delta_max =", "B =")) else l
+            for l in self.solve(tmp_path)
+        ]
+        assert self.simulate(tmp_path, lines) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "above the ceiling" in err
+        assert "Traceback" not in err
+
+    def test_matching_stamp_with_another_geometry_is_a_stamp_mismatch(
+        self, tmp_path, cfg, capsys
+    ):
+        # stamped with the config's parameters, laid out for delta_max 7
+        wide = greedy_policy(replace(SMALL, delta_max=7))
+        pol = tmp_path / "policy.txt"
+        pol.write_text(format_policy(replace(wide, params_stamp=params_stamp(SMALL))))
+        rc = main(["simulate", "--config", cfg, "--policy", str(pol),
+                   "--out", str(tmp_path / "s.csv"), "--horizon", "1000", "--warmup", "0"])
+        assert rc == EXIT_STAMP
+        err = capsys.readouterr().err
+        assert err.startswith("stamp mismatch: ") and "Traceback" not in err
+        assert not (tmp_path / "s.csv").exists()
 
     def test_binary_file_is_a_config_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

@@ -157,14 +157,12 @@ class TestConfigParsing:
         assert isinstance(raw["B"], int)
 
     def test_malformed_line_number(self):
-        with pytest.raises(ConfigError) as err:
+        with pytest.raises(ConfigError, match="^line 2: expected 'key = value'"):
             parse_config("p_e = 0.1\nnot a config line\n")
-        assert err.value.line_no == 2
 
     def test_unknown_key_line_number(self):
-        with pytest.raises(ConfigError) as err:
+        with pytest.raises(ConfigError, match="^line 3: unknown key 'battery'"):
             parse_config("\n\nbattery = 7\n")
-        assert err.value.line_no == 3
 
     def test_bad_value(self):
         with pytest.raises(ConfigError, match="bad value"):

@@ -3,6 +3,7 @@ comparison, transmission regions, and the required-charging-rate search."""
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,9 +20,8 @@ from semsched.experiments import (
     format_comparison,
     format_ratio_table,
     required_charging_rate,
-    solve_policy,
 )
-from semsched.mdp import evaluate_policy_exact
+from semsched.mdp import evaluate_policy_exact, rvia_solve
 from semsched.policies import greedy_policy
 from semsched.sim import SimConfig
 
@@ -31,22 +31,10 @@ SMALL = SystemParams(
 )
 
 
-class TestSolvePolicy:
-    def test_greedy_bypasses_the_solver(self):
-        assert np.array_equal(
-            solve_policy(SMALL, "greedy").actions, greedy_policy(SMALL).actions
-        )
-
-    def test_named_kinds_come_back_stamped(self):
-        pol = solve_policy(SMALL, "qvaoi")
-        assert pol.kind is MetricKind.QVAOI
-        assert pol.params_stamp == params_stamp(SMALL)
-
-
 class TestComparePolicies:
     def test_greedy_row_matches_direct_evaluation(self):
-        rows = compare_policies(SMALL, policy_set=("greedy",))
-        (row,) = rows
+        row = compare_policies(SMALL)[0]
+        assert row.policy == "greedy"
         direct = evaluate_policy_exact(SMALL, MetricKind.QVAOI, greedy_policy(SMALL))
         assert row.eval_mode == "exact"
         assert row.error is None
@@ -58,6 +46,7 @@ class TestComparePolicies:
 
     def test_the_matching_policy_wins_its_own_meter(self):
         rows = compare_policies(SMALL)
+        assert [r.policy for r in rows] == list(experiments.POLICY_NAMES)
         by_name = {r.policy: r for r in rows}
         best = by_name["qvaoi"].qvaoi
         for r in rows:
@@ -76,31 +65,34 @@ class TestComparePolicies:
 
     def test_simulated_mode_is_close_to_exact(self):
         cfg = SimConfig(horizon=300_000, seed=3, warmup=5000)
-        sim_rows = compare_policies(SMALL, policy_set=("greedy",), sim_cfg=cfg)
-        exact_rows = compare_policies(SMALL, policy_set=("greedy",))
-        assert sim_rows[0].eval_mode == "simulated"
-        assert sim_rows[0].qvaoi == pytest.approx(exact_rows[0].qvaoi, rel=0.05)
-        assert exact_rows[0].eval_mode == "exact"
-        assert sim_rows[0].error is None and exact_rows[0].error is None
-        assert sim_rows[0].chain_states == exact_rows[0].chain_states == 42
+        # greedy's rows, the first of each table
+        sim_row = compare_policies(SMALL, sim_cfg=cfg)[0]
+        exact_row = compare_policies(SMALL)[0]
+        assert sim_row.policy == exact_row.policy == "greedy"
+        assert sim_row.eval_mode == "simulated"
+        assert sim_row.qvaoi == pytest.approx(exact_row.qvaoi, rel=0.05)
+        assert exact_row.eval_mode == "exact"
+        assert sim_row.error is None and exact_row.error is None
+        assert sim_row.chain_states == exact_row.chain_states == 42
 
 
 class TestComparisonGrid:
     def test_cells_cover_the_grid_in_order(self):
         cells = comparison_grid(
             SMALL,
-            policy_set=("greedy", "qvaoi"),
             pe_values=(0.1, 0.3),
             pq_values=(0.2,),
         )
         assert [(c.p_e, c.p_q) for c in cells] == [(0.1, 0.2), (0.3, 0.2)]
-        assert all(len(c.rows) == 2 for c in cells)
+        assert all(len(c.rows) == 5 for c in cells)
 
     def test_workers_do_not_change_the_numbers(self):
-        kw = dict(policy_set=("greedy",), pe_values=(0.1, 0.2), pq_values=(0.3,))
+        kw = dict(pe_values=(0.1, 0.2), pq_values=(0.3,))
         seq = comparison_grid(SMALL, jobs=1, **kw)
         par = comparison_grid(SMALL, jobs=2, **kw)
-        assert [c.rows[0].qvaoi for c in seq] == [c.rows[0].qvaoi for c in par]
+        assert [r.qvaoi for c in seq for r in c.rows] == [
+            r.qvaoi for c in par for r in c.rows
+        ]
 
     def test_pool_never_outnumbers_the_cells(self, monkeypatch):
         pools = []
@@ -122,13 +114,27 @@ class TestComparisonGrid:
 
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", Recorder)
         comparison_grid(
-            SMALL, policy_set=("greedy",), pe_values=(0.1, 0.2), pq_values=(0.3,),
-            jobs=10**6,
+            SMALL, pe_values=(0.1, 0.2), pq_values=(0.3,), jobs=10**6,
         )
         assert pools == [2]
 
 
 class TestActionMap:
+    def test_greedy_bypasses_the_solver(self, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("greedy was solved")
+
+        monkeypatch.setattr(experiments, "rvia_solve", no_solve)
+        am = action_map(SMALL, "greedy")
+        assert np.array_equal(
+            am.grid, greedy_policy(SMALL).actions.reshape(7, 3, 2)[:, :, 1]
+        )
+
+    def test_named_kinds_come_back_stamped(self):
+        thresholds = action_map(SMALL, "qvaoi").thresholds
+        assert thresholds.kind is MetricKind.QVAOI
+        assert thresholds.params_stamp == params_stamp(SMALL)
+
     def test_greedy_region_is_battery_feasibility(self):
         am = action_map(SMALL, "greedy")
         assert am.grid.shape == (SMALL.delta_max + 1, SMALL.B + 1)
@@ -153,7 +159,7 @@ class TestRequiredChargingRate:
         at_star = dataclasses.replace(SMALL, p_e=r.p_e_star, p_q=0.3)
         val = (
             evaluate_policy_exact(
-                at_star, MetricKind.QVAOI, solve_policy(at_star, "qvaoi")
+                at_star, MetricKind.QVAOI, rvia_solve(at_star, MetricKind.QVAOI).policy
             )
             / 0.3
         )
@@ -167,11 +173,28 @@ class TestRequiredChargingRate:
     def test_impossible_target_is_reported_with_the_best_value(self):
         with pytest.raises(TargetUnreachable) as exc:
             required_charging_rate("qvaoi", 0.0, SMALL, p_q=0.3, tol=1e-2)
-        assert exc.value.value_at_one > 0.0
+        best = re.fullmatch(r"target 0.0 unreachable: value (\S+) at p_e = 1", str(exc.value))
+        assert float(best[1]) > 0.0
+
+    def test_a_tolerance_below_float_spacing_ends(self, monkeypatch):
+        # the bracket stops at adjacent floats, long before 200 evaluations
+        calls = []
+        evaluate = experiments.evaluate_policy_exact
+
+        def counted(*args):
+            calls.append(args)
+            assert len(calls) <= 200, "bisection did not stop"
+            return evaluate(*args)
+
+        monkeypatch.setattr(experiments, "evaluate_policy_exact", counted)
+        r = required_charging_rate("greedy", 2.5, SMALL, p_q=0.3, tol=1e-300)
+        assert 0.0 < r.bracket_lo < r.bracket_hi == r.p_e_star
+        assert (r.bracket_lo + r.bracket_hi) / 2 in (r.bracket_lo, r.bracket_hi)
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError, match="tol"):
-            required_charging_rate("qvaoi", 2.5, SMALL, p_q=0.3, tol=0.0)
+        for tol in (0.0, -0.01, 1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="tol must be in \\(0, 1\\)"):
+                required_charging_rate("qvaoi", 2.5, SMALL, p_q=0.3, tol=tol)
         with pytest.raises(ValueError, match="unknown policy"):
             required_charging_rate("optimal", 2.5, SMALL, p_q=0.3)
         with pytest.raises(ValueError, match="p_q must be positive"):
@@ -232,15 +255,15 @@ class TestChargingSweep:
 
 class TestFormatting:
     def test_comparison_tables_carry_header_and_rows(self):
-        cells = comparison_grid(
-            SMALL, policy_set=("greedy", "qvaoi"), pe_values=(0.1,), pq_values=(0.3,)
-        )
+        cells = comparison_grid(SMALL, pe_values=(0.1,), pq_values=(0.3,))
         text = format_comparison(SMALL, cells)
         assert f"# params_stamp = {params_stamp(SMALL)}" in text
         data = [l for l in text.splitlines() if l and not l.startswith("#")]
-        assert len(data) == 1 + 2  # column header + one row per policy
+        assert len(data) == 1 + 5  # column header + one row per policy
         wide = format_comparison(SMALL, cells, gnuplot=True)
-        assert "greedy" in wide and "qvaoi" in wide
+        data = [l for l in wide.splitlines() if l and not l.startswith("#")]
+        assert data[0] == "p_e,p_q,greedy,aoi,vaoi,qaoi,qvaoi"
+        assert data[1] == "0.1,0.3," + ",".join(repr(r.qvaoi) for r in cells[0].rows)
 
     def test_action_map_matrix_has_one_row_per_metric_value(self):
         am = action_map(SMALL, "greedy")

@@ -10,7 +10,7 @@ E[L] for every p_q and B, and its all-slot QVAoI p_q E[L] (renewal argument
 as in Yates et al., IEEE JSAC 39(5), 2021).
 
 The formula below uses no semsched code; the values it checks come from
-the exact evaluator through the experiment drivers.
+the exact evaluator, directly and through the experiment drivers.
 """
 
 from dataclasses import replace
@@ -18,8 +18,10 @@ from itertools import product
 
 import pytest
 
-from semsched.core import SystemParams
+from semsched.core import MetricKind, SystemParams
 from semsched.experiments import compare_policies, required_charging_rate
+from semsched.mdp import evaluate_policy_exact
+from semsched.policies import greedy_policy
 
 
 def greedy_closing_lag(p_s, p_v, p_e, delta_max):
@@ -44,11 +46,9 @@ def test_exact_greedy_rows_match_the_closed_form(B, delta_max):
     for p_s, p_v, p_e, p_q in GRID:
         p = SystemParams(p_s=p_s, p_v=p_v, p_q=p_q, p_e=p_e, B=B,
                          delta_max=delta_max, allow_tight_truncation=True)
-        (row,) = compare_policies(p, ("greedy",))
+        qvaoi = evaluate_policy_exact(p, MetricKind.QVAOI, greedy_policy(p))
         want = greedy_closing_lag(p_s, p_v, p_e, delta_max)
-        case = (p_s, p_v, p_e, p_q)
-        assert row.qvaoi_per_query == pytest.approx(want, rel=1e-12), case
-        assert row.qvaoi == pytest.approx(p_q * want, rel=1e-12), case
+        assert qvaoi == pytest.approx(p_q * want, rel=1e-12), (p_s, p_v, p_e, p_q)
 
 
 @pytest.mark.parametrize("delta_max, p_e, p_q, value", [
@@ -63,7 +63,9 @@ def test_compare_greedy_cells_match_the_closed_form(delta_max, p_e, p_q, value):
     p = replace(SystemParams(), delta_max=delta_max, p_e=p_e, p_q=p_q)
     want = p_q * greedy_closing_lag(p.p_s, p.p_v, p_e, delta_max)
     assert value == pytest.approx(want, rel=1e-12)
-    (row,) = compare_policies(p, ("greedy",))
+    row = compare_policies(p)[0]
+    assert row.policy == "greedy"
+    assert row.qvaoi_per_query == pytest.approx(want / p_q, rel=1e-12)
     assert row.qvaoi == pytest.approx(want, rel=1e-12)
 
 

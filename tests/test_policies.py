@@ -140,9 +140,8 @@ class TestThresholds:
         # transmit at metric 1 but idle at metric 2: not a threshold
         grid(actions)[1, 2, 1] = 1
         grid(actions)[3, 2, 1] = 1
-        with pytest.raises(NotThresholdStructured) as err:
+        with pytest.raises(NotThresholdStructured, match=r"\(battery, query\): \(2, 1\)"):
             extract_thresholds(make_table(actions))
-        assert (2, 1) in err.value.slices
 
     def test_inclusive_switch_point(self):
         actions = np.zeros(30, dtype=np.int8)
@@ -369,6 +368,15 @@ class TestFailClosed:
             ]
             with pytest.raises(ConfigError, match=f"bad header value {key}"):
                 self.read(lines)
+
+    def test_geometry_above_the_state_ceiling_allocates_nothing(self):
+        # 10**12 x 10**12 states would fail in np.zeros, or exhaust memory
+        lines = [
+            l.split(" = ")[0] + f" = {10**12}" if l.startswith(("delta_max =", "B =")) else l
+            for l in self.policy_lines()
+        ]
+        with pytest.raises(ConfigError, match="above the ceiling of 1048576"):
+            self.read(lines)
 
     def test_rows_must_match_the_column_line(self):
         lines = self.policy_lines()

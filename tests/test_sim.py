@@ -280,6 +280,13 @@ class TestStampCheck:
         with pytest.raises(MismatchedStamp):
             simulate(MID, greedy_policy(other), SimConfig(horizon=100, seed=1, warmup=0))
 
+    def test_matching_stamp_with_another_geometry_is_rejected(self):
+        # the stamp matches MID, but the table is laid out for delta_max 9
+        wider = greedy_policy(dataclasses.replace(MID, delta_max=9))
+        policy = dataclasses.replace(wider, params_stamp=params_stamp(MID))
+        with pytest.raises(MismatchedStamp, match=r"\(delta_max, B\) = \(9, 4\)"):
+            simulate(MID, policy, SimConfig(horizon=100, seed=1, warmup=0))
+
 
 class TestMonitorSide:
     @pytest.mark.parametrize("N", [0, 4, 10])

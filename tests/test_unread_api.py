@@ -1,5 +1,6 @@
 """Every top-level function and class of the package has a reader outside
-the tests: code that only tests read is deleted, not kept for them."""
+the tests, and every defaulted parameter a caller outside the tests that
+passes it: code that only tests read is deleted, not kept for them."""
 
 import ast
 from pathlib import Path
@@ -36,3 +37,64 @@ def test_every_top_level_definition_is_read_outside_the_tests():
     assert len(defined) > 50  # the scan found the package
     unread = sorted(where for where, name in defined.items() if name not in reads)
     assert unread == []
+
+
+def defaulted_parameters(tree):
+    """(callee name, parameter name, position or None) of every parameter
+    with a default. A method's position leaves out self, and a class's
+    __init__ is called by the class's name."""
+    for owner in ast.walk(tree):
+        if isinstance(owner, ast.ClassDef):
+            methods = [n for n in owner.body if isinstance(n, ast.FunctionDef)]
+            defs = [(owner.name if m.name == "__init__" else m.name, m, 1)
+                    for m in methods]
+        elif isinstance(owner, ast.Module):
+            defs = [(n.name, n, 0) for n in owner.body
+                    if isinstance(n, ast.FunctionDef)]
+        elif isinstance(owner, ast.FunctionDef):
+            defs = [(n.name, n, 0) for n in owner.body
+                    if isinstance(n, ast.FunctionDef)]
+        else:
+            continue
+        for name, fn, skip in defs:
+            positional = fn.args.posonlyargs + fn.args.args
+            for i in range(len(positional) - len(fn.args.defaults), len(positional)):
+                yield name, positional[i].arg, i - skip
+            for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                if default is not None:
+                    yield name, arg.arg, None
+
+
+def passes(call, parameter, position):
+    """Whether `call` may pass the parameter: by keyword, by position, or
+    through *args or **kwargs."""
+    if any(k.arg in (parameter, None) for k in call.keywords):
+        return True
+    if position is None:
+        return False
+    return (len(call.args) > position
+            or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def test_every_defaulted_parameter_is_passed_outside_the_tests():
+    calls: dict[str, list[ast.Call]] = {}
+    for path in READERS:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    params = [
+        (f"{path.stem}.{name}", parameter, position, name)
+        for path in PACKAGE
+        for name, parameter, position in defaulted_parameters(
+            ast.parse(path.read_text(encoding="utf-8"))
+        )
+    ]
+    assert len(params) > 10  # the scan found the package's defaults
+    unpassed = sorted(
+        f"{where}({parameter})"
+        for where, parameter, position, name in params
+        if not any(passes(c, parameter, position) for c in calls.get(name, ()))
+    )
+    assert unpassed == []
