@@ -49,7 +49,6 @@ from .sim import MismatchedStamp, SimConfig, replicate, summary_csv_header, summ
 from .experiments import (
     DEFAULT_PE_CELLS,
     DEFAULT_PQ_CELLS,
-    action_map,
     charging_sweep,
     comparison_grid,
     format_action_map,
@@ -251,17 +250,14 @@ def cmd_compare(args) -> int:
         sim_cfg=sim_cfg if args.mode == "simulated" else None,
         jobs=args.jobs,
     )
-    _atomic_write(
-        args.out, format_comparison(params, cells, gnuplot=args.emit_gnuplot_ready)
-    )
+    _atomic_write(args.out, format_comparison(params, cells))
     failed = sum(1 for c in cells for r in c.rows if r.error)
     _write_manifest(
         args.out, "compare", params,
         {
             "pe": list(pe_values), "pq": list(pq_values), "mode": args.mode,
             "horizon": args.horizon, "warmup": args.warmup, "seed": args.seed,
-            "jobs": args.jobs, "gnuplot": args.emit_gnuplot_ready,
-            "out": args.out,
+            "jobs": args.jobs, "out": args.out,
         },
         [args.out], started,
         evaluation={
@@ -304,25 +300,29 @@ def cmd_regions(args) -> int:
         cell = replace(params, p_e=pe)
         path = f"{args.out}.pe{pe:g}.csv"
         try:
-            am = action_map(cell, args.kind)
+            if args.kind == "greedy":
+                policy = greedy_policy(cell)
+            else:
+                policy = rvia_solve(cell, MetricKind(args.kind)).policy
         except NotConverged as exc:
             print(f"p_e={pe:g}: {exc}", file=sys.stderr)
             failures += 1
             continue
+        try:
+            thresholds, warning = extract_thresholds(policy), None
+        except NotThresholdStructured as exc:
+            thresholds, warning = None, str(exc)
         _atomic_write(
-            path, format_action_map(cell, am, gnuplot=args.emit_gnuplot_ready)
+            path, format_action_map(cell, args.kind, policy, thresholds, warning)
         )
         outputs.append(path)
-        if am.thresholds is not None:
+        if thresholds is not None:
             thr_path = f"{args.out}.pe{pe:g}.thresholds"
-            _atomic_write(thr_path, format_thresholds(am.thresholds))
+            _atomic_write(thr_path, format_thresholds(thresholds))
             outputs.append(thr_path)
     _write_manifest(
         args.out, "regions", params,
-        {
-            "kind": args.kind, "pe": list(pe_values),
-            "gnuplot": args.emit_gnuplot_ready, "out": args.out,
-        },
+        {"kind": args.kind, "pe": list(pe_values), "out": args.out},
         outputs, started,
     )
     return EXIT_PARTIAL if failures else EXIT_OK
@@ -408,13 +408,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--warmup", type=int, default=10**4)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--emit-gnuplot-ready", action="store_true")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("regions", help="transmission region maps")
     common(p, pe="list")
     p.add_argument("--kind", choices=kinds + ["greedy"], default="qvaoi")
-    p.add_argument("--emit-gnuplot-ready", action="store_true")
     p.set_defaults(func=cmd_regions)
 
     p = sub.add_parser("sweep", help="required charging rate vs greedy")

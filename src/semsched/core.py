@@ -151,12 +151,18 @@ def validate_params(raw: SystemParams | Mapping[str, object]) -> SystemParams:
                 f"delta_max={candidate.delta_max}, B={candidate.B} give {n} "
                 f"states, above the ceiling of {MAX_STATES}"
             )
-        guard = candidate.truncation_guard()
-        if candidate.delta_max < guard and not candidate.allow_tight_truncation:
-            violations.append(
-                f"delta_max={candidate.delta_max} below guard {guard} "
-                f"(10*ceil(1/p_s)); set allow_tight_truncation to override"
-            )
+        if not candidate.allow_tight_truncation:
+            if math.isinf(1.0 / candidate.p_s):  # p_s subnormal, < 5.6e-309
+                violations.append(
+                    f"p_s={candidate.p_s!r} is too small for the guard "
+                    f"10*ceil(1/p_s) to be finite; set allow_tight_truncation "
+                    f"to override"
+                )
+            elif candidate.delta_max < (guard := candidate.truncation_guard()):
+                violations.append(
+                    f"delta_max={candidate.delta_max} below guard {guard} "
+                    f"(10*ceil(1/p_s)); set allow_tight_truncation to override"
+                )
     if violations:
         raise ParamError("; ".join(violations))
 

@@ -1,5 +1,6 @@
-"""Orchestrated evaluations: policy comparison tables, transmission
-region maps, and required-charging-rate sweeps.
+"""Orchestrated evaluations: policy comparison tables and
+required-charging-rate sweeps, and the CSV layouts of those tables and of
+the transmission region maps.
 
 Query-gated values carry two normalizations. The all-slot average is the
 quantity the solver optimizes; dividing it by p_q gives the conditional
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,12 +27,7 @@ from .mdp import (
     evaluation_chain_size,
     rvia_solve,
 )
-from .policies import (
-    NotThresholdStructured,
-    ThresholdPolicy,
-    extract_thresholds,
-    greedy_policy,
-)
+from .policies import PolicyTable, ThresholdPolicy, greedy_policy
 from .sim import SimConfig, monitor_offset, simulate
 
 POLICY_NAMES = ("greedy", "aoi", "vaoi", "qaoi", "qvaoi")
@@ -164,37 +160,6 @@ def comparison_grid(
         with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
             return list(pool.map(_cell_worker, work))
     return [_cell_worker(w) for w in work]
-
-
-# --- transmission regions ------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class ActionMap:
-    """Decision grid at the query = 1 slice, metric rows x battery
-    columns, with per-(battery, query) thresholds when the policy has
-    threshold structure."""
-
-    policy_id: str
-    grid: np.ndarray = field(repr=False)
-    thresholds: ThresholdPolicy | None
-    warning: str | None = None
-
-
-def action_map(params: SystemParams, kind: MetricKind | str) -> ActionMap:
-    """Transmission region of a solved policy (or greedy) at query = 1."""
-    name = kind.value if isinstance(kind, MetricKind) else kind
-    if name == "greedy":
-        policy = greedy_policy(params)
-    else:
-        policy = rvia_solve(params, MetricKind(name)).policy
-    grid = (
-        policy.actions.reshape(params.delta_max + 1, params.B + 1, 2)[:, :, 1]
-        .copy()
-    )
-    try:
-        return ActionMap(name, grid, extract_thresholds(policy))
-    except NotThresholdStructured as exc:
-        return ActionMap(name, grid, None, warning=str(exc))
 
 
 # --- required charging rate ----------------------------------------------
@@ -348,51 +313,41 @@ def _header_lines(params: SystemParams, extra: dict[str, object]) -> list[str]:
     return [f"# {k} = {v}" for k, v in items.items()]
 
 
-def format_comparison(
-    params: SystemParams, cells: list[GridCell], gnuplot: bool = False
-) -> str:
-    """Long CSV by default; gnuplot mode pivots to one column per policy
-    (all-slot CS values)."""
+def format_comparison(params: SystemParams, cells: list[GridCell]) -> str:
+    """Long CSV, one row per (grid cell, policy)."""
     lines = _header_lines(params, {"experiment": "compare"})
-    if gnuplot:
-        lines.append("p_e,p_q," + ",".join(POLICY_NAMES))
-        for c in cells:
-            vals = [f"{r.qvaoi!r}" for r in c.rows]
-            lines.append(f"{c.p_e},{c.p_q}," + ",".join(vals))
-    else:
-        lines.append(
-            "p_e,p_q,policy,qvaoi,qvaoi_per_query,monitor_qvaoi,eval,error"
-        )
-        for c in cells:
-            for r in c.rows:
-                lines.append(
-                    f"{c.p_e},{c.p_q},{r.policy},{r.qvaoi!r},"
-                    f"{r.qvaoi_per_query!r},{r.monitor_qvaoi!r},"
-                    f"{r.eval_mode},{r.error or ''}"
-                )
+    lines.append("p_e,p_q,policy,qvaoi,qvaoi_per_query,monitor_qvaoi,eval,error")
+    for c in cells:
+        for r in c.rows:
+            lines.append(
+                f"{c.p_e},{c.p_q},{r.policy},{r.qvaoi!r},"
+                f"{r.qvaoi_per_query!r},{r.monitor_qvaoi!r},"
+                f"{r.eval_mode},{r.error or ''}"
+            )
     return "\n".join(lines) + "\n"
 
 
 def format_action_map(
-    params: SystemParams, am: ActionMap, gnuplot: bool = False
+    params: SystemParams,
+    policy_id: str,
+    policy: PolicyTable,
+    thresholds: ThresholdPolicy | None,
+    warning: str | None,
 ) -> str:
-    """Long CSV (metric, battery, action) or a gnuplot matrix, one row
-    per metric value."""
-    extra: dict[str, object] = {"experiment": "regions", "policy": am.policy_id}
-    if am.warning:
-        extra["warning"] = am.warning
+    """Long CSV (metric, battery, action) of the table's query = 1 slice,
+    with its thresholds, or the reason it has none, in the header."""
+    extra: dict[str, object] = {"experiment": "regions", "policy": policy_id}
+    if warning:
+        extra["warning"] = warning
     lines = _header_lines(params, extra)
-    if am.thresholds is not None:
-        for (b, q), thr in sorted(am.thresholds.thresholds.items()):
+    if thresholds is not None:
+        for (b, q), thr in sorted(thresholds.thresholds.items()):
             lines.append(f"# threshold b={b} q={q}: {thr}")
-    if gnuplot:
-        for mrow in am.grid:
-            lines.append(" ".join(str(int(a)) for a in mrow))
-    else:
-        lines.append("metric,battery,action")
-        for mtr in range(am.grid.shape[0]):
-            for b in range(am.grid.shape[1]):
-                lines.append(f"{mtr},{b},{int(am.grid[mtr, b])}")
+    grid = policy.actions.reshape(params.delta_max + 1, params.B + 1, 2)[:, :, 1]
+    lines.append("metric,battery,action")
+    for mtr in range(params.delta_max + 1):
+        for b in range(params.B + 1):
+            lines.append(f"{mtr},{b},{int(grid[mtr, b])}")
     return "\n".join(lines) + "\n"
 
 

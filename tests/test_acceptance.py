@@ -14,10 +14,10 @@ import pytest
 
 import semsched.mdp as mdp
 from semsched.core import MetricKind, SystemParams, params_stamp
-from semsched.experiments import action_map, charging_sweep, comparison_grid
+from semsched.experiments import charging_sweep, comparison_grid
 from semsched.mdp import evaluate_policy_exact, rvia_solve
 from semsched.metrics import SlotEvents, evolve_trace
-from semsched.policies import PolicyTable, greedy_policy
+from semsched.policies import PolicyTable, extract_thresholds, greedy_policy
 from semsched.sim import (
     SimConfig,
     replicate,
@@ -174,10 +174,11 @@ def test_transmission_regions_are_threshold_structured_and_nested():
         grids = {}
         for pe in (0.05, 0.20):
             cell = replace(base, p_e=pe)
-            am = action_map(cell, "qvaoi")
-            assert am.thresholds is not None, am.warning
-            assert not am.grid[0].any()
-            grids[pe] = am.grid
+            policy = rvia_solve(cell, MetricKind.QVAOI).policy
+            extract_thresholds(policy)  # raises NotThresholdStructured otherwise
+            grid = policy.actions.reshape(cell.delta_max + 1, cell.B + 1, 2)[:, :, 1]
+            assert not grid[0].any()
+            grids[pe] = grid
             vpol = rvia_solve(cell, MetricKind.VAOI).policy
             vgrid = vpol.actions.reshape(cell.delta_max + 1, cell.B + 1, 2)
             assert not vgrid[0].any()

@@ -320,6 +320,26 @@ class TestRegions:
         assert f"{out}.pe0.2.csv" in manifest["outputs"]
         assert f"{out}.pe0.1.thresholds" in manifest["outputs"]
 
+    def test_greedy_maps_bypass_the_solver(self, tmp_path, cfg, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("greedy was solved")
+
+        monkeypatch.setattr(cli, "rvia_solve", no_solve)
+        out = str(tmp_path / "regions")
+        assert main(["regions", "--config", cfg, "--out", out, "--kind", "greedy"]) == EXIT_OK
+        rows = [l for l in read(f"{out}.pe0.1.csv").decode().splitlines()
+                if not l.startswith("#")]
+        expect = greedy_policy(SMALL).actions.reshape(7, 3, 2)[:, :, 1]
+        assert rows[1:] == [f"{m},{b},{expect[m, b]}" for m in range(7) for b in range(3)]
+
+    def test_solved_maps_write_stamped_thresholds(self, tmp_path, cfg):
+        out = str(tmp_path / "regions")
+        assert main(["regions", "--config", cfg, "--out", out, "--kind", "vaoi"]) == EXIT_OK
+        header, _ = split_lines(read(f"{out}.pe0.1.thresholds").decode())
+        assert header["kind"] == "vaoi"
+        assert header["params_stamp"] == params_stamp(SMALL)
+        assert "# policy = vaoi" in read(f"{out}.pe0.1.csv").decode()
+
     @pytest.mark.parametrize("rates", ["0.2,0.20", "0.2,0.2000001", "0.1,0.2,0.1"])
     def test_rates_sharing_an_output_name_are_config_errors(self, tmp_path, cfg, capsys, rates):
         out = tmp_path / "regions"
@@ -459,6 +479,38 @@ class TestBadInput:
         ])
         assert rc == EXIT_CONFIG
         assert "n_reps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--pe", "0.1", "--pq", "0.3"],
+        ["regions", "--kind", "greedy"],
+        ["sweep", "--kind", "greedy", "--target", "3.0", "--pq", "0.3"],
+    ], ids=lambda argv: argv[0])
+    def test_every_table_has_one_layout(self, tmp_path, cfg, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--config", cfg, "--out", str(tmp_path / "o"),
+                  "--emit-gnuplot-ready"])
+        assert exc.value.code == EXIT_CONFIG
+        assert "unrecognized arguments: --emit-gnuplot-ready" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tmp_path / "small.cfg"]
+
+    @pytest.mark.parametrize("tight", [False, True])
+    def test_subnormal_success_rate_is_a_param_error(self, tmp_path, capsys, tight):
+        # 1/p_s overflows to inf, so the truncation guard has no finite value
+        path = tmp_path / "tiny.cfg"
+        path.write_text(
+            config_text(replace(SMALL, p_s=1e-310, allow_tight_truncation=tight)),
+            encoding="utf-8",
+        )
+        out = tmp_path / "o.txt"
+        rc = main(["solve", "--config", str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if tight:
+            assert rc == EXIT_OK
+        else:
+            assert rc == EXIT_CONFIG
+            assert "p_s=1e-310" in err
+            assert not out.exists()
 
     def test_subcommand_is_required(self):
         with pytest.raises(SystemExit) as exc:

@@ -73,6 +73,15 @@ class TestValidateParams:
         assert p.delta_max == 19
         assert validate_params({"delta_max": 20}).delta_max == 20
 
+    @pytest.mark.parametrize("ps", [1e-310, 5e-324])
+    def test_subnormal_success_rate(self, ps):
+        # 1/p_s overflows to inf, so the guard has no finite value
+        with pytest.raises(ParamError) as err:
+            validate_params({"p_s": ps})
+        assert str(err.value).startswith(f"p_s={ps!r} is too small")
+        # the override skips the guard instead of computing it
+        assert validate_params({"p_s": ps, "allow_tight_truncation": True}).p_s == ps
+
     def test_state_count_ceiling(self):
         # B = 1: (delta_max + 1) * 2 * 2 states, so 262,143 lands on 2^20
         assert state_count(262_143, 1) == MAX_STATES == 2**20

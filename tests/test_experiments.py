@@ -12,7 +12,6 @@ import semsched.experiments as experiments
 from semsched.core import MetricKind, SystemParams, params_stamp
 from semsched.experiments import (
     TargetUnreachable,
-    action_map,
     charging_sweep,
     compare_policies,
     comparison_grid,
@@ -22,7 +21,11 @@ from semsched.experiments import (
     required_charging_rate,
 )
 from semsched.mdp import evaluate_policy_exact, rvia_solve
-from semsched.policies import greedy_policy
+from semsched.policies import (
+    NotThresholdStructured,
+    extract_thresholds,
+    greedy_policy,
+)
 from semsched.sim import SimConfig
 
 SMALL = SystemParams(
@@ -119,34 +122,48 @@ class TestComparisonGrid:
         assert pools == [2]
 
 
-class TestActionMap:
-    def test_greedy_bypasses_the_solver(self, monkeypatch):
-        def no_solve(*args, **kwargs):
-            raise AssertionError("greedy was solved")
+def region_map(policy_id, policy):
+    """format_action_map of a table as cmd_regions writes it, and the
+    table's (metric, battery) -> action rows read back."""
+    try:
+        thresholds, warning = extract_thresholds(policy), None
+    except NotThresholdStructured as exc:
+        thresholds, warning = None, str(exc)
+    text = format_action_map(SMALL, policy_id, policy, thresholds, warning)
+    rows = [l for l in text.splitlines() if l and not l.startswith("#")]
+    assert rows[0] == "metric,battery,action"
+    grid = np.zeros((SMALL.delta_max + 1, SMALL.B + 1), dtype=int)
+    for row in rows[1:]:
+        m, b, a = map(int, row.split(","))
+        grid[m, b] = a
+    assert len(rows) == 1 + grid.size
+    return text, grid
 
-        monkeypatch.setattr(experiments, "rvia_solve", no_solve)
-        am = action_map(SMALL, "greedy")
-        assert np.array_equal(
-            am.grid, greedy_policy(SMALL).actions.reshape(7, 3, 2)[:, :, 1]
-        )
 
-    def test_named_kinds_come_back_stamped(self):
-        thresholds = action_map(SMALL, "qvaoi").thresholds
-        assert thresholds.kind is MetricKind.QVAOI
-        assert thresholds.params_stamp == params_stamp(SMALL)
-
+class TestRegionMap:
     def test_greedy_region_is_battery_feasibility(self):
-        am = action_map(SMALL, "greedy")
-        assert am.grid.shape == (SMALL.delta_max + 1, SMALL.B + 1)
-        assert not am.grid[:, 0].any()
-        assert am.grid[:, 1:].all()
-        assert am.thresholds is not None
-        assert am.warning is None
+        text, grid = region_map("greedy", greedy_policy(SMALL))
+        assert not grid[:, 0].any()
+        assert grid[:, 1:].all()
+        assert "# policy = greedy" in text
+        assert "# threshold b=0 q=1: 7" in text
+        assert "# warning" not in text
 
     def test_solved_version_region_spares_zero_lag(self):
-        am = action_map(SMALL, MetricKind.QVAOI)
-        assert am.policy_id == "qvaoi"
-        assert not am.grid[0].any()
+        policy = rvia_solve(SMALL, MetricKind.QVAOI).policy
+        text, grid = region_map("qvaoi", policy)
+        assert "# policy = qvaoi" in text
+        assert not grid[0].any()
+        assert np.array_equal(grid, policy.actions.reshape(7, 3, 2)[:, :, 1])
+
+    def test_a_table_without_threshold_structure_carries_the_reason(self):
+        actions = greedy_policy(SMALL).actions.copy()
+        actions.reshape(7, 3, 2)[2, 1, 1] = 0  # idle at metric 2 alone
+        table = dataclasses.replace(greedy_policy(SMALL), actions=actions)
+        text, grid = region_map("greedy", table)
+        assert "# warning = non-threshold slices (battery, query): (1, 1)" in text
+        assert "# threshold" not in text
+        assert grid[2, 1] == 0 and grid[3, 1] == 1
 
 
 class TestRequiredChargingRate:
@@ -260,19 +277,11 @@ class TestFormatting:
         assert f"# params_stamp = {params_stamp(SMALL)}" in text
         data = [l for l in text.splitlines() if l and not l.startswith("#")]
         assert len(data) == 1 + 5  # column header + one row per policy
-        wide = format_comparison(SMALL, cells, gnuplot=True)
-        data = [l for l in wide.splitlines() if l and not l.startswith("#")]
-        assert data[0] == "p_e,p_q,greedy,aoi,vaoi,qaoi,qvaoi"
-        assert data[1] == "0.1,0.3," + ",".join(repr(r.qvaoi) for r in cells[0].rows)
-
-    def test_action_map_matrix_has_one_row_per_metric_value(self):
-        am = action_map(SMALL, "greedy")
-        text = format_action_map(SMALL, am, gnuplot=True)
-        data = [l for l in text.splitlines() if l and not l.startswith("#")]
-        assert len(data) == SMALL.delta_max + 1
-        long = format_action_map(SMALL, am)
-        rows = [l for l in long.splitlines() if l and not l.startswith("#")]
-        assert len(rows) == 1 + (SMALL.delta_max + 1) * (SMALL.B + 1)
+        assert data[0] == "p_e,p_q,policy,qvaoi,qvaoi_per_query,monitor_qvaoi,eval,error"
+        r = cells[0].rows[0]
+        assert data[1] == (
+            f"0.1,0.3,greedy,{r.qvaoi!r},{r.qvaoi_per_query!r},{r.monitor_qvaoi!r},exact,"
+        )
 
     def test_ratio_table_lists_every_point(self):
         pts = charging_sweep(SMALL, "greedy", 3.0, (0.3,), tol=5e-2)

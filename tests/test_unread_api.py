@@ -1,6 +1,8 @@
 """Every top-level function and class of the package has a reader outside
-the tests, and every defaulted parameter a caller outside the tests that
-passes it: code that only tests read is deleted, not kept for them."""
+the tests, every defaulted parameter a caller outside the tests that
+passes it, and every dataclass field and attribute that an `__init__`
+sets a reader outside the tests: code that only tests read is deleted,
+not kept for them."""
 
 import ast
 from pathlib import Path
@@ -98,3 +100,59 @@ def test_every_defaulted_parameter_is_passed_outside_the_tests():
         if not any(passes(c, parameter, position) for c in calls.get(name, ()))
     )
     assert unpassed == []
+
+
+def is_dataclass(cls):
+    for decorator in cls.decorator_list:
+        func = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if "dataclass" in (getattr(func, "id", None), getattr(func, "attr", None)):
+            return True
+    return False
+
+
+def instance_attributes(tree):
+    """(class name, attribute) of every dataclass field and every
+    `self.<attribute> = ...` in an `__init__`, such as an exception's."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        if is_dataclass(cls):
+            for node in cls.body:
+                if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    yield cls.name, node.target.id
+        for method in cls.body:
+            if isinstance(method, ast.FunctionDef) and method.name == "__init__":
+                for node in ast.walk(method):
+                    if (isinstance(node, ast.Attribute)
+                            and isinstance(node.ctx, ast.Store)
+                            and getattr(node.value, "id", None) == "self"):
+                        yield cls.name, node.attr
+
+
+def read_attributes(tree):
+    """Every attribute name the module reads (an assignment target is no
+    read), and string constants, which `getattr` reads by."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+            yield node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_every_field_and_init_attribute_is_read_outside_the_tests():
+    # by name, as above: a field counts as read when any object's
+    # attribute of that name is read
+    reads = set()
+    for path in READERS:
+        reads.update(read_attributes(ast.parse(path.read_text(encoding="utf-8"))))
+    attributes = [
+        f"{path.stem}.{cls}.{attribute}"
+        for path in PACKAGE
+        for cls, attribute in instance_attributes(
+            ast.parse(path.read_text(encoding="utf-8"))
+        )
+    ]
+    assert len(attributes) > 50  # the scan found the dataclasses
+    assert "mdp.NotConverged.result" in attributes  # and the __init__ ones
+    unread = sorted(a for a in attributes if a.rsplit(".", 1)[1] not in reads)
+    assert unread == []
