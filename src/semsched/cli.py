@@ -76,11 +76,16 @@ EXIT_PARTIAL = 5
 
 
 def _atomic_write(path: str, text: str) -> None:
-    """Write via a temp file in the target directory, then rename."""
+    """Write via a temp file in the target directory, then rename. The
+    file gets the mode open() would give it, 0o666 less the umask, not
+    mkstemp's 0o600."""
     directory = os.path.dirname(os.path.abspath(path))
+    umask = os.umask(0)  # os.umask sets a new mask and returns the old
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            os.fchmod(fd, 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -151,7 +156,7 @@ def cmd_solve(args) -> int:
     kind = MetricKind(args.kind)
     result = rvia_solve(params, kind)
     outputs = [args.out]
-    _atomic_write(args.out, format_solve_result(params, result))
+    _atomic_write(args.out, format_solve_result(result))
     try:
         thresholds = extract_thresholds(result.policy)
         thr_path = args.out + ".thresholds"

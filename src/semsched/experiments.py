@@ -13,7 +13,6 @@ explicit cross-check (a `SimConfig` passed as `sim_cfg`).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,7 +27,7 @@ from .mdp import (
     rvia_solve,
 )
 from .policies import PolicyTable, ThresholdPolicy, greedy_policy
-from .sim import SimConfig, monitor_offset, simulate
+from .sim import SimConfig, monitor_offset, pool_map, simulate
 
 POLICY_NAMES = ("greedy", "aoi", "vaoi", "qaoi", "qvaoi")
 DEFAULT_PE_CELLS = (0.05, 0.20)
@@ -147,19 +146,12 @@ def comparison_grid(
 ) -> list[GridCell]:
     """The comparison cross product over charging and query rates.
 
-    Cells evaluate independently, with jobs > 1 in at most one process
-    per cell; output order is the grid order no matter how they were
-    scheduled.
+    Cells evaluate independently, in min(jobs, cells) worker processes,
+    or in this process when that is 1 (pool_map); output order is the
+    grid order no matter how they were scheduled.
     """
-    work = [
-        (params, pe, pq, sim_cfg)
-        for pe in pe_values
-        for pq in pq_values
-    ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
-            return list(pool.map(_cell_worker, work))
-    return [_cell_worker(w) for w in work]
+    work = [(params, pe, pq, sim_cfg) for pe in pe_values for pq in pq_values]
+    return pool_map(_cell_worker, work, jobs)
 
 
 # --- required charging rate ----------------------------------------------

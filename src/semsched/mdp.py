@@ -211,21 +211,27 @@ def _build_model(params: SystemParams, kind: MetricKind) -> _Model:
     )
 
 
+def _action_values(
+    m: _Model, c1: np.ndarray, H: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Idle's and Transmit's values c_a(q) + P_a H per ((m, b), q) under
+    the (m, b) values H, with `c1` the Transmit cost."""
+    return m.c0 + (H[m.nxt0] @ m.pr0)[:, None], c1 + (H[m.nxt1] @ m.pr1)[:, None]
+
+
 def _greedy(m: _Model, h: np.ndarray, scale: float, rel: float = 0.0) -> np.ndarray:
     """Action table, per ((m, b), q), greedy in `scale * h` over (m, b):
     Transmit where it undercuts Idle by more than _TIE_EPS + rel * |Q0|,
-    Q0 the Idle value; Idle wins ties."""
-    q0 = m.c0 + scale * (h[m.nxt0] @ m.pr0)[:, None]
-    q1 = m.c1 + scale * (h[m.nxt1] @ m.pr1)[:, None] + np.where(m.feas1, 0.0, np.inf)
+    Q0 the Idle value; Idle wins ties. `scale` is 0.5 or 1, so scaling h
+    first is exact."""
+    q0, q1 = _action_values(m, np.where(m.feas1, m.c1, np.inf), scale * h)
     return (q1 < q0 - (_TIE_EPS + rel * np.abs(q0))).astype(np.int8)
 
 
 def _bellman(m: _Model, c1: np.ndarray, H: np.ndarray) -> np.ndarray:
     """One Bellman step on the (m, b) chain, sum_q p(q) min_a [c_a(q) +
     P_a H], with `c1` the Transmit cost, inf where Transmit is infeasible."""
-    q0 = m.c0 + (H[m.nxt0] @ m.pr0)[:, None]
-    q1 = c1 + (H[m.nxt1] @ m.pr1)[:, None]
-    return np.minimum(q0, q1) @ m.pq
+    return np.minimum(*_action_values(m, c1, H)) @ m.pq
 
 
 def _chain_cost(m: _Model, table: np.ndarray) -> np.ndarray:
@@ -238,10 +244,9 @@ def _evaluate(m: _Model, table: np.ndarray) -> tuple[float, np.ndarray] | None:
     they are not unique (several closed classes) or the solve cannot be
     trusted."""
     try:
-        gain, bias, _ = _solve_chain(_policy_matrix(m, table), _chain_cost(m, table))
+        return _solve_chain(_policy_matrix(m, table), _chain_cost(m, table))[:2]
     except SingularSolve:
         return None
-    return gain, bias
 
 
 def _improve(
@@ -276,11 +281,8 @@ def _full_bias(m: _Model, table: np.ndarray, H: np.ndarray) -> np.ndarray:
     """The (metric, battery, query) bias h = c_a(q) - g + P_a H of `table`
     under the (m, b) bias H, in PolicyTable order with h(0, 0, 0) = 0,
     which drops g."""
-    h = np.where(
-        table.astype(bool),
-        m.c1 + (H[m.nxt1] @ m.pr1)[:, None],
-        m.c0 + (H[m.nxt0] @ m.pr0)[:, None],
-    ).ravel()
+    q0, q1 = _action_values(m, m.c1, H)
+    h = np.where(table.astype(bool), q1, q0).ravel()
     return h - h[0]
 
 
@@ -482,27 +484,43 @@ def _bordered(P: sp.csr_matrix) -> sp.csc_matrix:
 
 
 def _solve_chain(
-    P: sp.csr_matrix, c: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray]:
+    P: sp.csr_matrix, c: np.ndarray, start: int | None = None
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """Gain g, bias h and stationary vector pi of the chain P under the
-    stage costs c, from one SuperLU factor.
+    stage costs c, from one SuperLU factor, and the members of P's closed
+    class, which one _closed_classes pass finds.
 
+    Without `start`, P must have one closed class, and h and pi run over
+    every state (pi is 0 off the class). With `start`, P and c are cut to
+    the one closed class that `start` reaches, else MultichainPolicy, and
+    h and pi run over `members`: no edge leaves the reachable set, so a
+    class of P that it meets is closed there exactly when it is closed
+    in P.
     g + h = c + P h with h(0) = 0 reads A x = c, x = (g, h(1), ...), where
     A is I - P with its first column replaced by ones. The transposed solve
     pi A = e_1^T gives pi 1 = 1 and pi (I - P) = 0 (its column 0 follows
     from (I - P) 1 = 0), the pairing of potentials and stationary vector
     that performance derivatives use (Cao & Chen, IEEE TAC 1997). A is
-    nonsingular exactly when P has one closed class; pi is 0 off it.
-    P is a canonical CSR matrix; A is built in CSC form (_bordered), the
-    layout SuperLU factors.
-    Raises SingularSolve, before any factor, unless P has one closed
-    class; and when SuperLU finds A singular or the solution is not
-    finite, has a bias residual above 1e-9 max(1, ||c||_inf),
-    ||pi P - pi||_inf > 1e-9 or min(pi) < -1e-9.
+    nonsingular exactly when P has one closed class. P is a canonical CSR
+    matrix; A is built in CSC form (_bordered), the layout SuperLU factors.
+    Raises SingularSolve, before any factor, when P has several closed
+    classes and no `start`; and when SuperLU finds A singular or the
+    solution is not finite, has a bias residual above 1e-9 max(1,
+    ||c||_inf), ||pi P - pi||_inf > 1e-9 or min(pi) < -1e-9.
     """
-    n_closed = np.count_nonzero(_closed_classes(P)[1])
-    if n_closed != 1:
-        raise SingularSolve(f"{n_closed} closed classes: no single gain")
+    labels, closed = _closed_classes(P)
+    hits = np.flatnonzero(closed)
+    if start is not None:
+        reached = labels[breadth_first_order(P, start, return_predecessors=False)]
+        hits = np.intersect1d(hits, reached)
+    if hits.size != 1:
+        if start is None:
+            raise SingularSolve(f"{hits.size} closed classes: no single gain")
+        raise MultichainPolicy(
+            f"{hits.size} recurrent classes reachable from the start states")
+    members = np.flatnonzero(labels == hits[0])
+    if start is not None:
+        P, c = _submatrix(P, members), c[members]
     n = P.shape[0]
     A = _bordered(P)
     e1 = np.zeros(n)
@@ -522,7 +540,7 @@ def _solve_chain(
         )
     gain = float(x[0])
     x[0] = 0.0  # h(0)
-    return gain, x, np.clip(pi, 0.0, None)
+    return gain, x, np.clip(pi, 0.0, None), members
 
 
 def _closed_classes(P: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
@@ -533,20 +551,6 @@ def _closed_classes(P: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
     closed = np.ones(ncomp, dtype=bool)
     closed[src[src != dst]] = False
     return labels, closed
-
-
-def _single_recurrent_class(P: sp.csr_matrix, start: int) -> np.ndarray:
-    """Members of the unique closed class reachable from `start`, or
-    raise. No edge leaves the reachable set, so a class of P that it meets
-    lies in it, and is closed there exactly when it is closed in P."""
-    labels, closed = _closed_classes(P)
-    reached = np.unique(labels[breadth_first_order(P, start, return_predecessors=False)])
-    hits = reached[closed[reached]]
-    if hits.size != 1:
-        raise MultichainPolicy(
-            f"{hits.size} recurrent classes reachable from the start states"
-        )
-    return np.flatnonzero(labels == hits[0])
 
 
 def _reads_other_family(
@@ -563,10 +567,13 @@ def _reads_other_family(
 
 
 def _level_average(
-    params: SystemParams, kind: MetricKind, policy: PolicyTable
+    params: SystemParams, kind: MetricKind, pol: _Model, table: np.ndarray,
+    mu: np.ndarray, members: np.ndarray,
 ) -> float:
     """Long-run average of the `kind` meter under a policy that reads the
-    other metric family, level by level on the policy's own chain.
+    other metric family, level by level on the policy's own chain: its
+    model `pol` and table, and the stationary vector `mu` of its closed
+    class `members` (_solve_chain from the start state).
 
     The meter's metric resets on delivery or steps up by 0 or 1 and never
     feeds back into the policy, so the chain over (meter level, policy
@@ -583,13 +590,7 @@ def _level_average(
     >= -1e-9; x is then clipped at 0, as _solve_chain clips pi, since
     x_delta_max carries the rounding of every other level.
     """
-    pol = _build_model(params, policy.kind)
     met = _build_model(params, kind)
-    table = policy.actions.reshape(-1, 2)
-    P = _policy_matrix(pol, table)
-    members = _single_recurrent_class(P, _start_index(params, policy.kind))
-    mu = _solve_chain(_submatrix(P, members), np.zeros(members.size))[2]
-
     # the meter's level after each outcome column from level 0 at full
     # battery; the first half of the (u, e, v) transmit columns delivers
     idle_to = met.metric[met.nxt0[params.B]]
@@ -632,23 +633,27 @@ def evaluate_policy_exact(
     params: SystemParams, kind: MetricKind, policy: PolicyTable
 ) -> float:
     """Long-run average cost of a fixed policy: the gain of _solve_chain
-    on the unique recurrent class of the policy's (m, b) chain.
+    on the closed class that the policy's (m, b) chain reaches from the
+    simulator's start state (_start_index), else MultichainPolicy.
 
     `kind` selects the cost being averaged and may differ from
     `policy.kind`: a query-agnostic policy is metered on a query-aware
     cost (or vice versa) by running the meter's own chain. A policy that
-    reads a metric of the other family is evaluated level by level on its
-    own chain (see _level_average).
+    reads a metric of the other family runs on its own chain, and
+    _level_average meters it from that chain's pi and class. Either way
+    one chain is built and solved.
     """
     if policy.params_stamp != params_stamp(params):
         raise ValueError("policy stamped under different params")
-    if _reads_other_family(params, kind, policy):
-        return _level_average(params, kind, policy)
-    m = _build_model(params, kind)
+    cross = _reads_other_family(params, kind, policy)
+    chain_kind = policy.kind if cross else kind
+    m = _build_model(params, chain_kind)
     table = policy.actions.reshape(-1, 2)
-    P = _policy_matrix(m, table)
-    members = _single_recurrent_class(P, _start_index(params, kind))
-    return _solve_chain(_submatrix(P, members), _chain_cost(m, table)[members])[0]
+    P, c = _policy_matrix(m, table), _chain_cost(m, table)
+    gain, _, pi, members = _solve_chain(P, c, _start_index(params, chain_kind))
+    if cross:
+        return _level_average(params, kind, m, table, pi, members)
+    return gain
 
 
 def evaluation_chain_size(
@@ -668,7 +673,7 @@ def evaluation_chain_size(
 
 # --- SolveResult serialization ------------------------------------------
 
-def format_solve_result(params: SystemParams, result: SolveResult) -> str:
+def format_solve_result(result: SolveResult) -> str:
     """The policy table plus solver diagnostics and a bias column, with
     bit-exact float round-trip (repr shortest form)."""
     diagnostics = {
@@ -681,5 +686,7 @@ def format_solve_result(params: SystemParams, result: SolveResult) -> str:
 
 
 def save_solve_result(params: SystemParams, result: SolveResult, path: str) -> None:
+    """Write format_solve_result to `path`. `params` goes unread; it stays
+    because the benchmark harness (perfbench/run.py) calls this signature."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_solve_result(params, result))
+        fh.write(format_solve_result(result))

@@ -55,6 +55,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import accumulate
 from operator import getitem, itemgetter
 
@@ -400,6 +401,16 @@ def _cs_average(summary: SimSummary, kind: MetricKind) -> float:
 
 # --- replication ---------------------------------------------------------
 
+def pool_map(fn, items: list, jobs: int) -> list:
+    """[fn(item) for item in items], in order: in this process when one
+    worker would do, else in min(jobs, len(items)) worker processes."""
+    workers = min(jobs, len(items))
+    if workers <= 1:
+        return [fn(item) for item in items]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
+
+
 @dataclass(frozen=True)
 class ReplicationResult:
     """Sample means and 95% normal-approximation half-widths of the
@@ -427,29 +438,13 @@ def replicate(
         raise ConfigError(None, "n_reps must be >= 2")
     # built here so that a seed + r past the seed range fails before any run
     cfgs = [replace(cfg, seed=cfg.seed + r) for r in range(n_reps)]
-    work = ([params] * n_reps, [policy] * n_reps, cfgs)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, n_reps)) as pool:
-            summaries = tuple(pool.map(simulate, *work))
-    else:
-        summaries = tuple(map(simulate, *work))
-
-    def stats(values: list[float]) -> tuple[float, float]:
-        arr = np.array(values)
-        mean = float(arr.mean())
-        hw = 1.96 * float(arr.std(ddof=1)) / math.sqrt(len(values))
-        return mean, hw
-
+    summaries = tuple(pool_map(partial(simulate, params, policy), cfgs, jobs))
     means, hws = {}, {}
     for kind in MetricKind:
-        m, h = stats([s.avg[kind] for s in summaries])
-        means[kind] = m
-        hws[kind] = h
-    return ReplicationResult(
-        means=means,
-        half_widths=hws,
-        summaries=summaries,
-    )
+        values = np.array([s.avg[kind] for s in summaries])
+        means[kind] = float(values.mean())
+        hws[kind] = 1.96 * float(values.std(ddof=1)) / math.sqrt(n_reps)
+    return ReplicationResult(means=means, half_widths=hws, summaries=summaries)
 
 
 # --- tabular output ------------------------------------------------------

@@ -646,27 +646,52 @@ class TestRunSettings:
         assert evals("--mode", "simulated", "--seed", "2")[0] != simulated
 
 
+EVERY_COMMAND = pytest.mark.parametrize("argv", [
+    ["solve"],
+    ["simulate", "--horizon", "2000", "--warmup", "0", "--reps", "2"],
+    ["compare", "--pe", "0.1", "--pq", "0.3"],
+    ["regions", "--kind", "greedy"],
+    ["sweep", "--kind", "greedy", "--target", "3.0", "--pq", "0.3"],
+    ["trace", "EVENTS"],
+], ids=lambda argv: argv[0])
+
+
+def run_small(tmp_path, cfg, argv):
+    """main(argv) on the small config, writing to tmp_path/o; EVENTS in
+    argv stands for a two-slot event table. Returns the exit code."""
+    events = tmp_path / "events.txt"
+    events.write_text("0 1 0\n1 0 1\n", encoding="utf-8")
+    argv = [str(events) if a == "EVENTS" else a for a in argv]
+    return main(argv + ["--config", cfg, "--out", str(tmp_path / "o")])
+
+
 class TestManifestTimings:
-    @pytest.mark.parametrize("argv", [
-        ["solve"],
-        ["simulate", "--horizon", "2000", "--warmup", "0", "--reps", "2"],
-        ["compare", "--pe", "0.1", "--pq", "0.3"],
-        ["regions", "--kind", "greedy"],
-        ["sweep", "--kind", "greedy", "--target", "3.0", "--pq", "0.3"],
-        ["trace", "EVENTS"],
-    ], ids=lambda argv: argv[0])
+    @EVERY_COMMAND
     def test_duration_survives_a_wall_clock_step_back(
         self, tmp_path, cfg, monkeypatch, argv
     ):
-        events = tmp_path / "events.txt"
-        events.write_text("0 1 0\n1 0 1\n", encoding="utf-8")
-        argv = [str(events) if a == "EVENTS" else a for a in argv]
         # every read of the wall clock lands an hour before the last one
         clock = iter(range(10**9, 0, -3600))
         monkeypatch.setattr(cli.time, "time", lambda: float(next(clock)))
-        out = str(tmp_path / "o")
-        assert main(argv + ["--config", cfg, "--out", out]) == EXIT_OK
-        assert json.loads(read(out + ".manifest.json"))["duration_s"] >= 0
+        assert run_small(tmp_path, cfg, argv) == EXIT_OK
+        assert json.loads(read(tmp_path / "o.manifest.json"))["duration_s"] >= 0
+
+
+class TestFileModes:
+    @EVERY_COMMAND
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=oct)
+    def test_outputs_get_the_mode_of_a_plain_open(self, tmp_path, cfg, argv, umask):
+        # a file that open() creates gets 0o666 less the umask, not the
+        # 0o600 of the temp file it is written through
+        previous = os.umask(umask)
+        try:
+            assert run_small(tmp_path, cfg, argv) == EXIT_OK
+        finally:
+            os.umask(previous)
+        manifest = tmp_path / "o.manifest.json"
+        written = [manifest, *map(Path, json.loads(read(manifest))["outputs"])]
+        modes = {path.name: oct(path.stat().st_mode & 0o777) for path in written}
+        assert modes == {path.name: oct(0o666 & ~umask) for path in written}
 
 
 class TestBenchmarkHooks:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import semsched.experiments as experiments
+import semsched.sim as sim
 from semsched.core import MetricKind, SystemParams, params_stamp
 from semsched.experiments import (
     TargetUnreachable,
@@ -115,11 +116,22 @@ class TestComparisonGrid:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", Recorder)
         comparison_grid(
             SMALL, pe_values=(0.1, 0.2), pq_values=(0.3,), jobs=10**6,
         )
         assert pools == [2]
+
+    def test_one_cell_runs_in_this_process(self, monkeypatch):
+        # one cell needs one worker, so no pool is forked for it
+        def no_pool(max_workers):
+            raise AssertionError(f"a pool of {max_workers} was constructed")
+
+        # neither module that could fork a pool may construct one
+        for module in (sim, experiments):
+            monkeypatch.setattr(module, "ProcessPoolExecutor", no_pool, raising=False)
+        cells = comparison_grid(SMALL, pe_values=(0.1,), pq_values=(0.3,), jobs=2)
+        assert [(c.p_e, c.p_q, len(c.rows)) for c in cells] == [(0.1, 0.3, 5)]
 
 
 def region_map(policy_id, policy):

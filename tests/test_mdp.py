@@ -19,7 +19,6 @@ from semsched.mdp import (
     SolveResult,
     SingularSolve,
     _closed_classes,
-    _single_recurrent_class,
     _solve_chain,
     evaluate_policy_exact,
     evaluation_chain_size,
@@ -554,7 +553,7 @@ class TestGainBracket:
     def test_not_kept_in_the_result_file(self):
         p = self.CASES[0]
         res = rvia_solve(p, MetricKind.QAOI)
-        header, _ = split_solve_file(format_solve_result(p, res))
+        header, _ = split_solve_file(format_solve_result(res))
         assert "gain_lo" not in header and "gain_hi" not in header
 
 
@@ -614,6 +613,23 @@ class TestExactEvaluation:
         # one copy of the policy's chain per level of the age meter
         assert evaluation_chain_size(p, MetricKind.AOI, vpol) == 5 * 30
 
+    @pytest.mark.parametrize("meter", [MetricKind.QVAOI, MetricKind.AOI])
+    def test_one_class_search_per_evaluation(self, monkeypatch, meter):
+        # the closed class is found once, by the one chain solve, for a
+        # same-family (qvaoi) and a cross-family (aoi) meter of a vaoi policy
+        p = small()
+        policy = rvia_solve(p, MetricKind.VAOI).policy
+        real = mdp.connected_components
+        calls = []
+
+        def counted(P, *args, **kwargs):
+            calls.append(P.shape)
+            return real(P, *args, **kwargs)
+
+        monkeypatch.setattr(mdp, "connected_components", counted)
+        evaluate_policy_exact(p, meter, policy)
+        assert calls == [(15, 15)]
+
     def test_multichain_detection(self):
         # Two absorbing states both reachable from the start splits the
         # chain: that must be reported, never averaged over.
@@ -628,7 +644,10 @@ class TestExactEvaluation:
             )
         )
         with pytest.raises(MultichainPolicy):
-            _single_recurrent_class(P, 0)
+            _solve_chain(P, np.zeros(4), start=0)
+        # from state 3 only the absorbing state 3 is reachable
+        gain, h, pi, members = _solve_chain(P, np.arange(4.0), start=3)
+        assert (gain, h.tolist(), pi.tolist(), members.tolist()) == (3.0, [0.0], [1.0], [3])
 
     def test_closed_classes(self):
         # 0 leaks into both {1} and {2, 3}, which no edge leaves
@@ -657,8 +676,10 @@ class TestExactEvaluation:
                 ]
             )
         )
-        members = _single_recurrent_class(P, 0)
-        assert members.tolist() == [1]
+        # the chain is cut to the class {1} that state 0 reaches: its cost,
+        # bias and stationary vector, and not state 2's
+        gain, h, pi, members = _solve_chain(P, np.array([5.0, 2.0, 7.0]), start=0)
+        assert (gain, h.tolist(), pi.tolist(), members.tolist()) == (2.0, [0.0], [1.0], [1])
 
 
 @st.composite
@@ -693,7 +714,8 @@ class TestSolveChain:
         full[0, 1] = 1.0
         full[1:, 1:] = P
         c = np.array(costs[: n + 1])
-        gain, h, pi = _solve_chain(sp.csr_matrix(full), c)
+        gain, h, pi, members = _solve_chain(sp.csr_matrix(full), c)
+        assert members.tolist() == list(range(1, n + 1))
         # pi (I - P + 1 1^T) = 1^T has the stationary vector as its only
         # solution when P is irreducible, periodic or not
         ref = np.linalg.solve((np.eye(n) - P + 1.0).T, np.ones(n))
@@ -711,8 +733,8 @@ class TestSolveChain:
         assert np.abs(h - (z - z[0])).max() <= 1e-10 * max(1.0, np.abs(z).max())
 
     def test_single_state(self):
-        gain, h, pi = _solve_chain(sp.csr_matrix(np.ones((1, 1))), np.array([3.0]))
-        assert (gain, h.tolist(), pi.tolist()) == (3.0, [0.0], [1.0])
+        gain, h, pi, members = _solve_chain(sp.csr_matrix(np.ones((1, 1))), np.array([3.0]))
+        assert (gain, h.tolist(), pi.tolist(), members.tolist()) == (3.0, [0.0], [1.0], [0])
 
     def test_two_closed_classes_raise_before_any_factor(self, monkeypatch):
         # each 2-state block is closed; together they have a whole line of
@@ -1186,6 +1208,6 @@ class TestSolveResultSerialization:
     def test_text_form_round_trips_through_string(self):
         p = small(B=1, delta_max=2, p_q=0.4)
         res = rvia_solve(p, MetricKind.AOI)
-        header, bias = split_solve_file(format_solve_result(p, res))
+        header, bias = split_solve_file(format_solve_result(res))
         assert float(header["gain"]) == res.gain
         assert np.array_equal(bias, res.bias)

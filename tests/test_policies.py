@@ -238,8 +238,7 @@ def same_thresholds(text, tp):
 def policy_files(policy, bias, gain):
     """The files the package reads a policy from, written for `policy`: a
     policy table, and a solve result, which reads as its policy."""
-    params = SystemParams(B=policy.B, delta_max=policy.delta_max, allow_tight_truncation=True)
-    return [format_policy(policy), format_solve_result(params, solve_result(policy, bias, gain))]
+    return [format_policy(policy), format_solve_result(solve_result(policy, bias, gain))]
 
 
 JUNK = st.sampled_from(["x", "", "nan", "inf", "=", "1e", "0.5.1", "#"])
@@ -389,7 +388,7 @@ class TestFailClosed:
     def test_a_solve_result_row_without_its_bias(self):
         p = SystemParams(B=2, delta_max=4, allow_tight_truncation=True)
         result = solve_result(greedy_policy(p), np.zeros(30), 0.5)
-        lines = format_solve_result(p, result).splitlines()
+        lines = format_solve_result(result).splitlines()
         assert same_policy(self.read(lines), result.policy)
         lines[-1] = lines[-1].rsplit(" ", 1)[0]
         with pytest.raises(ConfigError, match="expected 5 fields, got 4"):
