@@ -168,14 +168,7 @@ def cmd_solve(args) -> int:
     _write_manifest(
         args.out, "solve", params,
         {"kind": kind.value, "out": args.out}, outputs, started,
-        solver={
-            "iterations": result.iterations,
-            "evaluations": result.evaluations,
-            "residual_span": result.residual_span,
-            "gain_lo": result.gain_lo,
-            "gain_hi": result.gain_hi,
-            "stop": result.stop,
-        },
+        solver=result.record,
     )
     return EXIT_OK
 
@@ -248,15 +241,15 @@ def cmd_compare(args) -> int:
     _check_jobs(args.jobs)
     # built under either mode, so that bad --horizon/--warmup/--seed exit 2
     sim_cfg = SimConfig(horizon=args.horizon, seed=args.seed, warmup=args.warmup)
-    cells = comparison_grid(
+    rows = comparison_grid(
         params,
         pe_values=pe_values,
         pq_values=pq_values,
         sim_cfg=sim_cfg if args.mode == "simulated" else None,
         jobs=args.jobs,
     )
-    _atomic_write(args.out, format_comparison(params, cells))
-    failed = sum(1 for c in cells for r in c.rows if r.error)
+    _atomic_write(args.out, format_comparison(params, rows))
+    failed = sum(1 for r in rows if r.error)
     _write_manifest(
         args.out, "compare", params,
         {
@@ -268,16 +261,12 @@ def cmd_compare(args) -> int:
         evaluation={
             "rows": [
                 {
-                    "p_e": c.p_e, "p_q": c.p_q, "policy": r.policy,
+                    "p_e": r.p_e, "p_q": r.p_q, "policy": r.policy,
                     "eval": r.eval_mode,
                     "evaluation_chain_size": r.chain_states,
-                    "iterations": r.iterations,
-                    "evaluations": r.evaluations,
-                    "stop": r.stop,
-                    "gain_lo": r.gain_lo,
-                    "gain_hi": r.gain_hi,
+                    **r.solver,
                 }
-                for c in cells for r in c.rows
+                for r in rows
             ],
         },
     )

@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from . import __version__
 from .core import MetricKind, SystemParams, params_stamp
 from .mdp import (
@@ -51,62 +49,50 @@ class MonotonicityViolation(RuntimeError):
 
 @dataclass(frozen=True)
 class CompareRow:
+    p_e: float
+    p_q: float
     policy: str
     qvaoi: float
     qvaoi_per_query: float
     monitor_qvaoi: float
     eval_mode: str
+    # the solve's SolveResult.record, a failed solve's included; the same
+    # keys, every value None, for greedy, which is not solved
+    solver: dict
     error: str | None = None
     # evaluation_chain_size: the lumped chain the row is averaged over;
     # the evaluator factors only its recurrent class
     chain_states: int | None = None
-    # the solve's sweeps, exact evaluations, stop and the last sweep's
-    # bracket on the optimal gain (None before any sweep); None for greedy
-    iterations: int | None = None
-    evaluations: int | None = None
-    stop: str | None = None
-    gain_lo: float | None = None
-    gain_hi: float | None = None
-
-
-def _solver_fields(result: SolveResult) -> dict:
-    swept = result.iterations > 0
-    return {
-        "iterations": result.iterations,
-        "evaluations": result.evaluations,
-        "stop": result.stop,
-        "gain_lo": result.gain_lo if swept else None,
-        "gain_hi": result.gain_hi if swept else None,
-    }
 
 
 def compare_policies(
     params: SystemParams, sim_cfg: SimConfig | None = None
 ) -> list[CompareRow]:
-    """Average QVAoI of each policy at the CS and at the monitor.
+    """Average QVAoI of each policy at the CS and at the monitor, one row
+    per policy at the cell (params.p_e, params.p_q).
 
     Without `sim_cfg` every row is evaluated exactly from its stationary
     distribution; with it, the simulator runs that configuration instead.
-    Each row records the chain size, and for a solved policy the solver's
-    counts and stop. A policy whose solve fails is reported in its row and
-    the rest continue.
+    Each row records the chain size and the solver record. A policy whose
+    solve fails is reported in its row, with the failed solve's record,
+    and the rest continue.
     """
     meter = MetricKind.QVAOI
     rows: list[CompareRow] = []
     for name in POLICY_NAMES:
-        solver = {}
         if name == "greedy":
             policy = greedy_policy(params)
+            solver = dict.fromkeys(SolveResult.RECORD_KEYS)
         else:
             try:
                 solved = rvia_solve(params, MetricKind(name))
             except NotConverged as exc:
                 rows.append(CompareRow(
-                    name, math.nan, math.nan, math.nan, "none", str(exc),
-                    **_solver_fields(exc.result),
+                    params.p_e, params.p_q, name, math.nan, math.nan, math.nan,
+                    "none", exc.result.record, str(exc),
                 ))
                 continue
-            policy, solver = solved.policy, _solver_fields(solved)
+            policy, solver = solved.policy, solved.record
         if sim_cfg is None:
             all_slot = evaluate_policy_exact(params, meter, policy)
             per_query = all_slot / params.p_q if params.p_q > 0 else math.nan
@@ -118,23 +104,15 @@ def compare_policies(
             used = "simulated"
         monitor = per_query + monitor_offset(params, meter)
         rows.append(CompareRow(
-            name, all_slot, per_query, monitor, used,
-            chain_states=evaluation_chain_size(params, meter, policy), **solver,
+            params.p_e, params.p_q, name, all_slot, per_query, monitor, used,
+            solver, chain_states=evaluation_chain_size(params, meter, policy),
         ))
     return rows
 
 
-@dataclass(frozen=True)
-class GridCell:
-    p_e: float
-    p_q: float
-    rows: list[CompareRow]
-
-
-def _cell_worker(args) -> GridCell:
+def _cell_worker(args) -> list[CompareRow]:
     params, pe, pq, sim_cfg = args
-    cell = replace(params, p_e=pe, p_q=pq)
-    return GridCell(pe, pq, compare_policies(cell, sim_cfg))
+    return compare_policies(replace(params, p_e=pe, p_q=pq), sim_cfg)
 
 
 def comparison_grid(
@@ -143,15 +121,17 @@ def comparison_grid(
     pq_values: tuple[float, ...] = DEFAULT_PQ_CELLS,
     sim_cfg: SimConfig | None = None,
     jobs: int = 1,
-) -> list[GridCell]:
-    """The comparison cross product over charging and query rates.
+) -> list[CompareRow]:
+    """compare_policies over the cross product of charging and query
+    rates, as one list of rows in grid order: p_e-major, then p_q, then
+    POLICY_NAMES.
 
     Cells evaluate independently, in min(jobs, cells) worker processes,
-    or in this process when that is 1 (pool_map); output order is the
-    grid order no matter how they were scheduled.
+    or in this process when that is 1 (pool_map); the order does not
+    depend on how they were scheduled.
     """
     work = [(params, pe, pq, sim_cfg) for pe in pe_values for pq in pq_values]
-    return pool_map(_cell_worker, work, jobs)
+    return [row for rows in pool_map(_cell_worker, work, jobs) for row in rows]
 
 
 # --- required charging rate ----------------------------------------------
@@ -165,7 +145,7 @@ class ChargingRateResult:
 
 
 def required_charging_rate(
-    policy_kind: MetricKind | str,
+    policy_kind: str,
     target: float,
     params: SystemParams,
     p_q: float,
@@ -180,28 +160,22 @@ def required_charging_rate(
     boundary (or one float away, for a tol below the float spacing there).
     Feasibility at p_e = 1 is checked before bisecting, and the
     expected decrease of the average in p_e is verified on every point
-    actually evaluated.
+    actually evaluated. `policy_kind` is one of POLICY_NAMES; tol in
+    (0, 1), a finite target and p_q > 0 are the caller's to check
+    (cmd_sweep does).
     """
-    if not 0 < tol < 1:
-        raise ValueError(f"tol must be in (0, 1), got {tol!r}")
-    if not math.isfinite(target):
-        raise ValueError(f"target must be finite, got {target!r}")
-    if p_q <= 0:
-        raise ValueError("p_q must be positive: the target is a per-query average")
-    name = policy_kind.value if isinstance(policy_kind, MetricKind) else policy_kind
-    if name not in POLICY_NAMES:
-        raise ValueError(f"unknown policy {name!r}")
     base = replace(params, p_q=p_q)
     evals: list[tuple[float, float]] = []
-    warm: dict[str, np.ndarray] = {}
+    h0 = None  # the last solve's bias
 
     def value(pe: float) -> float:
+        nonlocal h0
         cand = replace(base, p_e=pe)
-        if name == "greedy":
+        if policy_kind == "greedy":
             policy = greedy_policy(cand)
         else:
-            res = rvia_solve(cand, MetricKind(name), h0=warm.get("h0"))
-            warm["h0"] = res.bias
+            res = rvia_solve(cand, MetricKind(policy_kind), h0=h0)
+            h0 = res.bias
             policy = res.policy
         all_slot = evaluate_policy_exact(cand, MetricKind.QVAOI, policy)
         v = all_slot / p_q
@@ -246,7 +220,7 @@ class RatioPoint:
 
 def charging_sweep(
     params: SystemParams,
-    policy_kind: MetricKind | str,
+    policy_kind: str,
     target: float,
     p_q_values: tuple[float, ...],
     tol: float = 1e-3,
@@ -305,17 +279,16 @@ def _header_lines(params: SystemParams, extra: dict[str, object]) -> list[str]:
     return [f"# {k} = {v}" for k, v in items.items()]
 
 
-def format_comparison(params: SystemParams, cells: list[GridCell]) -> str:
+def format_comparison(params: SystemParams, rows: list[CompareRow]) -> str:
     """Long CSV, one row per (grid cell, policy)."""
     lines = _header_lines(params, {"experiment": "compare"})
     lines.append("p_e,p_q,policy,qvaoi,qvaoi_per_query,monitor_qvaoi,eval,error")
-    for c in cells:
-        for r in c.rows:
-            lines.append(
-                f"{c.p_e},{c.p_q},{r.policy},{r.qvaoi!r},"
-                f"{r.qvaoi_per_query!r},{r.monitor_qvaoi!r},"
-                f"{r.eval_mode},{r.error or ''}"
-            )
+    for r in rows:
+        lines.append(
+            f"{r.p_e},{r.p_q},{r.policy},{r.qvaoi!r},"
+            f"{r.qvaoi_per_query!r},{r.monitor_qvaoi!r},"
+            f"{r.eval_mode},{r.error or ''}"
+        )
     return "\n".join(lines) + "\n"
 
 

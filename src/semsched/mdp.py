@@ -108,6 +108,22 @@ class SolveResult:
             return None
         return "span" if self.residual_span < SPAN_TOL else "certificate"
 
+    # the keys of `record`, in the order the manifests write them
+    RECORD_KEYS = (
+        "iterations", "evaluations", "residual_span", "gain_lo", "gain_hi", "stop",
+    )
+
+    @property
+    def record(self) -> dict:
+        """The manifests' `solver` record of this solve; the gain bracket
+        is None when no sweep ran."""
+        swept = self.iterations > 0
+        return dict(zip(self.RECORD_KEYS, (
+            self.iterations, self.evaluations, self.residual_span,
+            self.gain_lo if swept else None, self.gain_hi if swept else None,
+            self.stop,
+        )))
+
 
 # --- vectorized model ----------------------------------------------------
 

@@ -139,18 +139,20 @@ def test_reference_episode_replays_exactly():
 def test_policy_comparison_orderings_hold():
     base = SystemParams(delta_max=60)
     with verdict("criterion 4: policy orderings and query-rate directions in all four cells"):
-        cells = comparison_grid(
+        cells = {}
+        for r in comparison_grid(
             base, pe_values=(0.05, 0.20), pq_values=(0.2, 0.4), jobs=4
-        )
+        ):
+            cells.setdefault((r.p_e, r.p_q), []).append(r)
         table = {}
-        for cell in cells:
-            rows = {r.policy: r for r in cell.rows}
-            assert all(r.error is None and r.eval_mode == "exact" for r in cell.rows)
+        for (p_e, p_q), cell in cells.items():
+            rows = {r.policy: r for r in cell}
+            assert all(r.error is None and r.eval_mode == "exact" for r in cell)
             assert rows["qvaoi"].qvaoi <= rows["qaoi"].qvaoi + 1e-9
             assert rows["vaoi"].qvaoi <= rows["aoi"].qvaoi + 1e-9
             for name in ("aoi", "vaoi", "qaoi", "qvaoi"):
                 assert rows[name].qvaoi < rows["greedy"].qvaoi
-            table[(cell.p_e, cell.p_q)] = rows
+            table[(p_e, p_q)] = rows
         # more frequent queries hurt under scarce energy, help under rich
         assert (
             table[(0.05, 0.4)]["qvaoi"].qvaoi_per_query

@@ -49,6 +49,15 @@ def read(path):
         return fh.read()
 
 
+def strict_json(path):
+    """The JSON file at `path`, refusing the NaN and Infinity that
+    json.dumps writes for non-finite floats."""
+    def reject(constant):
+        raise ValueError(f"{path} holds {constant}")
+
+    return json.loads(read(path), parse_constant=reject)
+
+
 def solve_header(path):
     """The `key = value` header of a written solve file."""
     return split_lines(read(path).decode())[0]
@@ -292,6 +301,35 @@ class TestCompare:
             assert errors[name].startswith("closed classes stranded at an empty battery")
             assert (r["iterations"], r["evaluations"], r["stop"]) == (0, 0, None)
             assert (r["gain_lo"], r["gain_hi"]) == (None, None)  # no sweep, no bracket
+
+    def test_every_row_carries_the_solve_record(self, tmp_path, cfg):
+        solve = str(tmp_path / "policy.txt")
+        assert main(["solve", "--config", cfg, "--out", solve]) == EXIT_OK
+        keys = list(strict_json(solve + ".manifest.json")["solver"])
+        # no versions: vaoi and qvaoi are stranded at p_e 0 and fail there
+        path = tmp_path / "stranded.cfg"
+        path.write_text(
+            config_text(replace(SystemParams(), p_v=0.0, delta_max=28)), encoding="utf-8"
+        )
+        out = str(tmp_path / "cmp.csv")
+        rc = main(["compare", "--config", str(path), "--out", out,
+                   "--pe", "0,0.05", "--pq", "0.2"])
+        assert rc == EXIT_PARTIAL
+        rows = strict_json(out + ".manifest.json")["evaluation"]["rows"]
+        lines = [l for l in read(out).decode().splitlines() if not l.startswith("#")]
+        errors = [l.split(",", 7)[7] for l in lines[1:]]
+        assert len(rows) == len(errors) == 10
+        head = ["p_e", "p_q", "policy", "eval", "evaluation_chain_size"]
+        for r, error in zip(rows, errors):
+            assert list(r) == head + keys
+            if r["policy"] == "greedy":
+                assert [r[k] for k in keys] == [None] * len(keys)
+            if error:
+                # the message prints the stranded classes' cost gap as {:.3e}
+                gap = re.search(r"differ in average cost by (\S+);", error)[1]
+                assert f"{r['residual_span']:.3e}" == gap
+        failed = [(r["p_e"], r["policy"]) for r, error in zip(rows, errors) if error]
+        assert failed == [(0.0, "vaoi"), (0.0, "qvaoi")]
 
     def test_default_grid(self, tmp_path, cfg):
         out = str(tmp_path / "cmp.csv")
@@ -674,7 +712,9 @@ class TestManifestTimings:
         clock = iter(range(10**9, 0, -3600))
         monkeypatch.setattr(cli.time, "time", lambda: float(next(clock)))
         assert run_small(tmp_path, cfg, argv) == EXIT_OK
-        assert json.loads(read(tmp_path / "o.manifest.json"))["duration_s"] >= 0
+        # strict: a non-finite float would make the manifest invalid JSON
+        # (failed compare rows: test_every_row_carries_the_solve_record)
+        assert strict_json(tmp_path / "o.manifest.json")["duration_s"] >= 0
 
 
 class TestFileModes:

@@ -82,21 +82,20 @@ class TestComparePolicies:
 
 class TestComparisonGrid:
     def test_cells_cover_the_grid_in_order(self):
-        cells = comparison_grid(
+        rows = comparison_grid(
             SMALL,
             pe_values=(0.1, 0.3),
             pq_values=(0.2,),
         )
-        assert [(c.p_e, c.p_q) for c in cells] == [(0.1, 0.2), (0.3, 0.2)]
-        assert all(len(c.rows) == 5 for c in cells)
+        assert [(r.p_e, r.p_q, r.policy) for r in rows] == [
+            (pe, 0.2, name) for pe in (0.1, 0.3) for name in experiments.POLICY_NAMES
+        ]
 
     def test_workers_do_not_change_the_numbers(self):
         kw = dict(pe_values=(0.1, 0.2), pq_values=(0.3,))
         seq = comparison_grid(SMALL, jobs=1, **kw)
         par = comparison_grid(SMALL, jobs=2, **kw)
-        assert [r.qvaoi for c in seq for r in c.rows] == [
-            r.qvaoi for c in par for r in c.rows
-        ]
+        assert [r.qvaoi for r in seq] == [r.qvaoi for r in par]
 
     def test_pool_never_outnumbers_the_cells(self, monkeypatch):
         pools = []
@@ -130,8 +129,8 @@ class TestComparisonGrid:
         # neither module that could fork a pool may construct one
         for module in (sim, experiments):
             monkeypatch.setattr(module, "ProcessPoolExecutor", no_pool, raising=False)
-        cells = comparison_grid(SMALL, pe_values=(0.1,), pq_values=(0.3,), jobs=2)
-        assert [(c.p_e, c.p_q, len(c.rows)) for c in cells] == [(0.1, 0.3, 5)]
+        rows = comparison_grid(SMALL, pe_values=(0.1,), pq_values=(0.3,), jobs=2)
+        assert [(r.p_e, r.p_q) for r in rows] == [(0.1, 0.3)] * 5
 
 
 def region_map(policy_id, policy):
@@ -220,18 +219,6 @@ class TestRequiredChargingRate:
         assert 0.0 < r.bracket_lo < r.bracket_hi == r.p_e_star
         assert (r.bracket_lo + r.bracket_hi) / 2 in (r.bracket_lo, r.bracket_hi)
 
-    def test_rejects_bad_inputs(self):
-        for tol in (0.0, -0.01, 1.0, math.inf, math.nan):
-            with pytest.raises(ValueError, match="tol must be in \\(0, 1\\)"):
-                required_charging_rate("qvaoi", 2.5, SMALL, p_q=0.3, tol=tol)
-        with pytest.raises(ValueError, match="unknown policy"):
-            required_charging_rate("optimal", 2.5, SMALL, p_q=0.3)
-        with pytest.raises(ValueError, match="p_q must be positive"):
-            required_charging_rate("greedy", 2.5, SMALL, p_q=0.0)
-        for target in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="target must be finite"):
-                required_charging_rate("greedy", target, SMALL, p_q=0.3)
-
 
 class TestChargingSweep:
     def test_greedy_against_itself_is_ratio_one(self):
@@ -284,13 +271,13 @@ class TestChargingSweep:
 
 class TestFormatting:
     def test_comparison_tables_carry_header_and_rows(self):
-        cells = comparison_grid(SMALL, pe_values=(0.1,), pq_values=(0.3,))
-        text = format_comparison(SMALL, cells)
+        rows = comparison_grid(SMALL, pe_values=(0.1,), pq_values=(0.3,))
+        text = format_comparison(SMALL, rows)
         assert f"# params_stamp = {params_stamp(SMALL)}" in text
         data = [l for l in text.splitlines() if l and not l.startswith("#")]
         assert len(data) == 1 + 5  # column header + one row per policy
         assert data[0] == "p_e,p_q,policy,qvaoi,qvaoi_per_query,monitor_qvaoi,eval,error"
-        r = cells[0].rows[0]
+        r = rows[0]
         assert data[1] == (
             f"0.1,0.3,greedy,{r.qvaoi!r},{r.qvaoi_per_query!r},{r.monitor_qvaoi!r},exact,"
         )
