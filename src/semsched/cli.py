@@ -40,6 +40,7 @@ from .metrics import evolve_trace, format_trace_table, parse_events_table
 from .mdp import NotConverged, format_solve_result, rvia_solve
 from .policies import (
     NotThresholdStructured,
+    ThresholdPolicy,
     extract_thresholds,
     format_thresholds,
     greedy_policy,
@@ -94,30 +95,6 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _write_manifest(
-    out: str,
-    subcommand: str,
-    params: SystemParams,
-    options: dict,
-    outputs: list[str],
-    started: float,
-    **records: dict,
-) -> None:
-    manifest = {
-        "subcommand": subcommand,
-        "tool_version": __version__,
-        "params": asdict(params),
-        "params_stamp": params_stamp(params),
-        "options": options,
-        "seed_derivation": "streams keyed (seed, id): energy=1 channel=2 "
-        "version=3 query=4 init=5; replication r uses seed + r",
-        "outputs": outputs,
-        "duration_s": round(time.monotonic() - started, 3),
-        **records,
-    }
-    _atomic_write(out + ".manifest.json", json.dumps(manifest, indent=2) + "\n")
-
-
 def _load_params(args) -> SystemParams:
     # grid subcommands carry --pe/--pq as comma lists (str), validated
     # per point where they are parsed; only scalar overrides land here
@@ -130,19 +107,52 @@ def _load_params(args) -> SystemParams:
     return validate_params(replace(params, **overrides)) if overrides else params
 
 
-def _validate_rates(params: SystemParams, field: str, values: tuple[float, ...]) -> None:
+class _Run:
+    """One subcommand's run: its params, its clock and the files it has
+    written, which its manifest lists in write order."""
+
+    def __init__(self, args):
+        self.args = args
+        self.started = time.monotonic()
+        self.params = _load_params(args)
+        self.outputs: list[str] = []
+
+    def write(self, path: str, text: str) -> None:
+        _atomic_write(path, text)
+        self.outputs.append(path)
+
+    def finish(self, options: dict, **records: dict) -> None:
+        """Write `<out>.manifest.json`; `options` are the resolved flags
+        other than --out, which comes last."""
+        manifest = {
+            "subcommand": self.args.subcommand,
+            "tool_version": __version__,
+            "params": asdict(self.params),
+            "params_stamp": params_stamp(self.params),
+            "options": {**options, "out": self.args.out},
+            "seed_derivation": "streams keyed (seed, id): energy=1 channel=2 "
+            "version=3 query=4 init=5; replication r uses seed + r",
+            "outputs": self.outputs,
+            "duration_s": round(time.monotonic() - self.started, 3),
+            **records,
+        }
+        _atomic_write(self.args.out + ".manifest.json", json.dumps(manifest, indent=2) + "\n")
+
+
+def _rates(params: SystemParams, field: str, text: str | None,
+           default: tuple[float, ...]) -> tuple[float, ...]:
+    """The comma list `text` of rates for `field`, each checked in
+    params; `default` only for an absent flag (None)."""
+    if text is None:
+        values = default
+    else:
+        try:
+            values = tuple(float(v) for v in text.split(","))
+        except ValueError as exc:
+            raise ConfigError(None, f"bad rate list {text!r}") from exc
     for v in values:
         validate_params(replace(params, **{field: v}))
-
-
-def _parse_float_list(text: str | None, default: tuple[float, ...]) -> tuple[float, ...]:
-    """The comma list `text`; `default` only for an absent flag (None)."""
-    if text is None:
-        return default
-    try:
-        return tuple(float(v) for v in text.split(","))
-    except ValueError as exc:
-        raise ConfigError(None, f"bad rate list {text!r}") from exc
+    return values
 
 
 def _check_jobs(jobs: int) -> None:
@@ -150,59 +160,63 @@ def _check_jobs(jobs: int) -> None:
         raise ConfigError(None, f"--jobs must be >= 1, got {jobs}")
 
 
-def cmd_solve(args) -> int:
-    started = time.monotonic()
-    params = _load_params(args)
-    kind = MetricKind(args.kind)
-    result = rvia_solve(params, kind)
-    outputs = [args.out]
-    _atomic_write(args.out, format_solve_result(result))
+def _thresholds(policy) -> tuple[ThresholdPolicy | None, str | None]:
+    """The policy's threshold table, or None and the reason it has none."""
     try:
-        thresholds = extract_thresholds(result.policy)
-        thr_path = args.out + ".thresholds"
-        _atomic_write(thr_path, format_thresholds(thresholds))
-        outputs.append(thr_path)
+        return extract_thresholds(policy), None
     except NotThresholdStructured as exc:
-        print(f"note: {exc}", file=sys.stderr)
+        return None, str(exc)
+
+
+def _partial(failed: int, what: str) -> int:
+    if failed:
+        print(f"{failed} {what} failed", file=sys.stderr)
+        return EXIT_PARTIAL
+    return EXIT_OK
+
+
+def cmd_solve(args) -> int:
+    run = _Run(args)
+    kind = MetricKind(args.kind)
+    result = rvia_solve(run.params, kind)
+    run.write(args.out, format_solve_result(result))
+    thresholds, reason = _thresholds(result.policy)
+    if thresholds is None:
+        print(f"note: {reason}", file=sys.stderr)
+    else:
+        run.write(args.out + ".thresholds", format_thresholds(thresholds))
     print(f"gain {result.gain!r} after {result.iterations} iterations")
-    _write_manifest(
-        args.out, "solve", params,
-        {"kind": kind.value, "out": args.out}, outputs, started,
-        solver=result.record,
-    )
+    run.finish({"kind": kind.value}, solver=result.record)
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
-    started = time.monotonic()
-    params = _load_params(args)
+    run = _Run(args)
     _check_jobs(args.jobs)
     if args.policy == "greedy":
-        policy = greedy_policy(params)
+        policy = greedy_policy(run.params)
         policy_id = "greedy"
     else:
         policy = load_policy(args.policy)
         policy_id = os.path.basename(args.policy)
     cfg = SimConfig(horizon=args.horizon, seed=args.seed, warmup=args.warmup)
     sim_started = time.perf_counter()
-    rep = replicate(params, policy, cfg, n_reps=args.reps, jobs=args.jobs)
+    rep = replicate(run.params, policy, cfg, n_reps=args.reps, jobs=args.jobs)
     sim_seconds = time.perf_counter() - sim_started
     lines = [summary_csv_header()]
-    lines.extend(summary_csv_row(params, policy_id, s) for s in rep.summaries)
+    lines.extend(summary_csv_row(run.params, policy_id, s) for s in rep.summaries)
     for kind in MetricKind:
         lines.append(
             f"# mean_{kind.value} = {rep.means[kind]!r} "
             f"+- {rep.half_widths[kind]!r}"
         )
-    _atomic_write(args.out, "\n".join(lines) + "\n")
-    _write_manifest(
-        args.out, "simulate", params,
+    run.write(args.out, "\n".join(lines) + "\n")
+    run.finish(
         {
             "policy": args.policy, "horizon": args.horizon,
             "warmup": args.warmup, "seed": args.seed,
-            "reps": args.reps, "jobs": args.jobs, "out": args.out,
+            "reps": args.reps, "jobs": args.jobs,
         },
-        [args.out], started,
         simulation={
             "slots": args.reps * args.horizon,
             "seconds": round(sim_seconds, 3),
@@ -214,50 +228,40 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    started = time.monotonic()
-    params = _load_params(args)
+    run = _Run(args)
     try:
         with open(args.events, "r", encoding="utf-8") as fh:
             events = parse_events_table(fh.read())
-        trace = evolve_trace(events, params.delta_max)
+        trace = evolve_trace(events, run.params.delta_max)
     except (OSError, ValueError) as exc:
         print(f"cannot replay events: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    _atomic_write(args.out, format_trace_table(events, trace))
-    _write_manifest(
-        args.out, "trace", params,
-        {"events": args.events, "out": args.out}, [args.out], started,
-    )
+    run.write(args.out, format_trace_table(events, trace))
+    run.finish({"events": args.events})
     return EXIT_OK
 
 
 def cmd_compare(args) -> int:
-    started = time.monotonic()
-    params = _load_params(args)
-    pe_values = _parse_float_list(args.pe, DEFAULT_PE_CELLS)
-    pq_values = _parse_float_list(args.pq, DEFAULT_PQ_CELLS)
-    _validate_rates(params, "p_e", pe_values)
-    _validate_rates(params, "p_q", pq_values)
+    run = _Run(args)
+    pe_values = _rates(run.params, "p_e", args.pe, DEFAULT_PE_CELLS)
+    pq_values = _rates(run.params, "p_q", args.pq, DEFAULT_PQ_CELLS)
     _check_jobs(args.jobs)
     # built under either mode, so that bad --horizon/--warmup/--seed exit 2
     sim_cfg = SimConfig(horizon=args.horizon, seed=args.seed, warmup=args.warmup)
     rows = comparison_grid(
-        params,
+        run.params,
         pe_values=pe_values,
         pq_values=pq_values,
         sim_cfg=sim_cfg if args.mode == "simulated" else None,
         jobs=args.jobs,
     )
-    _atomic_write(args.out, format_comparison(params, rows))
-    failed = sum(1 for r in rows if r.error)
-    _write_manifest(
-        args.out, "compare", params,
+    run.write(args.out, format_comparison(run.params, rows))
+    run.finish(
         {
             "pe": list(pe_values), "pq": list(pq_values), "mode": args.mode,
             "horizon": args.horizon, "warmup": args.warmup, "seed": args.seed,
-            "jobs": args.jobs, "out": args.out,
+            "jobs": args.jobs,
         },
-        [args.out], started,
         evaluation={
             "rows": [
                 {
@@ -270,17 +274,12 @@ def cmd_compare(args) -> int:
             ],
         },
     )
-    if failed:
-        print(f"{failed} row(s) failed", file=sys.stderr)
-        return EXIT_PARTIAL
-    return EXIT_OK
+    return _partial(sum(1 for r in rows if r.error), "row(s)")
 
 
 def cmd_regions(args) -> int:
-    started = time.monotonic()
-    params = _load_params(args)
-    pe_values = _parse_float_list(args.pe, (params.p_e,))
-    _validate_rates(params, "p_e", pe_values)
+    run = _Run(args)
+    pe_values = _rates(run.params, "p_e", args.pe, (run.params.p_e,))
     names = [f"{pe:g}" for pe in pe_values]
     for name in names:
         if names.count(name) > 1:
@@ -288,66 +287,44 @@ def cmd_regions(args) -> int:
             raise ConfigError(
                 None, f"--pe rates {clash} would all write {args.out}.pe{name}.csv"
             )
-    outputs = []
     failures = 0
-    for pe in pe_values:
-        cell = replace(params, p_e=pe)
-        path = f"{args.out}.pe{pe:g}.csv"
+    for pe, name in zip(pe_values, names):
+        cell = replace(run.params, p_e=pe)
         try:
             if args.kind == "greedy":
                 policy = greedy_policy(cell)
             else:
                 policy = rvia_solve(cell, MetricKind(args.kind)).policy
         except NotConverged as exc:
-            print(f"p_e={pe:g}: {exc}", file=sys.stderr)
+            print(f"p_e={name}: {exc}", file=sys.stderr)
             failures += 1
             continue
-        try:
-            thresholds, warning = extract_thresholds(policy), None
-        except NotThresholdStructured as exc:
-            thresholds, warning = None, str(exc)
-        _atomic_write(
-            path, format_action_map(cell, args.kind, policy, thresholds, warning)
+        thresholds, reason = _thresholds(policy)
+        run.write(
+            f"{args.out}.pe{name}.csv",
+            format_action_map(cell, args.kind, policy, thresholds, reason),
         )
-        outputs.append(path)
         if thresholds is not None:
-            thr_path = f"{args.out}.pe{pe:g}.thresholds"
-            _atomic_write(thr_path, format_thresholds(thresholds))
-            outputs.append(thr_path)
-    _write_manifest(
-        args.out, "regions", params,
-        {"kind": args.kind, "pe": list(pe_values), "out": args.out},
-        outputs, started,
-    )
+            run.write(f"{args.out}.pe{name}.thresholds", format_thresholds(thresholds))
+    run.finish({"kind": args.kind, "pe": list(pe_values)})
     return EXIT_PARTIAL if failures else EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    started = time.monotonic()
-    params = _load_params(args)
-    pq_values = _parse_float_list(args.pq, (0.1, 0.2, 0.3, 0.4))
-    _validate_rates(params, "p_q", pq_values)
+    run = _Run(args)
+    pq_values = _rates(run.params, "p_q", args.pq, (0.1, 0.2, 0.3, 0.4))
     if not 0 < args.tol < 1:
         raise ConfigError(None, f"--tol must be in (0, 1), got {args.tol!r}")
     if not math.isfinite(args.target):
         raise ConfigError(None, f"--target must be finite, got {args.target!r}")
     if 0.0 in pq_values:
         raise ConfigError(None, "sweep needs p_q > 0: the target is a per-query average")
-    points = charging_sweep(params, args.kind, args.target, pq_values, tol=args.tol)
-    _atomic_write(args.out, format_ratio_table(params, points, args.kind, args.target))
-    failed = sum(1 for p in points if p.error)
-    _write_manifest(
-        args.out, "sweep", params,
-        {
-            "kind": args.kind, "target": args.target, "pq": list(pq_values),
-            "tol": args.tol, "out": args.out,
-        },
-        [args.out], started,
+    points = charging_sweep(run.params, args.kind, args.target, pq_values, tol=args.tol)
+    run.write(args.out, format_ratio_table(run.params, points, args.kind, args.target))
+    run.finish(
+        {"kind": args.kind, "target": args.target, "pq": list(pq_values), "tol": args.tol}
     )
-    if failed:
-        print(f"{failed} grid point(s) failed", file=sys.stderr)
-        return EXIT_PARTIAL
-    return EXIT_OK
+    return _partial(sum(1 for p in points if p.error), "grid point(s)")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -138,7 +138,6 @@ def comparison_grid(
 
 @dataclass(frozen=True)
 class ChargingRateResult:
-    p_e_star: float
     bracket_lo: float
     bracket_hi: float
     evaluations: tuple[tuple[float, float], ...]
@@ -156,7 +155,7 @@ def required_charging_rate(
 
     Each candidate re-solves the policy at that charging rate (solver
     bias warm-starts the next candidate) and evaluates exactly; the
-    returned p_e_star is the feasible bracket end, within tol of the true
+    returned bracket_hi is the feasible end, within tol of the true
     boundary (or one float away, for a tol below the float spacing there).
     Feasibility at p_e = 1 is checked before bisecting, and the
     expected decrease of the average in p_e is verified on every point
@@ -202,9 +201,7 @@ def required_charging_rate(
                 f"average rose from {va:.9f} at p_e={pe_a:.6f} "
                 f"to {vb:.9f} at p_e={pe_b:.6f}"
             )
-    return ChargingRateResult(
-        p_e_star=hi, bracket_lo=lo, bracket_hi=hi, evaluations=tuple(evals)
-    )
+    return ChargingRateResult(bracket_lo=lo, bracket_hi=hi, evaluations=tuple(evals))
 
 
 @dataclass(frozen=True)
@@ -235,13 +232,15 @@ def charging_sweep(
     Greedy ignores the query flag, so its per-query average, and with it
     its required charging rate, is the same at every query rate: it is
     found once, at the first point that needs it, and reused (or its
-    error re-raised) at the others.
+    error re-raised) at the others, on both sides when `policy_kind` is
+    greedy.
     """
     out: list[RatioPoint] = []
     greedy = None  # greedy's ChargingRateResult, or the error it raised
     for pq in p_q_values:
         try:
-            rp = required_charging_rate(policy_kind, target, params, pq, tol)
+            if policy_kind != "greedy":
+                rp = required_charging_rate(policy_kind, target, params, pq, tol)
             if greedy is None:
                 try:
                     greedy = required_charging_rate("greedy", target, params, pq, tol)
@@ -250,17 +249,19 @@ def charging_sweep(
             if isinstance(greedy, Exception):
                 raise greedy
             rg = greedy
+            if policy_kind == "greedy":
+                rp = rg
         except (TargetUnreachable, MonotonicityViolation, NotConverged) as exc:
             out.append(
                 RatioPoint(pq, math.nan, math.nan, math.nan, math.nan, math.nan,
                            error=str(exc))
             )
             continue
-        ratio = rp.p_e_star / rg.p_e_star
+        ratio = rp.bracket_hi / rg.bracket_hi
         ratio_lo = rp.bracket_lo / rg.bracket_hi
         ratio_hi = rp.bracket_hi / rg.bracket_lo if rg.bracket_lo > 0 else math.inf
         out.append(
-            RatioPoint(pq, rp.p_e_star, rg.p_e_star, ratio, ratio_lo, ratio_hi)
+            RatioPoint(pq, rp.bracket_hi, rg.bracket_hi, ratio, ratio_lo, ratio_hi)
         )
     return out
 

@@ -717,6 +717,34 @@ class TestManifestTimings:
         assert strict_json(tmp_path / "o.manifest.json")["duration_s"] >= 0
 
 
+class TestManifestOutputs:
+    @EVERY_COMMAND
+    def test_outputs_are_exactly_the_files_the_run_wrote(self, tmp_path, cfg, argv):
+        assert run_small(tmp_path, cfg, argv) == EXIT_OK
+        outputs = strict_json(tmp_path / "o.manifest.json")["outputs"]
+        assert outputs and len(set(outputs)) == len(outputs)
+        assert {Path(path).parent for path in outputs} == {tmp_path}
+        # the inputs and the manifest, and no temp file left behind
+        rest = {"small.cfg", "events.txt", "o.manifest.json"}
+        assert sorted(os.listdir(tmp_path)) == sorted(rest | {Path(p).name for p in outputs})
+
+    def test_a_failed_regions_cell_writes_and_lists_nothing(self, tmp_path):
+        # no versions: vaoi is stranded at p_e 0 and fails there
+        path = tmp_path / "stranded.cfg"
+        path.write_text(
+            config_text(replace(SystemParams(), p_v=0.0, delta_max=28)), encoding="utf-8"
+        )
+        out = str(tmp_path / "o")
+        rc = main(["regions", "--config", str(path), "--out", out,
+                   "--kind", "vaoi", "--pe", "0,0.05"])
+        assert rc == EXIT_PARTIAL
+        outputs = strict_json(out + ".manifest.json")["outputs"]
+        assert outputs == [out + ".pe0.05.csv", out + ".pe0.05.thresholds"]
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            ["stranded.cfg", "o.manifest.json", "o.pe0.05.csv", "o.pe0.05.thresholds"]
+        )
+
+
 class TestFileModes:
     @EVERY_COMMAND
     @pytest.mark.parametrize("umask", [0o022, 0o077], ids=oct)

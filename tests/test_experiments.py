@@ -181,10 +181,9 @@ class TestRequiredChargingRate:
     def test_bracket_and_feasibility_invariants(self):
         r = required_charging_rate("qvaoi", 2.5, SMALL, p_q=0.3, tol=1e-2)
         assert r.bracket_hi - r.bracket_lo <= 1e-2 + 1e-15
-        assert r.p_e_star == r.bracket_hi
-        assert 0.0 < r.p_e_star <= 1.0
+        assert 0.0 < r.bracket_hi <= 1.0
         assert r.evaluations[0][0] == 1.0
-        at_star = dataclasses.replace(SMALL, p_e=r.p_e_star, p_q=0.3)
+        at_star = dataclasses.replace(SMALL, p_e=r.bracket_hi, p_q=0.3)
         val = (
             evaluate_policy_exact(
                 at_star, MetricKind.QVAOI, rvia_solve(at_star, MetricKind.QVAOI).policy
@@ -196,7 +195,7 @@ class TestRequiredChargingRate:
     def test_easier_targets_need_less_charging(self):
         tight = required_charging_rate("qvaoi", 2.0, SMALL, p_q=0.3, tol=1e-2)
         loose = required_charging_rate("qvaoi", 3.5, SMALL, p_q=0.3, tol=1e-2)
-        assert loose.p_e_star <= tight.p_e_star + 1e-12
+        assert loose.bracket_hi <= tight.bracket_hi + 1e-12
 
     def test_impossible_target_is_reported_with_the_best_value(self):
         with pytest.raises(TargetUnreachable) as exc:
@@ -216,7 +215,7 @@ class TestRequiredChargingRate:
 
         monkeypatch.setattr(experiments, "evaluate_policy_exact", counted)
         r = required_charging_rate("greedy", 2.5, SMALL, p_q=0.3, tol=1e-300)
-        assert 0.0 < r.bracket_lo < r.bracket_hi == r.p_e_star
+        assert 0.0 < r.bracket_lo < r.bracket_hi
         assert (r.bracket_lo + r.bracket_hi) / 2 in (r.bracket_lo, r.bracket_hi)
 
 
@@ -233,19 +232,21 @@ class TestChargingSweep:
         assert pt.ratio <= 1.0 + 1e-12
         assert pt.pe_policy <= pt.pe_greedy + 1e-12
 
-    def test_greedy_is_bisected_once_per_sweep(self, monkeypatch):
+    @pytest.mark.parametrize("kind", ["qvaoi", "greedy"])
+    def test_greedy_is_bisected_once_per_sweep(self, monkeypatch, kind):
         # greedy's per-query average does not depend on p_q, so one search,
-        # p_e = 1 and ten bisection points, serves every point
+        # p_e = 1 and ten bisection points, serves every point, and both
+        # sides of every point when greedy is also the policy swept
         made = []
         monkeypatch.setattr(
             experiments, "greedy_policy", lambda p: made.append(p) or greedy_policy(p)
         )
-        pts = charging_sweep(SMALL, "qvaoi", 2.5, (0.1, 0.2, 0.3, 0.4), tol=1e-3)
+        pts = charging_sweep(SMALL, kind, 2.5, (0.1, 0.2, 0.3, 0.4), tol=1e-3)
         assert len(made) == 11
         assert len({pt.pe_greedy for pt in pts}) == 1
         for pt in pts:
             alone = required_charging_rate("greedy", 2.5, SMALL, pt.p_q, tol=1e-3)
-            assert pt.error is None and pt.pe_greedy == alone.p_e_star
+            assert pt.error is None and pt.pe_greedy == alone.bracket_hi
 
     def test_a_greedy_error_is_reported_at_every_point(self, monkeypatch):
         searched = []
