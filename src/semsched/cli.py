@@ -39,14 +39,14 @@ from .core import (
 from .metrics import evolve_trace, format_trace_table, parse_events_table
 from .mdp import NotConverged, format_solve_result, rvia_solve
 from .policies import (
+    MismatchedStamp,
     NotThresholdStructured,
-    ThresholdPolicy,
     extract_thresholds,
     format_thresholds,
     greedy_policy,
     load_policy,
 )
-from .sim import MismatchedStamp, SimConfig, replicate, summary_csv_header, summary_csv_row
+from .sim import SimConfig, replicate, summary_csv_header, summary_csv_row
 from .experiments import (
     DEFAULT_PE_CELLS,
     DEFAULT_PQ_CELLS,
@@ -160,7 +160,7 @@ def _check_jobs(jobs: int) -> None:
         raise ConfigError(None, f"--jobs must be >= 1, got {jobs}")
 
 
-def _thresholds(policy) -> tuple[ThresholdPolicy | None, str | None]:
+def _thresholds(policy) -> tuple[dict[tuple[int, int], int] | None, str | None]:
     """The policy's threshold table, or None and the reason it has none."""
     try:
         return extract_thresholds(policy), None
@@ -184,7 +184,7 @@ def cmd_solve(args) -> int:
     if thresholds is None:
         print(f"note: {reason}", file=sys.stderr)
     else:
-        run.write(args.out + ".thresholds", format_thresholds(thresholds))
+        run.write(args.out + ".thresholds", format_thresholds(result.policy, thresholds))
     print(f"gain {result.gain!r} after {result.iterations} iterations")
     run.finish({"kind": kind.value}, solver=result.record)
     return EXIT_OK
@@ -305,7 +305,8 @@ def cmd_regions(args) -> int:
             format_action_map(cell, args.kind, policy, thresholds, reason),
         )
         if thresholds is not None:
-            run.write(f"{args.out}.pe{name}.thresholds", format_thresholds(thresholds))
+            run.write(f"{args.out}.pe{name}.thresholds",
+                      format_thresholds(policy, thresholds))
     run.finish({"kind": args.kind, "pe": list(pe_values)})
     return EXIT_PARTIAL if failures else EXIT_OK
 

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
 from dataclasses import dataclass, fields, replace
-from enum import Enum, IntEnum
+from enum import Enum
 from typing import Mapping
 
 
@@ -36,11 +37,6 @@ class MetricKind(str, Enum):
     def age_family(self) -> bool:
         """True for AoI-style dynamics (reset to 1), False for version lag."""
         return self in (MetricKind.AOI, MetricKind.QAOI)
-
-
-class Action(IntEnum):
-    IDLE = 0
-    TRANSMIT = 1
 
 
 class ParamError(ValueError):
@@ -109,9 +105,9 @@ def validate_params(raw: SystemParams | Mapping[str, object]) -> SystemParams:
 
     Accepts either an existing `SystemParams` (idempotent: a valid one is
     returned unchanged) or a mapping of field names. Raises `ParamError`
-    with a message listing all violations: range and type problems, then
-    B < 1; the state ceiling and the truncation guard only when neither
-    was found.
+    with a message listing all violations: range and type problems (a
+    subnormal p_q among them), then B < 1; the state ceiling and the
+    truncation guard only when neither was found.
     """
     if isinstance(raw, SystemParams):
         candidate = raw
@@ -131,6 +127,11 @@ def validate_params(raw: SystemParams | Mapping[str, object]) -> SystemParams:
             violations.append(f"{name}={v} outside [0, 1]")
     if isinstance(candidate.p_s, (int, float)) and candidate.p_s == 0:
         violations.append("p_s=0: a zero-success channel is degenerate")
+    if isinstance(candidate.p_q, float) and 0 < candidate.p_q < sys.float_info.min:
+        violations.append(
+            f"p_q={candidate.p_q!r} is subnormal (below {sys.float_info.min!r}): "
+            f"query-gated costs, which scale with it, lose their precision"
+        )
 
     for name in _INT_FIELDS:
         v = getattr(candidate, name)

@@ -24,7 +24,7 @@ from .mdp import (
     evaluation_chain_size,
     rvia_solve,
 )
-from .policies import PolicyTable, ThresholdPolicy, greedy_policy
+from .policies import PolicyTable, greedy_policy
 from .sim import SimConfig, monitor_offset, pool_map, simulate
 
 POLICY_NAMES = ("greedy", "aoi", "vaoi", "qaoi", "qvaoi")
@@ -231,26 +231,23 @@ def charging_sweep(
 
     Greedy ignores the query flag, so its per-query average, and with it
     its required charging rate, is the same at every query rate: it is
-    found once, at the first point that needs it, and reused (or its
-    error re-raised) at the others, on both sides when `policy_kind` is
-    greedy.
+    found once, at the first query rate, and reused at every point, on
+    both sides when `policy_kind` is greedy. A greedy error is raised
+    again at every point, after the policy's own search.
     """
     out: list[RatioPoint] = []
-    greedy = None  # greedy's ChargingRateResult, or the error it raised
+    rg = greedy_error = None
+    try:
+        rg = required_charging_rate("greedy", target, params, p_q_values[0], tol)
+    except (TargetUnreachable, MonotonicityViolation) as exc:
+        greedy_error = exc
     for pq in p_q_values:
         try:
-            if policy_kind != "greedy":
-                rp = required_charging_rate(policy_kind, target, params, pq, tol)
-            if greedy is None:
-                try:
-                    greedy = required_charging_rate("greedy", target, params, pq, tol)
-                except (TargetUnreachable, MonotonicityViolation) as exc:
-                    greedy = exc
-            if isinstance(greedy, Exception):
-                raise greedy
-            rg = greedy
-            if policy_kind == "greedy":
-                rp = rg
+            rp = rg if policy_kind == "greedy" else required_charging_rate(
+                policy_kind, target, params, pq, tol
+            )
+            if greedy_error is not None:
+                raise greedy_error
         except (TargetUnreachable, MonotonicityViolation, NotConverged) as exc:
             out.append(
                 RatioPoint(pq, math.nan, math.nan, math.nan, math.nan, math.nan,
@@ -297,7 +294,7 @@ def format_action_map(
     params: SystemParams,
     policy_id: str,
     policy: PolicyTable,
-    thresholds: ThresholdPolicy | None,
+    thresholds: dict[tuple[int, int], int] | None,
     warning: str | None,
 ) -> str:
     """Long CSV (metric, battery, action) of the table's query = 1 slice,
@@ -307,9 +304,9 @@ def format_action_map(
         extra["warning"] = warning
     lines = _header_lines(params, extra)
     if thresholds is not None:
-        for (b, q), thr in sorted(thresholds.thresholds.items()):
+        for (b, q), thr in sorted(thresholds.items()):
             lines.append(f"# threshold b={b} q={q}: {thr}")
-    grid = policy.actions.reshape(params.delta_max + 1, params.B + 1, 2)[:, :, 1]
+    grid = policy.actions[:, :, 1]
     lines.append("metric,battery,action")
     for mtr in range(params.delta_max + 1):
         for b in range(params.B + 1):

@@ -141,8 +141,8 @@ class _Model:
     probabilities; pq is the law [1 - p_q, p_q] of the query flag. feas1,
     c0 and c1 are per ((m, b), q), shape (n_states, 2): feas1 marks where
     the solver may choose Transmit (battery for all kinds, plus the query
-    restriction for the query-aware policy class), and an action table
-    read with `PolicyTable.actions.reshape(-1, 2)` has the same shape.
+    restriction for the query-aware policy class), and a policy's action
+    grid read with `PolicyTable.actions.reshape(-1, 2)` has the same shape.
     Rows are valid where feas1 is False too: a Transmit at battery 0 keeps
     battery 0. entry, indptr and indices are the merged CSR pattern of all
     12 outcome columns, built once per model from one np.unique of
@@ -235,12 +235,11 @@ def _action_values(
     return m.c0 + (H[m.nxt0] @ m.pr0)[:, None], c1 + (H[m.nxt1] @ m.pr1)[:, None]
 
 
-def _greedy(m: _Model, h: np.ndarray, scale: float, rel: float = 0.0) -> np.ndarray:
-    """Action table, per ((m, b), q), greedy in `scale * h` over (m, b):
+def _greedy(m: _Model, H: np.ndarray, rel: float = 0.0) -> np.ndarray:
+    """Action table, per ((m, b), q), greedy in the (m, b) values H:
     Transmit where it undercuts Idle by more than _TIE_EPS + rel * |Q0|,
-    Q0 the Idle value; Idle wins ties. `scale` is 0.5 or 1, so scaling h
-    first is exact."""
-    q0, q1 = _action_values(m, np.where(m.feas1, m.c1, np.inf), scale * h)
+    Q0 the Idle value; Idle wins ties."""
+    q0, q1 = _action_values(m, np.where(m.feas1, m.c1, np.inf), H)
     return (q1 < q0 - (_TIE_EPS + rel * np.abs(q0))).astype(np.int8)
 
 
@@ -287,7 +286,7 @@ def _improve(
         gain, bias = exact
         if not gain < best:
             return None, evaluations
-        improved = _greedy(m, bias, 1.0, rel=1e-9)
+        improved = _greedy(m, bias, rel=1e-9)
         if np.array_equal(improved, table):
             return (table, gain, bias), evaluations
         best, table = gain, improved
@@ -363,7 +362,7 @@ def rvia_solve(
         params_stamp=params_stamp(params),
         delta_max=params.delta_max,
         B=params.B,
-        actions=np.zeros(2 * m.n_states, dtype=np.int8),
+        actions=np.zeros((params.delta_max + 1, params.B + 1, 2), dtype=np.int8),
     )
     gap = _stranded_gain_gap(m)
     if gap > SPAN_TOL:
@@ -394,13 +393,13 @@ def rvia_solve(
         if span < SPAN_TOL:
             break
         if it % _CERT_EVERY == 0:
-            certified, n = _improve(m, _greedy(m, h, tau))
+            certified, n = _improve(m, _greedy(m, tau * h))
             evaluations += n
             if certified is not None:
                 break
     converged = certified is not None or span < SPAN_TOL
     if certified is None:
-        table = _greedy(m, h, tau)
+        table = _greedy(m, tau * h)
         bias = _full_bias(m, table, h * tau)
         if converged:
             # a span stop: report the gain and bracket of the bias that is
@@ -415,7 +414,7 @@ def rvia_solve(
     result = SolveResult(
         gain=gain,
         bias=bias,
-        policy=replace(policy, actions=table.ravel()),
+        policy=replace(policy, actions=table.reshape(policy.actions.shape)),
         iterations=it,
         residual_span=span,
         converged=converged,
@@ -569,17 +568,14 @@ def _closed_classes(P: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
     return labels, closed
 
 
-def _reads_other_family(
-    params: SystemParams, kind: MetricKind, policy: PolicyTable
-) -> bool:
+def _reads_other_family(kind: MetricKind, policy: PolicyTable) -> bool:
     """Whether metering `policy` on `kind` needs the level-by-level
     evaluator: the policy reads a metric of the other family. A policy of
     the meter's family, or one that reads no metric at all (actions depend
     on battery and query only), runs on the meter's own model."""
     if policy.kind.age_family == kind.age_family:
         return False
-    grid = policy.actions.reshape(params.delta_max + 1, params.B + 1, 2)
-    return not np.all(grid == grid[0])
+    return not np.all(policy.actions == policy.actions[0])
 
 
 def _level_average(
@@ -657,11 +653,11 @@ def evaluate_policy_exact(
     cost (or vice versa) by running the meter's own chain. A policy that
     reads a metric of the other family runs on its own chain, and
     _level_average meters it from that chain's pi and class. Either way
-    one chain is built and solved.
+    one chain is built and solved. A table built under other params raises
+    MismatchedStamp (PolicyTable.check).
     """
-    if policy.params_stamp != params_stamp(params):
-        raise ValueError("policy stamped under different params")
-    cross = _reads_other_family(params, kind, policy)
+    policy.check(params)
+    cross = _reads_other_family(kind, policy)
     chain_kind = policy.kind if cross else kind
     m = _build_model(params, chain_kind)
     table = policy.actions.reshape(-1, 2)
@@ -682,7 +678,7 @@ def evaluation_chain_size(
     size of the recurrent class of the policy's (metric, battery) chain,
     at most half the count."""
     n = state_count(params.delta_max, params.B)
-    if _reads_other_family(params, kind, policy):
+    if _reads_other_family(kind, policy):
         return (params.delta_max + 1) * n
     return n
 

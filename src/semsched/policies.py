@@ -16,13 +16,16 @@ import numpy as np
 
 from .core import (
     MAX_STATES,
-    Action,
     ConfigError,
     MetricKind,
     SystemParams,
     params_stamp,
     state_count,
 )
+
+
+class MismatchedStamp(ValueError):
+    """Policy was solved under different system parameters."""
 
 
 class NotThresholdStructured(ValueError):
@@ -38,10 +41,10 @@ class NotThresholdStructured(ValueError):
 class PolicyTable:
     """Stationary deterministic policy as a lookup table of 0/1 actions.
 
-    `actions` is indexed in canonical state order, metric-major, then
-    battery, then query: (metric * (B + 1) + battery) * 2 + query.
-    `delta_max`/`B` fix the indexing geometry so the table is
-    self-contained. The greedy baseline is metric-blind; its `kind` field
+    `actions[metric, battery, query]` is a grid of shape (delta_max + 1,
+    B + 1, 2); its ravel is the canonical state order, metric-major, then
+    battery, then query. `delta_max`/`B` restate that geometry for the
+    file headers. The greedy baseline is metric-blind; its `kind` field
     is just the stamp it was built under.
     """
 
@@ -52,33 +55,33 @@ class PolicyTable:
     actions: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        expected = state_count(self.delta_max, self.B)
-        if self.actions.shape != (expected,):
+        expected = (self.delta_max + 1, self.B + 1, 2)
+        if self.actions.shape != expected:
             raise ValueError(
-                f"actions has shape {self.actions.shape}, expected ({expected},)"
+                f"actions has shape {self.actions.shape}, expected {expected}"
             )
-        battery = (np.arange(expected) // 2) % (self.B + 1)
-        if np.any((self.actions == Action.TRANSMIT) & (battery == 0)):
+        if self.actions[:, 0].any():
             raise ValueError("policy transmits at empty battery")
         self.actions.setflags(write=False)
 
-
-@dataclass(frozen=True)
-class ThresholdPolicy:
-    """Per-(battery, query) switch points; delta_max + 1 encodes never."""
-
-    kind: MetricKind
-    params_stamp: str
-    delta_max: int
-    B: int
-    thresholds: dict[tuple[int, int], int]
+    def check(self, params: SystemParams) -> None:
+        """Raise MismatchedStamp unless the table was built under `params`:
+        the same stamp and the same (delta_max, B)."""
+        if self.params_stamp != params_stamp(params):
+            raise MismatchedStamp(
+                f"policy stamp {self.params_stamp} != params stamp {params_stamp(params)}"
+            )
+        if (self.delta_max, self.B) != (params.delta_max, params.B):
+            raise MismatchedStamp(
+                f"policy (delta_max, B) = {(self.delta_max, self.B)} != "
+                f"params {(params.delta_max, params.B)}"
+            )
 
 
 def greedy_policy(params: SystemParams) -> PolicyTable:
     """Transmit whenever the battery is non-empty, blind to metric and query."""
-    n = state_count(params.delta_max, params.B)
-    battery = (np.arange(n) // 2) % (params.B + 1)
-    actions = (battery >= 1).astype(np.int8)
+    actions = np.ones((params.delta_max + 1, params.B + 1, 2), dtype=np.int8)
+    actions[:, 0] = 0
     return PolicyTable(
         kind=MetricKind.AOI,
         params_stamp=params_stamp(params),
@@ -88,29 +91,20 @@ def greedy_policy(params: SystemParams) -> PolicyTable:
     )
 
 
-def extract_thresholds(policy: PolicyTable) -> ThresholdPolicy:
-    """Verify threshold structure per (battery, query) slice and compress.
+def extract_thresholds(policy: PolicyTable) -> dict[tuple[int, int], int]:
+    """Verify threshold structure per (battery, query) slice and compress
+    it to the {(battery, query): threshold} switch points.
 
     The switch point is inclusive: Transmit at metric >= threshold. Slices
     that transmit nowhere get delta_max + 1.
     """
-    dm, B = policy.delta_max, policy.B
-    grid = policy.actions.reshape(dm + 1, B + 1, 2)
-    thresholds: dict[tuple[int, int], int] = {}
-    bad: list[tuple[int, int]] = []
-    for b in range(B + 1):
-        for q in (0, 1):
-            col = grid[:, b, q]
-            tx = np.flatnonzero(col)
-            if tx.size == 0:
-                thresholds[(b, q)] = dm + 1
-            elif np.all(col[tx[0]:] == 1):
-                thresholds[(b, q)] = int(tx[0])
-            else:
-                bad.append((b, q))
-    if bad:
-        raise NotThresholdStructured(bad)
-    return ThresholdPolicy(policy.kind, policy.params_stamp, dm, B, thresholds)
+    falls = (np.diff(policy.actions, axis=0) < 0).any(axis=0)
+    if falls.any():
+        raise NotThresholdStructured([s for s, bad in np.ndenumerate(falls) if bad])
+    # a slice that never falls is all Idle up to its switch point, which is
+    # its count of Idle states
+    idle = (policy.actions == 0).sum(axis=0)
+    return {s: int(t) for s, t in np.ndenumerate(idle)}
 
 
 # --- serialization -------------------------------------------------------
@@ -143,8 +137,7 @@ def format_table(
 
 def parse_table(text: str) -> tuple[dict[str, object], np.ndarray]:
     """The one reader. Returns the typed stamp fields (kind, params_stamp,
-    delta_max, B) and the action of each (metric, battery, query) state,
-    in canonical order.
+    delta_max, B) and the grid of actions[metric, battery, query].
 
     The file's column-name line must start with the policy columns;
     further columns (a solve result's bias) must be present on every row
@@ -212,7 +205,7 @@ def parse_table(text: str) -> tuple[dict[str, object], np.ndarray]:
             f"{int((~seen).sum())} row(s) missing, the first for "
             f"{tuple(int(v) for v in first)}",
         )
-    return stamp, actions.ravel()
+    return stamp, actions
 
 
 def _header_value(header: dict[str, str], key: str, convert):
@@ -246,7 +239,7 @@ def _field(text: str, column: str, top: int, line_no: int) -> int:
     return value
 
 
-def _stamp_header(table: PolicyTable | ThresholdPolicy) -> dict[str, object]:
+def _stamp_header(table: PolicyTable) -> dict[str, object]:
     return {
         "kind": table.kind.value,
         "params_stamp": table.params_stamp,
@@ -263,12 +256,8 @@ def format_policy(
 ) -> str:
     """One row per state in canonical order; a solve result adds `extra`
     header lines and a bias column."""
-    B = policy.B
-    idx = np.arange(policy.actions.size)
-    cols = [
-        (idx // (2 * (B + 1))).tolist(), ((idx // 2) % (B + 1)).tolist(),
-        (idx % 2).tolist(), policy.actions.tolist(),
-    ]
+    grids = (*np.indices(policy.actions.shape), policy.actions)
+    cols = [grid.ravel().tolist() for grid in grids]
     names = _POLICY_COLUMNS
     if bias is not None:
         cols.append(bias.tolist())
@@ -294,11 +283,14 @@ def load_policy(path: str) -> PolicyTable:
     return parse_policy(text)
 
 
-def format_thresholds(tp: ThresholdPolicy) -> str:
-    """Compact export: one `b q threshold` line per slice."""
+def format_thresholds(
+    policy: PolicyTable, thresholds: dict[tuple[int, int], int]
+) -> str:
+    """Compact export of extract_thresholds(policy): one `b q threshold`
+    line per slice, under the table's stamp."""
     title = (
         "thresholds (metric switch point per battery/query; "
-        f"{tp.delta_max + 1} = never)"
+        f"{policy.delta_max + 1} = never)"
     )
-    rows = ((b, q, tp.thresholds[(b, q)]) for b in range(tp.B + 1) for q in (0, 1))
-    return format_table(title, _stamp_header(tp), None, rows)
+    rows = ((b, q, thresholds[(b, q)]) for b in range(policy.B + 1) for q in (0, 1))
+    return format_table(title, _stamp_header(policy), None, rows)

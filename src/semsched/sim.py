@@ -61,7 +61,7 @@ from operator import getitem, itemgetter
 
 import numpy as np
 
-from .core import ConfigError, MetricKind, SystemParams, params_stamp
+from .core import ConfigError, MetricKind, SystemParams
 from .policies import PolicyTable
 
 STREAM_ENERGY = 1
@@ -79,10 +79,6 @@ _PASS_LANES = 20
 # exogenous slot code: q | ch << 1 | en << 2 | v << 3
 _CODES = 16
 _INDEX = itemgetter(_CODES)
-
-
-class MismatchedStamp(ValueError):
-    """Policy was solved under different system parameters."""
 
 
 @dataclass(frozen=True)
@@ -160,7 +156,7 @@ def _step_table(
     c = np.arange(_CODES)
     q, ch, en, v = c & 1, c >> 1 & 1, c >> 2 & 1, c >> 3 & 1
     m, b = s // bp1, s % bp1
-    tx = (b > 0) & (policy.actions[s * 2 + q] == 1)
+    tx = (b > 0) & (policy.actions[m, b, q] == 1)
     delivered = tx & (ch == 1)
     b = b - tx
     harvest = (en == 1) & (b < params.B)
@@ -259,17 +255,10 @@ def simulate(
     Starts from a full battery, AoI = delta_max, VAoI = 0, and a query
     flag drawn from Bern(p_q); energy capped at B is lost and not counted
     as harvested, which keeps the conservation identity
-    initial + harvested - transmissions = final exact.
+    initial + harvested - transmissions = final exact. A table built under
+    other params raises MismatchedStamp (PolicyTable.check).
     """
-    if policy.params_stamp != params_stamp(params):
-        raise MismatchedStamp(
-            f"policy stamp {policy.params_stamp} != params stamp {params_stamp(params)}"
-        )
-    if (policy.delta_max, policy.B) != (params.delta_max, params.B):
-        raise MismatchedStamp(
-            f"policy (delta_max, B) = {(policy.delta_max, policy.B)} != "
-            f"params {(params.delta_max, params.B)}"
-        )
+    policy.check(params)
     p = params
     dm = p.delta_max
     B = p.B

@@ -52,7 +52,7 @@ def battery_rule(params, min_battery, query_gated):
         params_stamp=params_stamp(params),
         delta_max=dm,
         B=B,
-        actions=grid.reshape(-1),
+        actions=grid,
     )
 
 
@@ -178,12 +178,11 @@ def test_transmission_regions_are_threshold_structured_and_nested():
             cell = replace(base, p_e=pe)
             policy = rvia_solve(cell, MetricKind.QVAOI).policy
             extract_thresholds(policy)  # raises NotThresholdStructured otherwise
-            grid = policy.actions.reshape(cell.delta_max + 1, cell.B + 1, 2)[:, :, 1]
+            grid = policy.actions[:, :, 1]
             assert not grid[0].any()
             grids[pe] = grid
             vpol = rvia_solve(cell, MetricKind.VAOI).policy
-            vgrid = vpol.actions.reshape(cell.delta_max + 1, cell.B + 1, 2)
-            assert not vgrid[0].any()
+            assert not vpol.actions[0].any()
         assert np.all(grids[0.05] <= grids[0.20])
 
 

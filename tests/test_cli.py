@@ -550,6 +550,21 @@ class TestBadInput:
             assert "p_s=1e-310" in err
             assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--pe", "0.05", "--pq", "1e-320"],
+        ["sweep", "--target", "25", "--pq", "1e-320"],
+    ], ids=lambda argv: argv[0])
+    def test_subnormal_query_rate_is_a_param_error(self, tmp_path, cfg, capsys, argv):
+        # query-gated costs scale with p_q and lose their precision below
+        # the smallest normal float; small.cfg's allow_tight_truncation
+        # does not waive it
+        rc = main([*argv, "--config", cfg, "--out", str(tmp_path / "o.csv")])
+        err = capsys.readouterr().err
+        assert rc == EXIT_CONFIG
+        assert err.startswith("invalid parameters: p_q=1e-320 is subnormal")
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [tmp_path / "small.cfg"]
+
     def test_subcommand_is_required(self):
         with pytest.raises(SystemExit) as exc:
             main([])

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -81,6 +82,18 @@ class TestValidateParams:
         assert str(err.value).startswith(f"p_s={ps!r} is too small")
         # the override skips the guard instead of computing it
         assert validate_params({"p_s": ps, "allow_tight_truncation": True}).p_s == ps
+
+    @pytest.mark.parametrize("pq", [1e-320, 5e-324])
+    @pytest.mark.parametrize("tight", [False, True])
+    def test_subnormal_query_rate(self, pq, tight):
+        # the query-gated costs scale with p_q and would lose their
+        # precision; the override does not waive it
+        with pytest.raises(ParamError) as err:
+            validate_params({"p_q": pq, "allow_tight_truncation": tight})
+        assert str(err.value).startswith(f"p_q={pq!r} is subnormal")
+        # the smallest normal rate, and 0, stay valid
+        for ok in (sys.float_info.min, 0.0):
+            assert validate_params({"p_q": ok, "allow_tight_truncation": tight}).p_q == ok
 
     def test_state_count_ceiling(self):
         # B = 1: (delta_max + 1) * 2 * 2 states, so 262,143 lands on 2^20
@@ -188,7 +201,8 @@ class TestConfigParsing:
     @given(
         ps=st.floats(0.1, 1.0),
         pv=st.floats(0.0, 1.0),
-        pq=st.floats(0.0, 1.0),
+        # a subnormal p_q is refused (test_subnormal_query_rate)
+        pq=st.floats(0.0, 1.0, allow_subnormal=False),
         pe=st.floats(0.0, 1.0),
         B=st.integers(1, 20),
         N=st.integers(0, 12),

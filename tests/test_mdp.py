@@ -12,7 +12,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 import semsched.mdp as mdp
-from semsched.core import Action, MetricKind, SystemParams, params_stamp
+from semsched.core import MetricKind, SystemParams, params_stamp
 from semsched.mdp import (
     MultichainPolicy,
     NotConverged,
@@ -27,8 +27,16 @@ from semsched.mdp import (
     save_solve_result,
 )
 from semsched.metrics import step_aoi, step_vaoi
-from semsched.policies import PolicyTable, greedy_policy, parse_policy, state_count
+from semsched.policies import (
+    MismatchedStamp,
+    PolicyTable,
+    greedy_policy,
+    parse_policy,
+    state_count,
+)
 from test_policies import split_solve_file
+
+IDLE, TRANSMIT = 0, 1  # the two actions, as a table holds them
 
 
 class AgentState(NamedTuple):
@@ -68,9 +76,9 @@ def instance_and_state(draw):
     )
     kind = draw(st.sampled_from(list(MetricKind)))
     if s.battery >= 1:
-        a = draw(st.sampled_from([Action.IDLE, Action.TRANSMIT]))
+        a = draw(st.sampled_from([IDLE, TRANSMIT]))
     else:
-        a = Action.IDLE
+        a = IDLE
     return p, kind, s, a
 
 
@@ -208,7 +216,7 @@ def bruteforce_optimum(p, kind):
         params_stamp=params_stamp(p),
         delta_max=p.delta_max,
         B=p.B,
-        actions=actions,
+        actions=actions.reshape(p.delta_max + 1, p.B + 1, 2),
     )
     return policy, float(costs[best])
 
@@ -238,7 +246,7 @@ def model_row(p, kind, s, a):
 def model_cost(p, kind, s, a):
     """Entry `s` of the solver's cost table c1 (Transmit) or c0 (Idle)."""
     m = mdp._build_model(p, kind)
-    return (m.c1 if a == Action.TRANSMIT else m.c0)[s.metric * (p.B + 1) + s.battery, s.query]
+    return (m.c1 if a == TRANSMIT else m.c0)[s.metric * (p.B + 1) + s.battery, s.query]
 
 
 class TestTransition:
@@ -247,12 +255,12 @@ class TestTransition:
 
     def test_certain_delivery_resets_version_lag(self):
         p = small(p_s=1.0, p_v=0.0, p_e=0.0, p_q=0.0)
-        row = model_row(p, MetricKind.VAOI, AgentState(2, 1, 1), Action.TRANSMIT)
+        row = model_row(p, MetricKind.VAOI, AgentState(2, 1, 1), TRANSMIT)
         assert row == {AgentState(0, 0, 0): 1.0}
 
     def test_pure_aging_when_idle(self):
         p = small(p_e=0.0, p_q=0.0, delta_max=6)
-        row = model_row(p, MetricKind.AOI, AgentState(4, 0, 0), Action.IDLE)
+        row = model_row(p, MetricKind.AOI, AgentState(4, 0, 0), IDLE)
         assert row == {AgentState(5, 0, 0): 1.0}
 
     def test_merged_product_distribution(self):
@@ -262,7 +270,7 @@ class TestTransition:
         # version, or failure without), or 2 (failure with new version);
         # battery ends at the harvest bit; next query is a free coin.
         p = small(p_s=0.8, p_v=0.25, p_e=0.05, p_q=0.2)
-        got = model_row(p, MetricKind.QVAOI, AgentState(1, 1, 1), Action.TRANSMIT)
+        got = model_row(p, MetricKind.QVAOI, AgentState(1, 1, 1), TRANSMIT)
         m_probs = {0: 0.8 * 0.75, 1: 0.8 * 0.25 + 0.2 * 0.75, 2: 0.2 * 0.25}
         expected = {}
         for m, pm in m_probs.items():
@@ -303,21 +311,21 @@ class TestStageCost:
         # .8(.25*1) + .2(.25*2 + .75*1) = 0.45; idling closes at 1.25.
         p = small()
         s = AgentState(1, 1, 1)
-        c1 = model_cost(p, MetricKind.QVAOI, s, Action.TRANSMIT)
-        c0 = model_cost(p, MetricKind.QVAOI, s, Action.IDLE)
+        c1 = model_cost(p, MetricKind.QVAOI, s, TRANSMIT)
+        c0 = model_cost(p, MetricKind.QVAOI, s, IDLE)
         assert c1 == pytest.approx(0.45, abs=1e-12)
         assert c0 == pytest.approx(1.25, abs=1e-12)
 
     def test_gated_cost_is_zero_without_query(self):
         p = small()
-        for a in (Action.IDLE, Action.TRANSMIT):
+        for a in (IDLE, TRANSMIT):
             assert model_cost(p, MetricKind.QVAOI, AgentState(3, 2, 0), a) == 0.0
             assert model_cost(p, MetricKind.QAOI, AgentState(3, 2, 0), a) == 0.0
 
     def test_ungated_cost_is_the_current_metric(self):
         p = small()
         for q in (0, 1):
-            for a in (Action.IDLE, Action.TRANSMIT):
+            for a in (IDLE, TRANSMIT):
                 assert model_cost(p, MetricKind.AOI, AgentState(3, 1, q), a) == 3.0
                 assert model_cost(p, MetricKind.VAOI, AgentState(2, 1, q), a) == 2.0
 
@@ -342,14 +350,13 @@ class TestRviaSolve:
         assert res.gain == pytest.approx(0.0, abs=1e-9)
         # query-1 states are unreachable; on the reachable slice the
         # solver idles, and the fully idle table matches the gain
-        grid = res.policy.actions.reshape(p.delta_max + 1, p.B + 1, 2)
-        assert not grid[:, :, 0].any()
+        assert not res.policy.actions[:, :, 0].any()
         idle = PolicyTable(
             kind=MetricKind.QVAOI,
             params_stamp=params_stamp(p),
             delta_max=p.delta_max,
             B=p.B,
-            actions=np.zeros(res.policy.actions.size, dtype=np.int8),
+            actions=np.zeros(res.policy.actions.shape, dtype=np.int8),
         )
         assert evaluate_policy_exact(p, MetricKind.QVAOI, idle) == pytest.approx(
             0.0, abs=1e-12
@@ -369,14 +376,16 @@ class TestRviaSolve:
 
     def test_not_converged_carries_diagnostics(self, monkeypatch):
         monkeypatch.setattr(mdp, "_MAX_SWEEPS", 3)
+        p = small()
         with pytest.raises(NotConverged) as exc:
-            rvia_solve(small(), MetricKind.AOI)
+            rvia_solve(p, MetricKind.AOI)
         res = exc.value.result
         assert isinstance(res, SolveResult)
         assert not res.converged
         assert res.iterations == 3
         assert res.residual_span >= 1e-9
-        assert res.policy.actions.shape == res.bias.shape
+        assert res.policy.actions.shape == (p.delta_max + 1, p.B + 1, 2)
+        assert res.policy.actions.size == res.bias.size
 
     def test_warm_start_reaches_the_same_gain_faster(self):
         p = small(B=3, delta_max=8)
@@ -391,9 +400,7 @@ class TestRviaSolve:
     def test_version_kinds_never_transmit_at_zero_lag(self):
         p = small(B=2, delta_max=6, p_e=0.2, p_q=0.35)
         for kind in (MetricKind.VAOI, MetricKind.QVAOI):
-            pol = rvia_solve(p, kind).policy
-            grid = pol.actions.reshape(p.delta_max + 1, p.B + 1, 2)
-            assert not grid[0].any()
+            assert not rvia_solve(p, kind).policy.actions[0].any()
 
     def test_query_gating_never_costs_more(self):
         p = small(B=2, delta_max=8, p_e=0.15, p_q=0.35)
@@ -565,7 +572,7 @@ class TestExactEvaluation:
             params_stamp=params_stamp(p),
             delta_max=p.delta_max,
             B=p.B,
-            actions=np.zeros((p.delta_max + 1) * (p.B + 1) * 2, dtype=np.int8),
+            actions=np.zeros((p.delta_max + 1, p.B + 1, 2), dtype=np.int8),
         )
         assert evaluate_policy_exact(p, MetricKind.AOI, pol) == pytest.approx(
             p.delta_max, abs=1e-12
@@ -599,8 +606,22 @@ class TestExactEvaluation:
     def test_stamp_mismatch_is_rejected(self):
         p = small()
         pol = greedy_policy(small(p_e=0.5))
-        with pytest.raises(ValueError, match="stamp"):
+        with pytest.raises(MismatchedStamp, match="^policy stamp "):
             evaluate_policy_exact(p, MetricKind.AOI, pol)
+
+    def test_a_table_laid_out_for_other_params_is_rejected(self):
+        # a table of as many states as the params' but of another shape,
+        # under their stamp: read as laid out for them it meters 0.7653 on
+        # qvaoi, against its own 0.5945
+        solved_at = SystemParams(p_s=1.0, delta_max=21, B=10)
+        other = SystemParams(p_s=1.0, delta_max=10, B=21)
+        pol = rvia_solve(solved_at, MetricKind.AOI).policy
+        assert pol.actions.size == state_count(other.delta_max, other.B)
+        forged = dataclasses.replace(pol, params_stamp=params_stamp(other))
+        with pytest.raises(
+            MismatchedStamp, match=r"^policy \(delta_max, B\) = \(21, 10\) != params \(10, 21\)$"
+        ):
+            evaluate_policy_exact(other, MetricKind.QVAOI, forged)
 
     def test_chain_sizes(self):
         p = small()  # 5 * 3 * 2 = 30 same-family states
@@ -874,11 +895,10 @@ def joint_chain_average(p, kind, policy):
     """Independent reference for cross-family evaluation: the dense chain
     over (policy metric, meter metric, battery, query) under `policy`,
     averaged from its start states."""
-    dm, B = p.delta_max, p.B
-    grid = policy.actions.reshape(dm + 1, B + 1, 2)
+    dm = p.delta_max
 
     def act(s):
-        return int(grid[s[0], s[2], s[3]])
+        return int(policy.actions[s[0], s[2], s[3]])
 
     ages = (policy.kind.age_family, kind.age_family)
     states, P, closing = dense_chain(p, ages, act)
@@ -933,7 +953,7 @@ class TestCrossFamilyEvaluation:
         ] + [(greedy_policy(p), meter) for meter in MetricKind]
         assert len(cases) == 12
         for policy, meter in cases:
-            assert not mdp._reads_other_family(p, meter, policy)
+            assert not mdp._reads_other_family(meter, policy)
             got = evaluate_policy_exact(p, meter, policy)
             ref = joint_chain_average(p, meter, policy)
             assert got == pytest.approx(ref, abs=1e-10), (policy.kind, meter)
@@ -952,7 +972,7 @@ class TestCrossFamilyEvaluation:
         # singular and the meter stays at its start value 0
         p = small(B=3, delta_max=6, p_e=0.5, p_v=0.0, p_q=0.0)
         policy = rvia_solve(p, MetricKind.QAOI).policy
-        assert mdp._reads_other_family(p, MetricKind.VAOI, policy)
+        assert mdp._reads_other_family(MetricKind.VAOI, policy)
         got = evaluate_policy_exact(p, MetricKind.VAOI, policy)
         assert got == pytest.approx(joint_chain_average(p, MetricKind.VAOI, policy), abs=1e-12)
 
@@ -1046,7 +1066,7 @@ class TestFullScaleOptimality:
             lo, hi = (Th - res.bias).min(), (Th - res.bias).max()
             assert lo <= res.gain <= hi, kind
             assert hi - lo <= (1e-11 if res.stop == "certificate" else 1e-9), kind
-            chosen = np.where(res.policy.actions == 1, q1, q0)
+            chosen = np.where(res.policy.actions.ravel() == 1, q1, q0)
             assert np.all(chosen <= Th + 1e-9), kind
 
 

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semsched.core import Action, ConfigError, MetricKind, SystemParams, params_stamp
+from semsched.core import ConfigError, MetricKind, SystemParams, params_stamp
 from semsched.mdp import SolveResult, format_solve_result
 from semsched.policies import (
     NotThresholdStructured,
     PolicyTable,
-    ThresholdPolicy,
     extract_thresholds,
     format_policy,
     format_thresholds,
@@ -19,11 +18,8 @@ from semsched.policies import (
 )
 
 PARAMS = SystemParams(B=2, delta_max=4, allow_tight_truncation=True)
-
-
-def grid(actions):
-    """`actions` as a (metric, battery, query) array, a view for writing."""
-    return actions.reshape(PARAMS.delta_max + 1, PARAMS.B + 1, 2)
+# the (metric, battery, query) grid of a PARAMS table
+SHAPE = (PARAMS.delta_max + 1, PARAMS.B + 1, 2)
 
 
 def split_lines(text):
@@ -48,13 +44,13 @@ def split_solve_file(text):
     return header, np.array([float(r[4]) for r in rows[1:]])
 
 
-def expands_to(tp, actions):
-    """Whether the switch points of `tp` give exactly the action table:
+def expands_to(thresholds, policy):
+    """Whether the switch points give exactly the policy's actions:
     Transmit at metric >= threshold in each (battery, query) slice."""
-    g = actions.reshape(tp.delta_max + 1, tp.B + 1, 2)
-    metric = np.arange(tp.delta_max + 1)
-    return len(tp.thresholds) == (tp.B + 1) * 2 and all(
-        np.array_equal(g[:, b, q], metric >= t) for (b, q), t in tp.thresholds.items()
+    metric = np.arange(policy.delta_max + 1)
+    return len(thresholds) == (policy.B + 1) * 2 and all(
+        np.array_equal(policy.actions[:, b, q], metric >= t)
+        for (b, q), t in thresholds.items()
     )
 
 
@@ -97,27 +93,33 @@ class TestPolicyTable:
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError, match="shape"):
             make_table(np.zeros(7, dtype=np.int8))
+        # the flat canonical order of the right size is not the grid
+        with pytest.raises(ValueError, match=r"expected \(5, 3, 2\)"):
+            make_table(np.zeros(state_count(4, 2), dtype=np.int8))
+        with pytest.raises(ValueError, match="shape"):
+            make_table(np.zeros((3, 5, 2), dtype=np.int8))
 
     def test_rejects_transmit_on_empty_battery(self):
-        actions = np.zeros(state_count(4, 2), dtype=np.int8)
-        grid(actions)[2, 0, 1] = 1
+        actions = np.zeros(SHAPE, dtype=np.int8)
+        actions[2, 0, 1] = 1
         with pytest.raises(ValueError, match="empty battery"):
             make_table(actions)
 
     def test_actions_frozen(self):
-        t = make_table(np.zeros(30, dtype=np.int8))
+        t = make_table(np.zeros(SHAPE, dtype=np.int8))
         with pytest.raises(ValueError):
-            t.actions[3] = 1
+            t.actions[3, 1, 0] = 1
 
 
 class TestGreedy:
     def test_transmits_iff_battery(self):
-        g = grid(greedy_policy(PARAMS).actions)
+        g = greedy_policy(PARAMS).actions
+        assert g.shape == SHAPE
         for m in range(5):
             for q in (0, 1):
-                assert g[m, 0, q] == Action.IDLE
-                assert g[m, 1, q] == Action.TRANSMIT
-                assert g[m, 2, q] == Action.TRANSMIT
+                assert g[m, 0, q] == 0
+                assert g[m, 1, q] == 1
+                assert g[m, 2, q] == 1
 
     def test_stamped(self):
         assert greedy_policy(PARAMS).params_stamp == params_stamp(PARAMS)
@@ -125,45 +127,53 @@ class TestGreedy:
 
 class TestThresholds:
     def test_greedy_compresses(self):
-        tp = extract_thresholds(greedy_policy(PARAMS))
+        thresholds = extract_thresholds(greedy_policy(PARAMS))
         # battery 0: never; battery >= 1: always (threshold 0)
-        assert tp.thresholds[(0, 0)] == PARAMS.delta_max + 1
-        assert tp.thresholds[(1, 1)] == 0
-        assert tp.thresholds[(2, 0)] == 0
+        assert thresholds[(0, 0)] == PARAMS.delta_max + 1
+        assert thresholds[(1, 1)] == 0
+        assert thresholds[(2, 0)] == 0
 
     def test_round_trip_table(self):
-        tp = extract_thresholds(greedy_policy(PARAMS))
-        assert expands_to(tp, greedy_policy(PARAMS).actions)
+        g = greedy_policy(PARAMS)
+        assert expands_to(extract_thresholds(g), g)
 
     def test_violating_slice_reported(self):
-        actions = np.zeros(30, dtype=np.int8)
+        actions = np.zeros(SHAPE, dtype=np.int8)
         # transmit at metric 1 but idle at metric 2: not a threshold
-        grid(actions)[1, 2, 1] = 1
-        grid(actions)[3, 2, 1] = 1
-        with pytest.raises(NotThresholdStructured, match=r"\(battery, query\): \(2, 1\)"):
+        actions[1, 2, 1] = 1
+        actions[3, 2, 1] = 1
+        with pytest.raises(NotThresholdStructured, match=r"\(battery, query\): \(2, 1\)$"):
             extract_thresholds(make_table(actions))
 
+    def test_every_violating_slice_is_reported_in_order(self):
+        actions = np.zeros(SHAPE, dtype=np.int8)
+        actions[0, 2, 1] = actions[2, 1, 0] = actions[4, 2, 1] = 1
+        with pytest.raises(NotThresholdStructured) as err:
+            extract_thresholds(make_table(actions))
+        assert str(err.value) == "non-threshold slices (battery, query): (1, 0), (2, 1)"
+
     def test_inclusive_switch_point(self):
-        actions = np.zeros(30, dtype=np.int8)
+        actions = np.zeros(SHAPE, dtype=np.int8)
         for m in (2, 3, 4):
-            grid(actions)[m, 1, 0] = 1
-        tp = extract_thresholds(make_table(actions))
-        assert tp.thresholds[(1, 0)] == 2
-        assert expands_to(tp, actions)
-        assert grid(actions)[2, 1, 0] == Action.TRANSMIT
-        assert grid(actions)[1, 1, 0] == Action.IDLE
+            actions[m, 1, 0] = 1
+        table = make_table(actions)
+        thresholds = extract_thresholds(table)
+        assert thresholds[(1, 0)] == 2
+        assert expands_to(thresholds, table)
+        assert actions[2, 1, 0] == 1
+        assert actions[1, 1, 0] == 0
 
     @given(st.integers(0, 2**30 - 1))
     def test_threshold_tables_agree_with_origin(self, bits):
         actions = np.array([(bits >> i) & 1 for i in range(30)], dtype=np.int8)
-        battery = (np.arange(30) // 2) % 3
-        actions[battery == 0] = 0
+        actions = actions.reshape(SHAPE)
+        actions[:, 0] = 0
         table = make_table(actions)
         try:
-            tp = extract_thresholds(table)
+            thresholds = extract_thresholds(table)
         except NotThresholdStructured:
             return
-        assert expands_to(tp, table.actions)
+        assert expands_to(thresholds, table)
 
 
 class TestSerialization:
@@ -175,8 +185,9 @@ class TestSerialization:
         assert np.array_equal(back.actions, g.actions)
 
     def test_threshold_file(self):
-        tp = extract_thresholds(greedy_policy(PARAMS))
-        assert same_thresholds(format_thresholds(tp), tp)
+        g = greedy_policy(PARAMS)
+        thresholds = extract_thresholds(g)
+        assert same_thresholds(format_thresholds(g, thresholds), g, thresholds)
 
 
 @st.composite
@@ -187,8 +198,8 @@ def tables(draw):
     B = draw(st.integers(1, 3))
     n = (dm + 1) * (B + 1) * 2
     bits = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
-    actions = np.array(bits, dtype=np.int8)
-    actions[(np.arange(n) // 2) % (B + 1) == 0] = 0
+    actions = np.array(bits, dtype=np.int8).reshape(dm + 1, B + 1, 2)
+    actions[:, 0] = 0
     kind = draw(st.sampled_from(list(MetricKind)))
     stamp = draw(st.text("0123456789abcdef", min_size=12, max_size=12))
     floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
@@ -197,8 +208,7 @@ def tables(draw):
         (b, q): dm + 1 if b == 0 else draw(st.integers(0, dm + 1))
         for b in range(B + 1) for q in (0, 1)
     }
-    tp = ThresholdPolicy(kind, stamp, dm, B, thresholds)
-    return PolicyTable(kind, stamp, dm, B, actions), bias, draw(floats), tp
+    return PolicyTable(kind, stamp, dm, B, actions), bias, draw(floats), thresholds
 
 
 def solve_result(policy, bias, gain):
@@ -225,14 +235,14 @@ def same_solve_file(text, result):
     ) and bias.tobytes() == result.bias.tobytes()
 
 
-def same_thresholds(text, tp):
-    """Whether a threshold file, split by hand, holds the stamp of `tp` and
-    one `battery query threshold` row per slice."""
+def same_thresholds(text, policy, thresholds):
+    """Whether a threshold file, split by hand, holds the stamp of `policy`
+    and one `battery query threshold` row per slice of `thresholds`."""
     header, rows = split_lines(text)
-    stamp = {"kind": tp.kind.value, "params_stamp": tp.params_stamp,
-             "delta_max": str(tp.delta_max), "B": str(tp.B)}
+    stamp = {"kind": policy.kind.value, "params_stamp": policy.params_stamp,
+             "delta_max": str(policy.delta_max), "B": str(policy.B)}
     slices = {(int(b), int(q)): int(t) for b, q, t in rows}
-    return header == stamp and len(rows) == len(slices) and slices == tp.thresholds
+    return header == stamp and len(rows) == len(slices) and slices == thresholds
 
 
 def policy_files(policy, bias, gain):
@@ -248,12 +258,12 @@ class TestCodecRoundTrip:
     @given(tables())
     @settings(max_examples=60, deadline=None)
     def test_every_file_kind_round_trips(self, case):
-        policy, bias, gain, tp = case
+        policy, bias, gain, thresholds = case
         policy_text, solve_text = policy_files(policy, bias, gain)
         for text in (policy_text, solve_text):
             assert same_policy(parse_policy(text), policy)
         assert same_solve_file(solve_text, solve_result(policy, bias, gain))
-        assert same_thresholds(format_thresholds(tp), tp)
+        assert same_thresholds(format_thresholds(policy, thresholds), policy, thresholds)
 
     @given(tables())
     @settings(max_examples=30, deadline=None)

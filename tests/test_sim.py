@@ -13,14 +13,13 @@ import semsched.sim as sim
 from semsched.core import ConfigError, MetricKind, SystemParams, params_stamp
 from semsched.mdp import evaluate_policy_exact, rvia_solve
 from semsched.metrics import SlotEvents, evolve_trace
-from semsched.policies import PolicyTable, greedy_policy
+from semsched.policies import MismatchedStamp, PolicyTable, greedy_policy
 from semsched.sim import (
     STREAM_CHANNEL,
     STREAM_ENERGY,
     STREAM_INIT,
     STREAM_QUERY,
     STREAM_VERSION,
-    MismatchedStamp,
     SimConfig,
     SimSummary,
     _stream,
@@ -45,14 +44,10 @@ def reference_simulate(
     """The per-slot loop that `simulate` replaced, kept as its reference:
     same streams, same draws, one Python step per slot. Also returns each
     post-warmup slot's (delivered, new_version, query) flags."""
-    if policy.params_stamp != params_stamp(params):
-        raise MismatchedStamp(
-            f"policy stamp {policy.params_stamp} != params stamp {params_stamp(params)}"
-        )
+    policy.check(params)
     p = params
     dm = p.delta_max
     B = p.B
-    bp1 = B + 1
     pol_age = policy.kind.age_family
     actions = policy.actions.tolist()
 
@@ -86,7 +81,7 @@ def reference_simulate(
                 delivered = 0
             else:
                 m = aoi if pol_age else vaoi
-                if actions[(m * bp1 + battery) * 2 + q]:
+                if actions[m][battery][q]:
                     battery -= 1
                     transmissions += 1
                     delivered = 1 if ch[i] else 0
@@ -277,7 +272,7 @@ class TestTraceReplay:
 class TestStampCheck:
     def test_foreign_policy_is_rejected(self):
         other = dataclasses.replace(MID, p_e=0.5)
-        with pytest.raises(MismatchedStamp):
+        with pytest.raises(MismatchedStamp, match="^policy stamp "):
             simulate(MID, greedy_policy(other), SimConfig(horizon=100, seed=1, warmup=0))
 
     def test_matching_stamp_with_another_geometry_is_rejected(self):
@@ -417,9 +412,7 @@ def reference_policy(name, p, solved_tables):
         # b >= 1 and query q, never at battery 0
         m, b, q = np.indices((p.delta_max + 1, p.B + 1, 2))
         actions = (b >= 1) & (m >= np.maximum(1, p.delta_max - b - 2 * q))
-        return PolicyTable(
-            MetricKind.VAOI, stamp, p.delta_max, p.B, actions.astype(np.int8).ravel()
-        )
+        return PolicyTable(MetricKind.VAOI, stamp, p.delta_max, p.B, actions.astype(np.int8))
     if name == "always":
         # asks to transmit in every state, battery 0 included, which
         # PolicyTable refuses: only the simulator's forced Idle stops it
@@ -427,7 +420,7 @@ def reference_policy(name, p, solved_tables):
         for attr, value in (
             ("kind", MetricKind.QVAOI), ("params_stamp", stamp),
             ("delta_max", p.delta_max), ("B", p.B),
-            ("actions", np.ones((p.delta_max + 1) * (p.B + 1) * 2, dtype=np.int8)),
+            ("actions", np.ones((p.delta_max + 1, p.B + 1, 2), dtype=np.int8)),
         ):
             object.__setattr__(table, attr, value)
         return table
