@@ -46,7 +46,7 @@ from .policies import (
     greedy_policy,
     load_policy,
 )
-from .sim import SimConfig, replicate, summary_csv_header, summary_csv_row
+from .sim import SimConfig, replicate
 from .experiments import (
     DEFAULT_PE_CELLS,
     DEFAULT_PQ_CELLS,
@@ -55,6 +55,7 @@ from .experiments import (
     format_action_map,
     format_comparison,
     format_ratio_table,
+    format_simulation,
 )
 
 # Move everything the imports above allocated (numpy's and scipy's module
@@ -203,14 +204,7 @@ def cmd_simulate(args) -> int:
     sim_started = time.perf_counter()
     rep = replicate(run.params, policy, cfg, n_reps=args.reps, jobs=args.jobs)
     sim_seconds = time.perf_counter() - sim_started
-    lines = [summary_csv_header()]
-    lines.extend(summary_csv_row(run.params, policy_id, s) for s in rep.summaries)
-    for kind in MetricKind:
-        lines.append(
-            f"# mean_{kind.value} = {rep.means[kind]!r} "
-            f"+- {rep.half_widths[kind]!r}"
-        )
-    run.write(args.out, "\n".join(lines) + "\n")
+    run.write(args.out, format_simulation(run.params, policy_id, rep))
     run.finish(
         {
             "policy": args.policy, "horizon": args.horizon,

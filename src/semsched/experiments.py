@@ -1,6 +1,7 @@
 """Orchestrated evaluations: policy comparison tables and
-required-charging-rate sweeps, and the CSV layouts of those tables and of
-the transmission region maps.
+required-charging-rate sweeps, and the CSV layouts of those tables, of
+the transmission region maps and of the simulation summaries, which one
+writer (`_csv`) writes.
 
 Query-gated values carry two normalizations. The all-slot average is the
 quantity the solver optimizes; dividing it by p_q gives the conditional
@@ -12,8 +13,12 @@ explicit cross-check (a `SimConfig` passed as `sim_cfg`).
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from . import __version__
 from .core import MetricKind, SystemParams, params_stamp
@@ -25,7 +30,7 @@ from .mdp import (
     rvia_solve,
 )
 from .policies import PolicyTable, greedy_policy
-from .sim import SimConfig, monitor_offset, pool_map, simulate
+from .sim import ReplicationResult, SimConfig, monitor_offset, pool_map, simulate
 
 POLICY_NAMES = ("greedy", "aoi", "vaoi", "qaoi", "qvaoi")
 DEFAULT_PE_CELLS = (0.05, 0.20)
@@ -265,6 +270,20 @@ def charging_sweep(
 
 # --- tabular output ------------------------------------------------------
 
+def _csv(head, columns, rows, tail=()) -> str:
+    """The one CSV layout of every table: the `# ` comment lines of `head`,
+    the column names, one line per row, then those of `tail`. Each value
+    is written as its str() (a float as its shortest repr), None as an
+    empty field; a field holding a comma, a quote or a newline is quoted."""
+    out = io.StringIO()
+    out.writelines(f"# {line}\n" for line in head)
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(["" if v is None else str(v) for v in row] for row in rows)
+    out.writelines(f"# {line}\n" for line in tail)
+    return out.getvalue()
+
+
 def _header_lines(params: SystemParams, extra: dict[str, object]) -> list[str]:
     items = {
         "tool_version": __version__,
@@ -274,20 +293,18 @@ def _header_lines(params: SystemParams, extra: dict[str, object]) -> list[str]:
         "delta_max": params.delta_max,
     }
     items.update(extra)
-    return [f"# {k} = {v}" for k, v in items.items()]
+    return [f"{k} = {v}" for k, v in items.items()]
 
 
 def format_comparison(params: SystemParams, rows: list[CompareRow]) -> str:
     """Long CSV, one row per (grid cell, policy)."""
-    lines = _header_lines(params, {"experiment": "compare"})
-    lines.append("p_e,p_q,policy,qvaoi,qvaoi_per_query,monitor_qvaoi,eval,error")
-    for r in rows:
-        lines.append(
-            f"{r.p_e},{r.p_q},{r.policy},{r.qvaoi!r},"
-            f"{r.qvaoi_per_query!r},{r.monitor_qvaoi!r},"
-            f"{r.eval_mode},{r.error or ''}"
-        )
-    return "\n".join(lines) + "\n"
+    return _csv(
+        _header_lines(params, {"experiment": "compare"}),
+        ("p_e", "p_q", "policy", "qvaoi", "qvaoi_per_query", "monitor_qvaoi",
+         "eval", "error"),
+        ((r.p_e, r.p_q, r.policy, r.qvaoi, r.qvaoi_per_query, r.monitor_qvaoi,
+          r.eval_mode, r.error) for r in rows),
+    )
 
 
 def format_action_map(
@@ -302,16 +319,15 @@ def format_action_map(
     extra: dict[str, object] = {"experiment": "regions", "policy": policy_id}
     if warning:
         extra["warning"] = warning
-    lines = _header_lines(params, extra)
+    head = _header_lines(params, extra)
     if thresholds is not None:
-        for (b, q), thr in sorted(thresholds.items()):
-            lines.append(f"# threshold b={b} q={q}: {thr}")
-    grid = policy.actions[:, :, 1]
-    lines.append("metric,battery,action")
-    for mtr in range(params.delta_max + 1):
-        for b in range(params.B + 1):
-            lines.append(f"{mtr},{b},{int(grid[mtr, b])}")
-    return "\n".join(lines) + "\n"
+        head += [f"threshold b={b} q={q}: {thr}"
+                 for (b, q), thr in sorted(thresholds.items())]
+    return _csv(
+        head,
+        ("metric", "battery", "action"),
+        ((m, b, a) for (m, b), a in np.ndenumerate(policy.actions[:, :, 1])),
+    )
 
 
 def format_ratio_table(
@@ -321,16 +337,38 @@ def format_ratio_table(
     target: float,
 ) -> str:
     """One CSV row per query rate."""
-    lines = _header_lines(
-        params, {"experiment": "sweep", "policy": policy, "target": target}
+    return _csv(
+        _header_lines(params, {"experiment": "sweep", "policy": policy, "target": target}),
+        ("p_q", "pe_policy", "pe_greedy", "ratio", "ratio_lo", "ratio_hi", "error"),
+        ((pt.p_q, pt.pe_policy, pt.pe_greedy, pt.ratio, pt.ratio_lo, pt.ratio_hi,
+          pt.error) for pt in points),
     )
-    lines.append("p_q,pe_policy,pe_greedy,ratio,ratio_lo,ratio_hi,error")
-    for pt in points:
-        lines.append(
-            ",".join([
-                repr(pt.p_q), repr(pt.pe_policy), repr(pt.pe_greedy),
-                repr(pt.ratio), repr(pt.ratio_lo), repr(pt.ratio_hi),
-                pt.error or "",
-            ])
-        )
-    return "\n".join(lines) + "\n"
+
+
+def format_simulation(params: SystemParams, policy_id: str, rep: ReplicationResult) -> str:
+    """One CSV row per replication, then the `# mean_<kind> = <mean> +-
+    <half-width>` lines. The monitor columns add `monitor_offset` to the
+    CS values, the per-query ones for the query-gated kinds; every run
+    starts from a full battery, B."""
+    return _csv(
+        (),
+        ("p_s", "p_v", "p_q", "p_e", "B", "N", "delta_max",
+         "policy", "horizon", "warmup", "seed",
+         "aoi", "vaoi", "qaoi", "qvaoi", "qaoi_per_query", "qvaoi_per_query",
+         "mon_aoi", "mon_vaoi", "mon_qaoi", "mon_qvaoi",
+         "transmissions", "successes", "energy_harvested",
+         "empty_battery_slots", "query_slots",
+         "initial_battery", "final_battery"),
+        ((params.p_s, params.p_v, params.p_q, params.p_e,
+          params.B, params.N, params.delta_max,
+          policy_id, s.horizon, s.warmup, s.seed,
+          *(s.avg[kind] for kind in MetricKind),
+          s.avg_per_query[MetricKind.QAOI], s.avg_per_query[MetricKind.QVAOI],
+          *((s.avg_per_query if kind.query_gated else s.avg)[kind]
+            + monitor_offset(params, kind) for kind in MetricKind),
+          s.transmissions, s.successes, s.energy_harvested,
+          s.empty_battery_slots, s.query_slots,
+          params.B, s.final_battery) for s in rep.summaries),
+        [f"mean_{kind.value} = {rep.means[kind]!r} +- {rep.half_widths[kind]!r}"
+         for kind in MetricKind],
+    )

@@ -123,7 +123,6 @@ class SimSummary:
     successes: int
     energy_harvested: int
     empty_battery_slots: int
-    initial_battery: int
     final_battery: int
     query_slots: int
     horizon: int
@@ -255,7 +254,7 @@ def simulate(
     Starts from a full battery, AoI = delta_max, VAoI = 0, and a query
     flag drawn from Bern(p_q); energy capped at B is lost and not counted
     as harvested, which keeps the conservation identity
-    initial + harvested - transmissions = final exact. A table built under
+    B + harvested - transmissions = final_battery exact. A table built under
     other params raises MismatchedStamp (PolicyTable.check).
     """
     policy.check(params)
@@ -288,7 +287,6 @@ def simulate(
     # the metric the walk state does not hold: VAoI from 0, AoI from dm
     other = 0 if age_family else dm
     state = ((dm if age_family else 0) * bp1 + B) * _CODES
-    initial_battery = B
 
     sum_other = sum_qother = rewalked = 0
     warmup = cfg.warmup
@@ -365,7 +363,6 @@ def simulate(
         successes=successes,
         energy_harvested=harvested,
         empty_battery_slots=empty,
-        initial_battery=initial_battery,
         final_battery=state // _CODES % bp1,
         query_slots=query_slots,
         horizon=cfg.horizon,
@@ -382,10 +379,6 @@ def monitor_offset(params: SystemParams, kind: MetricKind) -> float:
     the age kinds (deterministic), N * p_v (versions generated in flight)
     for the version kinds. It applies verbatim to per-query averages."""
     return params.N if kind.age_family else params.N * params.p_v
-
-
-def _cs_average(summary: SimSummary, kind: MetricKind) -> float:
-    return (summary.avg_per_query if kind.query_gated else summary.avg)[kind]
 
 
 # --- replication ---------------------------------------------------------
@@ -434,37 +427,3 @@ def replicate(
         means[kind] = float(values.mean())
         hws[kind] = 1.96 * float(values.std(ddof=1)) / math.sqrt(n_reps)
     return ReplicationResult(means=means, half_widths=hws, summaries=summaries)
-
-
-# --- tabular output ------------------------------------------------------
-
-_CSV_COLUMNS = [
-    "p_s", "p_v", "p_q", "p_e", "B", "N", "delta_max",
-    "policy", "horizon", "warmup", "seed",
-    "aoi", "vaoi", "qaoi", "qvaoi", "qaoi_per_query", "qvaoi_per_query",
-    "mon_aoi", "mon_vaoi", "mon_qaoi", "mon_qvaoi",
-    "transmissions", "successes", "energy_harvested",
-    "empty_battery_slots", "query_slots",
-    "initial_battery", "final_battery",
-]
-
-
-def summary_csv_header() -> str:
-    return ",".join(_CSV_COLUMNS)
-
-
-def summary_csv_row(params: SystemParams, policy_id: str, s: SimSummary) -> str:
-    """One CSV row; the monitor columns add `monitor_offset` to the CS values."""
-    vals = [
-        params.p_s, params.p_v, params.p_q, params.p_e,
-        params.B, params.N, params.delta_max,
-        policy_id, s.horizon, s.warmup, s.seed,
-        s.avg[MetricKind.AOI], s.avg[MetricKind.VAOI],
-        s.avg[MetricKind.QAOI], s.avg[MetricKind.QVAOI],
-        s.avg_per_query[MetricKind.QAOI], s.avg_per_query[MetricKind.QVAOI],
-        *(_cs_average(s, kind) + monitor_offset(params, kind) for kind in MetricKind),
-        s.transmissions, s.successes, s.energy_harvested,
-        s.empty_battery_slots, s.query_slots,
-        s.initial_battery, s.final_battery,
-    ]
-    return ",".join(str(v) for v in vals)

@@ -18,14 +18,9 @@ from semsched.experiments import charging_sweep, comparison_grid
 from semsched.mdp import evaluate_policy_exact, rvia_solve
 from semsched.metrics import SlotEvents, evolve_trace
 from semsched.policies import PolicyTable, extract_thresholds, greedy_policy
-from semsched.sim import (
-    SimConfig,
-    replicate,
-    simulate,
-    summary_csv_header,
-    summary_csv_row,
-)
+from semsched.sim import SimConfig, replicate, simulate
 from test_mdp import bruteforce_optimum
+from test_sim import simulation_csv
 
 
 @contextmanager
@@ -202,13 +197,12 @@ def test_charging_rate_advantage_anchor_and_dominance():
 
 def test_monitor_side_offsets():
     with verdict("criterion 7: the simulate CSV adds N (age) and N * p_v (version lag) at the monitor"):
-        columns = summary_csv_header().split(",")
         for N in (0, 4, 10):
             p = replace(SystemParams(), N=N, p_e=0.2, p_q=0.3)
             cfg = SimConfig(horizon=300_000, seed=70 + N, warmup=5000)
             s = simulate(p, greedy_policy(p), cfg)
-            fields = zip(columns, summary_csv_row(p, "greedy", s).split(","))
-            row = {k: float(v) for k, v in fields if k != "policy"}
+            columns, [fields] = simulation_csv(p, "greedy", s)
+            row = {k: float(v) for k, v in zip(columns, fields) if k != "policy"}
             assert row["mon_aoi"] == row["aoi"] + N
             assert row["mon_qaoi"] == row["qaoi_per_query"] + N
             assert row["mon_vaoi"] == row["vaoi"] + N * p.p_v
@@ -240,13 +234,13 @@ def test_structural_properties_hold():
                 cfg = SimConfig(horizon=200_000, seed=seed, warmup=1000)
                 s = simulate(p, pol, cfg)
                 assert (
-                    s.initial_battery + s.energy_harvested - s.transmissions
+                    p.B + s.energy_harvested - s.transmissions
                     == s.final_battery
                 )
                 assert s.avg[MetricKind.QAOI] <= s.avg[MetricKind.AOI]
                 assert s.avg[MetricKind.QVAOI] <= s.avg[MetricKind.VAOI]
                 again = simulate(p, pol, cfg)
-                assert summary_csv_row(p, "x", s) == summary_csv_row(p, "x", again)
+                assert simulation_csv(p, "x", s) == simulation_csv(p, "x", again)
 
         # optimal gain is monotone in charging and channel quality
         ps_grid = (0.5, 0.6, 0.7, 0.8, 0.9)

@@ -1,6 +1,7 @@
 """End-to-end CLI runs through main(), checking artifacts, manifests,
 determinism, and the exit-code contract."""
 
+import csv
 import importlib.util
 import json
 import os
@@ -56,6 +57,13 @@ def strict_json(path):
         raise ValueError(f"{path} holds {constant}")
 
     return json.loads(read(path), parse_constant=reject)
+
+
+def csv_rows(path):
+    """The CSV table at `path` read back with csv.reader, its `#` comment
+    lines skipped: the column names first, then one list per row."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.reader(line for line in fh if not line.startswith("#")))
 
 
 def solve_header(path):
@@ -149,6 +157,20 @@ class TestSimulate:
         data = [l for l in lines if l and not l.startswith("#")]
         assert len(data) == 1 + 2  # header + one row per replication
         assert sum(l.startswith("# mean_") for l in lines) == 4
+
+    def test_a_comma_in_the_policy_name_stays_in_one_field(self, tmp_path, cfg):
+        pol = tmp_path / "a,b.txt"
+        pol.write_text(format_policy(greedy_policy(SMALL)), encoding="utf-8")
+        out = str(tmp_path / "sim.csv")
+        rc = main([
+            "simulate", "--config", cfg, "--out", out, "--policy", str(pol),
+            "--horizon", "2000", "--warmup", "0", "--reps", "2",
+        ])
+        assert rc == EXIT_OK
+        header, *rows = csv_rows(out)
+        assert len(header) == 28
+        assert [len(row) for row in rows] == [28, 28]
+        assert [row[header.index("policy")] for row in rows] == ["a,b.txt"] * 2
 
     def test_same_seed_same_bytes(self, tmp_path, cfg):
         argv = [
@@ -760,6 +782,23 @@ class TestManifestOutputs:
         )
 
 
+class TestCsvTables:
+    # the commands whose --out is a CSV table; regions writes one
+    # <out>.pe<rate>.csv per charging rate
+    CSV_OUT = {"simulate", "compare", "sweep"}
+
+    @EVERY_COMMAND
+    def test_every_row_has_the_width_of_the_column_line(self, tmp_path, cfg, argv):
+        assert run_small(tmp_path, cfg, argv) == EXIT_OK
+        outputs = strict_json(tmp_path / "o.manifest.json")["outputs"]
+        tables = [path for path in outputs if path.endswith(".csv")
+                  or (path == str(tmp_path / "o") and argv[0] in self.CSV_OUT)]
+        assert bool(tables) == (argv[0] in self.CSV_OUT | {"regions"})
+        for path in tables:
+            header, *rows = csv_rows(path)
+            assert rows and all(len(row) == len(header) for row in rows), path
+
+
 class TestFileModes:
     @EVERY_COMMAND
     @pytest.mark.parametrize("umask", [0o022, 0o077], ids=oct)
@@ -872,12 +911,13 @@ class TestProcess:
         assert int(library.stdout) == 0
 
     def test_the_simulator_imports_without_scipy(self):
-        # only the solver and the evaluator need scipy
+        # only the solver and the evaluator need scipy, and only the
+        # table writers in experiments need csv
         code = ("import sys, semsched.core, semsched.metrics, semsched.policies, "
-                "semsched.sim; print('scipy' in sys.modules)")
+                "semsched.sim; print('scipy' in sys.modules, 'csv' in sys.modules)")
         done = run_process(code=code)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "False"
+        assert done.stdout.strip() == "False False"
 
 
 class TestReadme:

@@ -1,6 +1,7 @@
 """Experiment-layer tests on deliberately small instances: the policy
 comparison, transmission regions, and the required-charging-rate search."""
 
+import csv
 import dataclasses
 import math
 import re
@@ -12,6 +13,7 @@ import semsched.experiments as experiments
 import semsched.sim as sim
 from semsched.core import MetricKind, SystemParams, params_stamp
 from semsched.experiments import (
+    CompareRow,
     TargetUnreachable,
     charging_sweep,
     compare_policies,
@@ -21,7 +23,7 @@ from semsched.experiments import (
     format_ratio_table,
     required_charging_rate,
 )
-from semsched.mdp import evaluate_policy_exact, rvia_solve
+from semsched.mdp import SolveResult, evaluate_policy_exact, rvia_solve
 from semsched.policies import (
     NotThresholdStructured,
     extract_thresholds,
@@ -282,6 +284,15 @@ class TestFormatting:
         assert data[1] == (
             f"0.1,0.3,greedy,{r.qvaoi!r},{r.qvaoi_per_query!r},{r.monitor_qvaoi!r},exact,"
         )
+
+    def test_an_error_holding_a_comma_reads_back_as_one_field(self):
+        error = 'span 0.5, bracket [1, 2]: "stalled"'
+        row = CompareRow(0.1, 0.3, "aoi", math.nan, math.nan, math.nan, "none",
+                         dict.fromkeys(SolveResult.RECORD_KEYS), error)
+        text = format_comparison(SMALL, [row])
+        header, *rows = csv.reader(l for l in text.splitlines() if not l.startswith("#"))
+        assert rows == [["0.1", "0.3", "aoi", "nan", "nan", "nan", "none", error]]
+        assert len(header) == len(rows[0])
 
     def test_ratio_table_lists_every_point(self):
         pts = charging_sweep(SMALL, "greedy", 3.0, (0.3,), tol=5e-2)

@@ -16,6 +16,7 @@ from pathlib import Path
 
 from semsched.cli import main
 from semsched.core import params_stamp, parse_config, validate_params
+from semsched.policies import format_policy, greedy_policy
 
 SMALL = """\
 p_s = 0.8
@@ -79,6 +80,10 @@ RUNS = [
                            "--target", "0.0", "--pq", "0.1,0.4"]),
     ("simulate_no_jobs", ["simulate", "--config", "small.cfg", "--out", "nojobs.csv",
                           "--jobs", "0"]),
+    # the policy column quotes the file name, which holds a comma
+    ("simulate_comma", ["simulate", "--config", "small.cfg", "--out", "comma.csv",
+                        "--policy", "a,b.txt", "--reps", "2", "--horizon", "2000",
+                        "--warmup", "0"]),
 ]
 
 
@@ -106,6 +111,8 @@ def run_all(directory: Path, capture) -> dict:
     (directory / "stranded.cfg").write_text(STRANDED, encoding="utf-8")
     (directory / "events.txt").write_text(EVENTS, encoding="utf-8")
     (directory / "forged.txt").write_text(forged_policy(), encoding="utf-8")
+    greedy = greedy_policy(validate_params(parse_config(SMALL)))
+    (directory / "a,b.txt").write_text(format_policy(greedy), encoding="utf-8")
     seen = set(os.listdir(directory))
     digests = {}
     for name, argv in RUNS:
@@ -192,7 +199,12 @@ EXPECTED = {'solve': {'exit': 0,
             'simulate_no_jobs': {'exit': 2,
                                  'stdout': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
                                  'stderr': '3b4cb860df659bccb9229507260cfabd28ea43930bf0fda2ce32fcdd088da839',
-                                 'files': {}}}
+                                 'files': {}},
+            'simulate_comma': {'exit': 0,
+                               'stdout': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+                               'stderr': 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+                               'files': {'comma.csv': '0846b6e8cfc1ce7ba9148155cdd7156682feea7deb55dca1a76d9b71bd0540b1',
+                                         'comma.csv.manifest.json': '805229eb854c26278477f5c2862cfcb59c93581ac466a863f2a570114564ef28'}}}
 
 
 def test_every_run_writes_the_golden_bytes(tmp_path, monkeypatch, capsys):

@@ -3,6 +3,7 @@ reference loop, the flag draw from raw Philox words, determinism,
 conservation laws, agreement with the exact chain, replay of the
 reference loop's flags, and the monitor-side CSV columns."""
 
+import csv
 import dataclasses
 import math
 
@@ -11,6 +12,7 @@ import pytest
 
 import semsched.sim as sim
 from semsched.core import ConfigError, MetricKind, SystemParams, params_stamp
+from semsched.experiments import format_simulation
 from semsched.mdp import evaluate_policy_exact, rvia_solve
 from semsched.metrics import SlotEvents, evolve_trace
 from semsched.policies import MismatchedStamp, PolicyTable, greedy_policy
@@ -20,13 +22,12 @@ from semsched.sim import (
     STREAM_INIT,
     STREAM_QUERY,
     STREAM_VERSION,
+    ReplicationResult,
     SimConfig,
     SimSummary,
     _stream,
     replicate,
     simulate,
-    summary_csv_header,
-    summary_csv_row,
 )
 
 MID = SystemParams(
@@ -36,6 +37,15 @@ MID = SystemParams(
 
 
 REFERENCE_CHUNK = 1 << 18
+
+
+def simulation_csv(params, policy_id, *summaries):
+    """The simulate CSV of `summaries`, one replication each, read back
+    with csv.reader: the column names and one list of fields per summary."""
+    rep = ReplicationResult(summaries[0].avg, dict.fromkeys(MetricKind, 0.0), summaries)
+    text = format_simulation(params, policy_id, rep)
+    header, *rows = csv.reader(l for l in text.splitlines() if not l.startswith("#"))
+    return header, rows
 
 
 def reference_simulate(
@@ -60,7 +70,6 @@ def reference_simulate(
     aoi = dm
     vaoi = 0
     battery = B
-    initial_battery = battery
 
     sum_aoi = sum_vaoi = sum_qaoi = sum_qvaoi = 0
     transmissions = successes = harvested = empty = 0
@@ -128,7 +137,6 @@ def reference_simulate(
         successes=successes,
         energy_harvested=harvested,
         empty_battery_slots=empty,
-        initial_battery=initial_battery,
         final_battery=battery,
         query_slots=query_slots,
         horizon=cfg.horizon,
@@ -182,7 +190,7 @@ class TestDeterminism:
         a = simulate(MID, pol, cfg)
         b = simulate(MID, pol, cfg)
         assert summary_fields(a) == summary_fields(b)
-        assert summary_csv_row(MID, "greedy", a) == summary_csv_row(MID, "greedy", b)
+        assert simulation_csv(MID, "greedy", a) == simulation_csv(MID, "greedy", b)
 
     def test_different_seed_differs(self):
         pol = greedy_policy(MID)
@@ -198,7 +206,7 @@ class TestConservation:
                 MID, greedy_policy(MID), SimConfig(horizon=30_000, seed=seed, warmup=0)
             )
             assert (
-                s.initial_battery + s.energy_harvested - s.transmissions
+                MID.B + s.energy_harvested - s.transmissions
                 == s.final_battery
             )
             assert 0 <= s.final_battery <= MID.B
@@ -207,7 +215,7 @@ class TestConservation:
     def test_no_harvesting_limits_transmissions(self):
         p = dataclasses.replace(MID, p_e=0.0)
         s = simulate(p, greedy_policy(p), SimConfig(horizon=20_000, seed=3, warmup=0))
-        assert s.transmissions <= s.initial_battery
+        assert s.transmissions <= p.B
         assert s.energy_harvested == 0
 
     def test_dead_battery_saturates_age(self):
@@ -288,9 +296,8 @@ class TestMonitorSide:
     def test_csv_adds_the_relay_offsets(self, N):
         p = dataclasses.replace(MID, N=N)
         s = simulate(p, greedy_policy(p), SimConfig(horizon=50_000, seed=4, warmup=1000))
-        columns = summary_csv_header().split(",")
-        fields = zip(columns, summary_csv_row(p, "greedy", s).split(","))
-        row = {k: float(v) for k, v in fields if k != "policy"}
+        columns, [fields] = simulation_csv(p, "greedy", s)
+        row = {k: float(v) for k, v in zip(columns, fields) if k != "policy"}
         assert row["mon_aoi"] == row["aoi"] + N
         assert row["mon_qaoi"] == row["qaoi_per_query"] + N
         assert row["mon_vaoi"] == row["vaoi"] + N * p.p_v
@@ -542,7 +549,8 @@ class TestLaneWalk:
 class TestCsv:
     def test_row_matches_header_arity(self):
         s = simulate(MID, greedy_policy(MID), SimConfig(horizon=1000, seed=1, warmup=100))
-        header = summary_csv_header()
-        row = summary_csv_row(MID, "greedy", s)
-        assert len(row.split(",")) == len(header.split(","))
-        assert not math.isnan(float(row.split(",")[header.split(",").index("vaoi")]))
+        header, [row] = simulation_csv(MID, "greedy", s)
+        assert len(row) == len(header)
+        assert not math.isnan(float(row[header.index("vaoi")]))
+        # every run starts from a full battery
+        assert row[header.index("initial_battery")] == str(MID.B)
