@@ -30,6 +30,7 @@ from . import __version__
 from .core import (
     ConfigError,
     MetricKind,
+    NoAnswer,
     ParamError,
     SystemParams,
     load_config,
@@ -37,7 +38,7 @@ from .core import (
     validate_params,
 )
 from .metrics import evolve_trace, format_trace_table, parse_events_table
-from .mdp import NotConverged, format_solve_result, rvia_solve
+from .mdp import format_solve_result, rvia_solve
 from .policies import (
     MismatchedStamp,
     NotThresholdStructured,
@@ -56,6 +57,7 @@ from .experiments import (
     format_comparison,
     format_ratio_table,
     format_simulation,
+    named_policy,
 )
 
 # Move everything the imports above allocated (numpy's and scipy's module
@@ -285,11 +287,8 @@ def cmd_regions(args) -> int:
     for pe, name in zip(pe_values, names):
         cell = replace(run.params, p_e=pe)
         try:
-            if args.kind == "greedy":
-                policy = greedy_policy(cell)
-            else:
-                policy = rvia_solve(cell, MetricKind(args.kind)).policy
-        except NotConverged as exc:
+            policy = named_policy(args.kind, cell)[0]
+        except NoAnswer as exc:
             print(f"p_e={name}: {exc}", file=sys.stderr)
             failures += 1
             continue
@@ -402,7 +401,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParamError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except NotConverged as exc:
+    except NoAnswer as exc:
         print(f"solver did not converge: {exc}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
     except MismatchedStamp as exc:

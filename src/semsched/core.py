@@ -43,6 +43,11 @@ class ParamError(ValueError):
     """Parameter validation failure; the message lists every violation."""
 
 
+class NoAnswer(RuntimeError):
+    """No trustworthy answer at this point (mdp.NotConverged among others);
+    a grid driver fails the one row or point that raised it."""
+
+
 class ConfigError(ValueError):
     """Malformed config input at a 1-based line number, None off-file."""
 

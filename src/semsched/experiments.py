@@ -9,6 +9,10 @@ average per query slot, which is the axis the comparison tables and the
 charging-rate targets use (monitor-side offsets apply verbatim on that
 axis). Exact stationary evaluation is the default; simulation is an
 explicit cross-check (a `SimConfig` passed as `sim_cfg`).
+
+One failure rule serves both grids: a `NoAnswer` from a solve, an exact
+evaluation or a charging-rate search fails the one comparison row or
+sweep point it came from, with its message in `error`; the rest go on.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .core import MetricKind, SystemParams, params_stamp
+from .core import MetricKind, NoAnswer, SystemParams, params_stamp
 from .mdp import (
     NotConverged,
     SolveResult,
@@ -37,17 +41,16 @@ DEFAULT_PE_CELLS = (0.05, 0.20)
 DEFAULT_PQ_CELLS = (0.2, 0.4)
 
 
-class TargetUnreachable(ValueError):
-    """Average exceeds the target even at p_e = 1."""
-
-    def __init__(self, target: float, value_at_one: float):
-        super().__init__(
-            f"target {target} unreachable: value {value_at_one:.6f} at p_e = 1"
-        )
-
-
-class MonotonicityViolation(RuntimeError):
-    """Evaluated average increased with p_e; bisection preconditions broken."""
+def named_policy(
+    name: str, params: SystemParams, h0: np.ndarray | None = None
+) -> tuple[PolicyTable, SolveResult | None]:
+    """The policy `name` (one of POLICY_NAMES) at `params`: the greedy
+    table, which is not solved, or the solved table of that metric with
+    its solve, warm-started from the bias `h0`."""
+    if name == "greedy":
+        return greedy_policy(params), None
+    solved = rvia_solve(params, MetricKind(name), h0=h0)
+    return solved.policy, solved
 
 
 # --- comparison ----------------------------------------------------------
@@ -79,34 +82,35 @@ def compare_policies(
     Without `sim_cfg` every row is evaluated exactly from its stationary
     distribution; with it, the simulator runs that configuration instead.
     Each row records the chain size and the solver record. A policy whose
-    solve fails is reported in its row, with the failed solve's record,
-    and the rest continue.
+    solve or exact evaluation has no answer (NoAnswer) is reported in its
+    row, with its solve's record (a failed solve's included), and the
+    rest continue.
     """
     meter = MetricKind.QVAOI
     rows: list[CompareRow] = []
     for name in POLICY_NAMES:
-        if name == "greedy":
-            policy = greedy_policy(params)
-            solver = dict.fromkeys(SolveResult.RECORD_KEYS)
-        else:
-            try:
-                solved = rvia_solve(params, MetricKind(name))
-            except NotConverged as exc:
-                rows.append(CompareRow(
-                    params.p_e, params.p_q, name, math.nan, math.nan, math.nan,
-                    "none", exc.result.record, str(exc),
-                ))
-                continue
-            policy, solver = solved.policy, solved.record
-        if sim_cfg is None:
-            all_slot = evaluate_policy_exact(params, meter, policy)
-            per_query = all_slot / params.p_q if params.p_q > 0 else math.nan
-            used = "exact"
-        else:
-            s = simulate(params, policy, sim_cfg)
-            all_slot = s.avg[meter]
-            per_query = s.avg_per_query[meter]
-            used = "simulated"
+        solver = dict.fromkeys(SolveResult.RECORD_KEYS)
+        try:
+            policy, solved = named_policy(name, params)
+            if solved is not None:
+                solver = solved.record
+            if sim_cfg is None:
+                all_slot = evaluate_policy_exact(params, meter, policy)
+                per_query = all_slot / params.p_q if params.p_q > 0 else math.nan
+                used = "exact"
+            else:
+                s = simulate(params, policy, sim_cfg)
+                all_slot = s.avg[meter]
+                per_query = s.avg_per_query[meter]
+                used = "simulated"
+        except NoAnswer as exc:
+            if isinstance(exc, NotConverged):
+                solver = exc.result.record
+            rows.append(CompareRow(
+                params.p_e, params.p_q, name, math.nan, math.nan, math.nan,
+                "none", solver, str(exc),
+            ))
+            continue
         monitor = per_query + monitor_offset(params, meter)
         rows.append(CompareRow(
             params.p_e, params.p_q, name, all_slot, per_query, monitor, used,
@@ -164,7 +168,7 @@ def required_charging_rate(
     boundary (or one float away, for a tol below the float spacing there).
     Feasibility at p_e = 1 is checked before bisecting, and the
     expected decrease of the average in p_e is verified on every point
-    actually evaluated. `policy_kind` is one of POLICY_NAMES; tol in
+    actually evaluated; either failure raises NoAnswer. `policy_kind` is one of POLICY_NAMES; tol in
     (0, 1), a finite target and p_q > 0 are the caller's to check
     (cmd_sweep does).
     """
@@ -175,12 +179,9 @@ def required_charging_rate(
     def value(pe: float) -> float:
         nonlocal h0
         cand = replace(base, p_e=pe)
-        if policy_kind == "greedy":
-            policy = greedy_policy(cand)
-        else:
-            res = rvia_solve(cand, MetricKind(policy_kind), h0=h0)
-            h0 = res.bias
-            policy = res.policy
+        policy, solved = named_policy(policy_kind, cand, h0)
+        if solved is not None:
+            h0 = solved.bias
         all_slot = evaluate_policy_exact(cand, MetricKind.QVAOI, policy)
         v = all_slot / p_q
         evals.append((pe, v))
@@ -188,7 +189,7 @@ def required_charging_rate(
 
     v_one = value(1.0)
     if v_one > target:
-        raise TargetUnreachable(target, v_one)
+        raise NoAnswer(f"target {target} unreachable: value {v_one:.6f} at p_e = 1")
     lo, hi = 0.0, 1.0
     while hi - lo > tol:
         mid = (lo + hi) / 2.0
@@ -202,7 +203,7 @@ def required_charging_rate(
     pts = sorted(evals)
     for (pe_a, va), (pe_b, vb) in zip(pts, pts[1:]):
         if vb > va + 1e-9 + 1e-9 * abs(va):
-            raise MonotonicityViolation(
+            raise NoAnswer(
                 f"average rose from {va:.9f} at p_e={pe_a:.6f} "
                 f"to {vb:.9f} at p_e={pe_b:.6f}"
             )
@@ -244,7 +245,7 @@ def charging_sweep(
     rg = greedy_error = None
     try:
         rg = required_charging_rate("greedy", target, params, p_q_values[0], tol)
-    except (TargetUnreachable, MonotonicityViolation) as exc:
+    except NoAnswer as exc:
         greedy_error = exc
     for pq in p_q_values:
         try:
@@ -253,7 +254,7 @@ def charging_sweep(
             )
             if greedy_error is not None:
                 raise greedy_error
-        except (TargetUnreachable, MonotonicityViolation, NotConverged) as exc:
+        except NoAnswer as exc:
             out.append(
                 RatioPoint(pq, math.nan, math.nan, math.nan, math.nan, math.nan,
                            error=str(exc))

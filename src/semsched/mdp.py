@@ -54,7 +54,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 from scipy.sparse.linalg import splu
 
-from .core import MetricKind, SystemParams, params_stamp
+from .core import MetricKind, NoAnswer, SystemParams, params_stamp
 from .policies import PolicyTable, format_policy, state_count
 
 _DAMPING = 0.5
@@ -64,7 +64,7 @@ _MAX_SWEEPS = 10**6  # rvia_solve raises NotConverged past this many sweeps
 SPAN_TOL = 1e-9  # rvia_solve's span tolerance
 
 
-class NotConverged(RuntimeError):
+class NotConverged(NoAnswer):
     """RVIA ran _MAX_SWEEPS sweeps with neither stop, or no single gain
     exists; diagnostics attached."""
 
@@ -74,15 +74,6 @@ class NotConverged(RuntimeError):
             f"no convergence after {result.iterations} iterations, "
             f"residual span {result.residual_span:.3e}"
         ))
-
-
-class MultichainPolicy(ValueError):
-    """The policy-induced chain has several recurrent classes reachable
-    from the start states; a single long-run average does not exist."""
-
-
-class SingularSolve(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,7 +251,7 @@ def _evaluate(m: _Model, table: np.ndarray) -> tuple[float, np.ndarray] | None:
     trusted."""
     try:
         return _solve_chain(_policy_matrix(m, table), _chain_cost(m, table))[:2]
-    except SingularSolve:
+    except NoAnswer:
         return None
 
 
@@ -433,11 +424,11 @@ def _factor(A: sp.csc_matrix):
     """SuperLU factors of A under the fill-reducing MMD_AT_PLUS_A column
     ordering in symmetric mode, which on these chains reaches the default
     mode's fill in less time (5-10x less on some certificate systems).
-    Raises SingularSolve when SuperLU finds A singular."""
+    Raises NoAnswer when SuperLU finds A singular."""
     try:
         return splu(A, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
     except RuntimeError as exc:
-        raise SingularSolve(str(exc)) from exc
+        raise NoAnswer(str(exc)) from exc
 
 
 def _outcome_matrix(m: _Model, idle: np.ndarray, tx: np.ndarray) -> sp.csr_matrix:
@@ -507,7 +498,7 @@ def _solve_chain(
 
     Without `start`, P must have one closed class, and h and pi run over
     every state (pi is 0 off the class). With `start`, P and c are cut to
-    the one closed class that `start` reaches, else MultichainPolicy, and
+    the one closed class that `start` reaches, else NoAnswer, and
     h and pi run over `members`: no edge leaves the reachable set, so a
     class of P that it meets is closed there exactly when it is closed
     in P.
@@ -518,10 +509,10 @@ def _solve_chain(
     that performance derivatives use (Cao & Chen, IEEE TAC 1997). A is
     nonsingular exactly when P has one closed class. P is a canonical CSR
     matrix; A is built in CSC form (_bordered), the layout SuperLU factors.
-    Raises SingularSolve, before any factor, when P has several closed
-    classes and no `start`; and when SuperLU finds A singular or the
-    solution is not finite, has a bias residual above 1e-9 max(1,
-    ||c||_inf), ||pi P - pi||_inf > 1e-9 or min(pi) < -1e-9.
+    Raises NoAnswer, before any factor, when P has several closed
+    classes (reachable from `start`, if given); and when SuperLU finds A
+    singular or the solution is not finite, has a bias residual above
+    1e-9 max(1, ||c||_inf), ||pi P - pi||_inf > 1e-9 or min(pi) < -1e-9.
     """
     labels, closed = _closed_classes(P)
     hits = np.flatnonzero(closed)
@@ -530,9 +521,8 @@ def _solve_chain(
         hits = np.intersect1d(hits, reached)
     if hits.size != 1:
         if start is None:
-            raise SingularSolve(f"{hits.size} closed classes: no single gain")
-        raise MultichainPolicy(
-            f"{hits.size} recurrent classes reachable from the start states")
+            raise NoAnswer(f"{hits.size} closed classes: no single gain")
+        raise NoAnswer(f"{hits.size} recurrent classes reachable from the start states")
     members = np.flatnonzero(labels == hits[0])
     if start is not None:
         P, c = _submatrix(P, members), c[members]
@@ -549,7 +539,7 @@ def _solve_chain(
     # a non-finite entry makes a residual nan or inf, which fails its test
     tol = 1e-9 * max(1.0, np.abs(c).max())
     if not (residual <= tol and balance <= 1e-9 and pi.min() >= -1e-9):
-        raise SingularSolve(
+        raise NoAnswer(
             f"chain solve failed (bias residual {residual:.3e}, balance "
             f"residual {balance:.3e}, min pi {pi.min():.3e})"
         )
@@ -598,7 +588,7 @@ def _level_average(
     x_m (I - S) = mu R_m + x_{m-1} U for m < delta_max, and x_delta_max =
     mu - sum of the rest (Latouche & Ramaswami 1999). I - S is singular
     only when nothing on mu's class moves the meter, which then keeps its
-    start value. Raises SingularSolve unless every x_m is finite and
+    start value. Raises NoAnswer unless every x_m is finite and
     >= -1e-9; x is then clipped at 0, as _solve_chain clips pi, since
     x_delta_max carries the rounding of every other level.
     """
@@ -631,7 +621,7 @@ def _level_average(
             x[lvl] = lu.solve(rhs)
         x[dm] = mu - x[:dm].sum(axis=0)
         if not (np.all(np.isfinite(x)) and x.min() >= -1e-9):
-            raise SingularSolve(f"negative or non-finite level mass {x.min():.3e}")
+            raise NoAnswer(f"negative or non-finite level mass {x.min():.3e}")
         np.clip(x, 0.0, None, out=x)
     # the meter's cost at (level, policy state's battery, query)
     b = pol.battery[members]
@@ -646,7 +636,7 @@ def evaluate_policy_exact(
 ) -> float:
     """Long-run average cost of a fixed policy: the gain of _solve_chain
     on the closed class that the policy's (m, b) chain reaches from the
-    simulator's start state (_start_index), else MultichainPolicy.
+    simulator's start state (_start_index), else NoAnswer.
 
     `kind` selects the cost being averaged and may differ from
     `policy.kind`: a query-agnostic policy is metered on a query-aware

@@ -66,6 +66,16 @@ def csv_rows(path):
         return list(csv.reader(line for line in fh if not line.startswith("#")))
 
 
+def versionless_config(tmp_path):
+    """The default model with no version arrivals (p_v = 0) at delta_max
+    28, as a config file; returns its path."""
+    path = tmp_path / "stranded.cfg"
+    path.write_text(
+        config_text(replace(SystemParams(), p_v=0.0, delta_max=28)), encoding="utf-8"
+    )
+    return str(path)
+
+
 def solve_header(path):
     """The `key = value` header of a written solve file."""
     return split_lines(read(path).decode())[0]
@@ -329,12 +339,8 @@ class TestCompare:
         assert main(["solve", "--config", cfg, "--out", solve]) == EXIT_OK
         keys = list(strict_json(solve + ".manifest.json")["solver"])
         # no versions: vaoi and qvaoi are stranded at p_e 0 and fail there
-        path = tmp_path / "stranded.cfg"
-        path.write_text(
-            config_text(replace(SystemParams(), p_v=0.0, delta_max=28)), encoding="utf-8"
-        )
         out = str(tmp_path / "cmp.csv")
-        rc = main(["compare", "--config", str(path), "--out", out,
+        rc = main(["compare", "--config", versionless_config(tmp_path), "--out", out,
                    "--pe", "0,0.05", "--pq", "0.2"])
         assert rc == EXIT_PARTIAL
         rows = strict_json(out + ".manifest.json")["evaluation"]["rows"]
@@ -352,6 +358,41 @@ class TestCompare:
                 assert f"{r['residual_span']:.3e}" == gap
         failed = [(r["p_e"], r["policy"]) for r, error in zip(rows, errors) if error]
         assert failed == [(0.0, "vaoi"), (0.0, "qvaoi")]
+
+    @pytest.mark.parametrize("pq, message", [
+        ("1e-17", "Factor is exactly singular"),
+        ("1e-9", "negative or non-finite level mass"),
+    ])
+    def test_a_failed_exact_evaluation_fails_its_row(self, tmp_path, capsys, pq, message):
+        # the cross-family qaoi row's level recursion has a singular factor
+        # (1e-17) or leaves a negative mass (1e-9); its solve succeeded
+        out = str(tmp_path / "cmp.csv")
+        rc = main(["compare", "--config", versionless_config(tmp_path), "--out", out,
+                   "--pe", "1", "--pq", pq])
+        assert rc == EXIT_PARTIAL
+        err = capsys.readouterr().err
+        assert "1 row(s) failed" in err and "Traceback" not in err
+        _, *table = csv_rows(out)
+        assert [r[2] for r in table] == ["greedy", "aoi", "vaoi", "qaoi", "qvaoi"]
+        for r in table:
+            if r[2] == "qaoi":
+                assert r[3:7] == ["nan", "nan", "nan", "none"]
+                assert r[7].startswith(message)
+            else:
+                assert r[6:] == ["exact", ""] and float(r[4]) >= 0.0
+        manifest = strict_json(out + ".manifest.json")
+        rows = {r["policy"]: r for r in manifest["evaluation"]["rows"]}
+        qaoi = rows["qaoi"]
+        assert (qaoi["eval"], qaoi["evaluation_chain_size"]) == ("none", None)
+        solved = rvia_solve(
+            replace(SystemParams(), p_v=0.0, delta_max=28, p_e=1.0, p_q=float(pq)),
+            MetricKind.QAOI,
+        )
+        assert {k: qaoi[k] for k in solved.record} == solved.record
+        assert qaoi["stop"] is not None
+        assert manifest["outputs"] == [out]
+        assert sorted(os.listdir(tmp_path)) == [
+            "cmp.csv", "cmp.csv.manifest.json", "stranded.cfg"]
 
     def test_default_grid(self, tmp_path, cfg):
         out = str(tmp_path / "cmp.csv")
@@ -446,6 +487,22 @@ class TestSweep:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
         assert not out.exists()
+
+    def test_a_failed_exact_evaluation_fails_its_point(self, tmp_path, capsys):
+        # at p_q 1e-9 the cross-family qaoi evaluation leaves a negative
+        # level mass; the p_q 0.2 point is searched as usual
+        out = str(tmp_path / "s.csv")
+        rc = main(["sweep", "--config", versionless_config(tmp_path), "--out", out,
+                   "--kind", "qaoi", "--pq", "1e-9,0.2", "--target", "1"])
+        assert rc == EXIT_PARTIAL
+        err = capsys.readouterr().err
+        assert "1 grid point(s) failed" in err and "Traceback" not in err
+        _, failed, done = csv_rows(out)
+        assert failed[0] == "1e-09" and failed[1:6] == ["nan"] * 5
+        assert failed[6].startswith("negative or non-finite level mass")
+        assert done[0] == "0.2" and done[6] == ""
+        assert 0.0 < float(done[1]) <= 1.0 and 0.0 < float(done[3])
+        assert strict_json(out + ".manifest.json")["outputs"] == [out]
 
     def test_unreachable_target_is_partial(self, tmp_path, cfg):
         rc = main([
@@ -767,12 +824,8 @@ class TestManifestOutputs:
 
     def test_a_failed_regions_cell_writes_and_lists_nothing(self, tmp_path):
         # no versions: vaoi is stranded at p_e 0 and fails there
-        path = tmp_path / "stranded.cfg"
-        path.write_text(
-            config_text(replace(SystemParams(), p_v=0.0, delta_max=28)), encoding="utf-8"
-        )
         out = str(tmp_path / "o")
-        rc = main(["regions", "--config", str(path), "--out", out,
+        rc = main(["regions", "--config", versionless_config(tmp_path), "--out", out,
                    "--kind", "vaoi", "--pe", "0,0.05"])
         assert rc == EXIT_PARTIAL
         outputs = strict_json(out + ".manifest.json")["outputs"]

@@ -11,10 +11,10 @@ import pytest
 
 import semsched.experiments as experiments
 import semsched.sim as sim
-from semsched.core import MetricKind, SystemParams, params_stamp
+from semsched.core import MetricKind, NoAnswer, SystemParams, params_stamp
 from semsched.experiments import (
+    POLICY_NAMES,
     CompareRow,
-    TargetUnreachable,
     charging_sweep,
     compare_policies,
     comparison_grid,
@@ -200,7 +200,7 @@ class TestRequiredChargingRate:
         assert loose.bracket_hi <= tight.bracket_hi + 1e-12
 
     def test_impossible_target_is_reported_with_the_best_value(self):
-        with pytest.raises(TargetUnreachable) as exc:
+        with pytest.raises(NoAnswer) as exc:
             required_charging_rate("qvaoi", 0.0, SMALL, p_q=0.3, tol=1e-2)
         best = re.fullmatch(r"target 0.0 unreachable: value (\S+) at p_e = 1", str(exc.value))
         assert float(best[1]) > 0.0
@@ -258,18 +258,82 @@ class TestChargingSweep:
             if kind != "greedy":
                 return search(kind, target, params, p_q, tol)
             searched.append(p_q)
-            raise TargetUnreachable(target, 9.0)
+            raise NoAnswer(f"target {target} unreachable: value {9.0:.6f} at p_e = 1")
 
         monkeypatch.setattr(experiments, "required_charging_rate", failing_greedy)
         pts = charging_sweep(SMALL, "qvaoi", 2.5, (0.2, 0.3), tol=1e-2)
         assert searched == [0.2]
-        assert [pt.error for pt in pts] == [str(TargetUnreachable(2.5, 9.0))] * 2
+        assert [pt.error for pt in pts] == ["target 2.5 unreachable: value 9.000000 at p_e = 1"] * 2
 
     def test_failed_points_do_not_stop_the_sweep(self):
         pts = charging_sweep(SMALL, "qvaoi", 0.0, (0.2, 0.3), tol=1e-2)
         assert len(pts) == 2
         assert all(pt.error is not None for pt in pts)
         assert all(math.isnan(pt.ratio) for pt in pts)
+
+
+class TestFailureRule:
+    """A NoAnswer, from a solve or an exact evaluation, fails the one row
+    or point it came from."""
+
+    @staticmethod
+    def no_answer_for(monkeypatch, kind, message):
+        """Make experiments' exact evaluation raise NoAnswer(message) for
+        policies stamped `kind` (greedy's stamp is aoi)."""
+        evaluate = experiments.evaluate_policy_exact
+        seen = []
+
+        def evaluate_or_fail(params, meter, policy):
+            seen.append(policy.kind)
+            if policy.kind is kind:
+                raise NoAnswer(message)
+            return evaluate(params, meter, policy)
+
+        monkeypatch.setattr(experiments, "evaluate_policy_exact", evaluate_or_fail)
+        return seen
+
+    def test_a_failed_evaluation_fails_only_its_row(self, monkeypatch):
+        self.no_answer_for(monkeypatch, MetricKind.QAOI, "level mass gone")
+        rows = compare_policies(SMALL)
+        assert [r.policy for r in rows] == list(POLICY_NAMES)
+        (failed,) = (r for r in rows if r.error is not None)
+        assert (failed.policy, failed.error, failed.eval_mode) == (
+            "qaoi", "level mass gone", "none")
+        assert all(math.isnan(v) for v in (
+            failed.qvaoi, failed.qvaoi_per_query, failed.monitor_qvaoi))
+        assert failed.chain_states is None
+        # the solve itself succeeded, and its record stays on the row
+        assert failed.solver == rvia_solve(SMALL, MetricKind.QAOI).record
+        assert failed.solver["stop"] in ("span", "certificate")
+        for r in rows:
+            if r is not failed:
+                assert r.eval_mode == "exact" and math.isfinite(r.qvaoi)
+
+    def test_a_failed_greedy_search_fails_every_point(self, monkeypatch):
+        seen = self.no_answer_for(monkeypatch, MetricKind.AOI, "Factor is exactly singular")
+        pts = charging_sweep(SMALL, "qvaoi", 2.5, (0.2, 0.3), tol=1e-2)
+        assert [pt.p_q for pt in pts] == [0.2, 0.3]
+        assert [pt.error for pt in pts] == ["Factor is exactly singular"] * 2
+        assert all(math.isnan(pt.ratio) and math.isnan(pt.pe_policy) for pt in pts)
+        assert MetricKind.QVAOI in seen  # the policy's own searches still ran
+
+    def test_a_failed_row_comes_back_through_the_pool_in_grid_order(self):
+        # no versions and a query every 1e9 slots: the cross-family qaoi
+        # row's level recursion leaves a negative mass. The failure is a
+        # real one, so it happens inside the worker whatever its start
+        # method, and the p_q = 0.3 cell beside it evaluates normally
+        p = dataclasses.replace(SMALL, p_v=0.0)
+        kw = dict(pe_values=(0.3,), pq_values=(1e-9, 0.3))
+        par = comparison_grid(p, jobs=2, **kw)
+        assert [(r.p_q, r.policy) for r in par] == [
+            (pq, name) for pq in (1e-9, 0.3) for name in POLICY_NAMES
+        ]
+        failed = [r for r in par if r.error is not None]
+        assert [(r.p_q, r.policy, r.eval_mode) for r in failed] == [(1e-9, "qaoi", "none")]
+        assert failed[0].error.startswith("negative or non-finite level mass")
+        assert failed[0].solver["stop"] is not None
+        seq = comparison_grid(p, jobs=1, **kw)
+        assert [repr(r) for r in par] == [repr(r) for r in seq]
 
 
 class TestFormatting:
